@@ -128,6 +128,12 @@ def parse_config(path: str) -> list[ExperimentConfig]:
                 f"[experiment <name>]"
             )
         label = section_name[len("experiment") :].strip() or section_name
+        # the name becomes NAME.json and NAME.csv inside the output directory
+        if label in (".", "..") or "/" in label or "\\" in label:
+            raise ConfigError(
+                f"[{section_name}] experiment name must not be '.', '..' "
+                f"or contain a path separator"
+            )
         cfg = ExperimentConfig.from_section(label, parser[section_name])
         cfg.known_names()
         experiments.append(cfg)
@@ -255,30 +261,33 @@ def cmd_denjoy(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    if args.scan_sequence:
-        params = dict(
-            part.split("=", 1) for part in (args.scan_params or "").split(";") if part
-        )
-        weights = registry.build_sequence(
-            args.scan_sequence, params, args.n, seed=args.seed
-        )
-        report = sequences.zero_set_scan(weights, grid_size=args.grid, n_terms=args.n)
-        lines = ["t,re_sigma,im_sigma,abs_sigma,N"]
-        for t, s in zip(report.grid, report.sigma):
-            lines.append(
-                f"{t:.17g},{s.real:.17g},{s.imag:.17g},{abs(s):.17g},{report.n_terms}"
+    try:
+        if args.scan_sequence:
+            params = dict(
+                part.split("=", 1)
+                for part in (args.scan_params or "").split(";")
+                if part
             )
-        text = "\n".join(lines) + "\n"
-    else:
-        atoms = sequences.quadratic_rational_spectrum(args.p, args.q)
-        lines = ["r,s,re_amp,im_amp,abs_amp"]
-        for frac in sorted(atoms):
-            amp = atoms[frac]
-            lines.append(
-                f"{frac.numerator},{frac.denominator},{amp.real:.17g},"
-                f"{amp.imag:.17g},{abs(amp):.17g}"
+            weights = registry.build_sequence(
+                args.scan_sequence, params, args.n, seed=args.seed
             )
-        text = "\n".join(lines) + "\n"
+            report = sequences.zero_set_scan(
+                weights, grid_size=args.grid, n_terms=args.n
+            )
+            text = sequences.spectrum_csv(report)
+        else:
+            atoms = sequences.quadratic_rational_spectrum(args.p, args.q)
+            lines = ["r,s,re_amp,im_amp,abs_amp"]
+            for frac in sorted(atoms):
+                amp = atoms[frac]
+                lines.append(
+                    f"{frac.numerator},{frac.denominator},{amp.real:.17g},"
+                    f"{amp.imag:.17g},{abs(amp):.17g}"
+                )
+            text = "\n".join(lines) + "\n"
+    except (ValueError, registry.RegistryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out_file:
         os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, args.out_file), text)

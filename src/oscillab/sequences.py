@@ -252,6 +252,26 @@ def low_denominator_rationals(max_denominator: int = 8) -> list[float]:
     return sorted(out)
 
 
+# lcm(1..8): every r/s with s <= 8 is k/840 for an integer k
+_LOW_MODULUS = 840
+
+
+def _folded_spectrum(values: np.ndarray, m: int) -> np.ndarray:
+    """sum_{n=1..len(values)} c_n exp(-2 pi i n k/m) for k = 0..m-1.
+
+    The terms are folded by n mod m, so each phase is an exact integer
+    residue, and one FFT of the m folds gives every k at once.
+    """
+    fold_re = np.zeros(m)
+    fold_im = np.zeros(m)
+    for start in range(0, len(values), _BLOCK):
+        block = values[start : start + _BLOCK]
+        residues = np.arange(start + 1, start + 1 + len(block)) % m
+        fold_re += np.bincount(residues, weights=block.real, minlength=m)
+        fold_im += np.bincount(residues, weights=block.imag, minlength=m)
+    return np.fft.fft(fold_re + 1j * fold_im)
+
+
 def zero_set_scan(
     weights: WeightSequence,
     grid_size: int = 512,
@@ -260,18 +280,38 @@ def zero_set_scan(
 ) -> SpectrumReport:
     """Evaluate the Cesaro mean over a frequency grid and record the peak.
 
-    The uniform grid is augmented with all rationals of denominator <= 8,
-    since surviving spectra sit at low-denominator rationals.
+    The uniform grid j/grid_size is augmented with all rationals of
+    denominator <= 8, since surviving spectra sit at low-denominator
+    rationals.  Every grid point is k/grid_size or k/840, so the means come
+    from two residue folds of c_n, by n mod grid_size and n mod 840, each
+    followed by one FFT: the phases n k/m are exact integer residues, and
+    the whole scan costs O(N + G log G) for N terms and grid size G.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
+    n_total = len(weights)
     if n_terms is None:
-        n_terms = len(weights)
-    grid = set(np.arange(grid_size) / grid_size)
-    if include_low_rationals:
-        grid.update(low_denominator_rationals())
-    grid = np.array(sorted(grid))
-    sigma = np.array([cesaro_mean(weights, t, n_terms) for t in grid])
+        n_terms = n_total
+    if not 1 <= n_terms <= n_total:
+        raise ValueError(f"n_terms must be in 1..{n_total}")
+    values = weights.values[:n_terms]
+    uniform = _folded_spectrum(values, grid_size)
+    if not include_low_rationals:
+        grid = np.arange(grid_size) / grid_size
+        sigma = uniform / n_terms
+    else:
+        # numerators over the common denominator keep the union exact
+        common = math.lcm(grid_size, _LOW_MODULUS)
+        g_step, low_step = common // grid_size, common // _LOW_MODULUS
+        low = [r * (common // s) for s in range(2, 9) for r in range(1, s)]
+        keys = np.union1d(np.arange(grid_size) * g_step, low)
+        grid = keys / common
+        # a point that is also some j/grid_size takes its value from that fold
+        sigma = np.where(
+            keys % g_step == 0,
+            uniform[keys // g_step],
+            _folded_spectrum(values, _LOW_MODULUS)[keys // low_step],
+        ) / n_terms
     return SpectrumReport(
         grid=grid,
         sigma=sigma,
@@ -412,11 +452,17 @@ def write_sequence(weights: WeightSequence, path) -> None:
             fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
 
 
+def spectrum_csv(report: SpectrumReport) -> str:
+    """CSV text with columns t, re_sigma, im_sigma, abs_sigma, N."""
+    lines = ["t,re_sigma,im_sigma,abs_sigma,N"]
+    for t, s in zip(report.grid, report.sigma):
+        lines.append(
+            f"{t:.17g},{s.real:.17g},{s.imag:.17g},{abs(s):.17g},{report.n_terms}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def write_spectrum_csv(report: SpectrumReport, path) -> None:
-    """CSV columns: t, re_sigma, im_sigma, abs_sigma, N."""
+    """Write ``spectrum_csv(report)`` to ``path``."""
     with open(path, "w") as fh:
-        fh.write("t,re_sigma,im_sigma,abs_sigma,N\n")
-        for t, s in zip(report.grid, report.sigma):
-            fh.write(
-                f"{t:.17g},{s.real:.17g},{s.imag:.17g},{abs(s):.17g},{report.n_terms}\n"
-            )
+        fh.write(spectrum_csv(report))

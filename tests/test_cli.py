@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from oscillab import cli, registry
+from oscillab import cli, registry, sequences
 
 
 def config_path(name):
@@ -102,6 +102,21 @@ class TestConfigParsing:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[experiment x]\nsequence = mobius\nn = 10\n")
         assert cli.main(["--out", str(tmp_path), "run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/escaped", "..", ".", "a\\b"])
+    def test_name_cannot_leave_output_dir(self, name, tmp_path, capsys):
+        out = tmp_path / "a" / "out"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            f"[experiment {name}]\nsequence = mobius\nn = 10\nflow = rotation\n"
+            "flow.rho = 0.1\nobservable = fourier\nobservable.k = 1\nstart = 0\n"
+        )
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(str(bad))
+        assert cli.main(["--out", str(out), "run", str(bad)]) == 2
+        assert "path separator" in capsys.readouterr().err
+        written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+        assert written == {"bad.cfg", "a", "a/out"}
 
 
 class TestRunCommand:
@@ -270,6 +285,31 @@ class TestOtherCommands:
         )
         header = (tmp_path / "scan.csv").read_text().splitlines()[0]
         assert header == "t,re_sigma,im_sigma,abs_sigma,N"
+
+    def test_spectrum_scan_stdout_matches_csv_writer(self, tmp_path, capsys):
+        argv = ["spectrum", "--scan-sequence", "mobius", "--n", "3000", "--grid", "32"]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        weights = registry.build_sequence("mobius", {}, 3000)
+        path = tmp_path / "scan.csv"
+        sequences.write_spectrum_csv(sequences.zero_set_scan(weights, 32, 3000), path)
+        assert stdout.encode() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--scan-sequence", "mobius", "--grid", "1"],
+            ["--scan-sequence", "mobius", "--n", "0"],
+            ["--scan-sequence", "mobius", "--n", "-5"],
+            ["--scan-sequence", "quadratic_phase", "--scan-params", "alpha"],
+            ["--scan-sequence", "nope"],
+            ["--p", "2", "--q", "4"],
+        ],
+    )
+    def test_spectrum_bad_input_exits_two(self, extra, tmp_path, capsys):
+        assert cli.main(["--out", str(tmp_path), "spectrum", *extra]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
     def test_normal_form_worked_example(self, capsys):
         assert cli.main(["normal-form", "--matrix=-5,6;-6,7"]) == 0

@@ -212,6 +212,80 @@ class TestZeroSetScan:
         for t in (1 / 3, 3 / 7, 5 / 8):
             assert np.any(np.isclose(report.grid, t))
 
+    @pytest.mark.parametrize(
+        "weights, grid_size, n_terms, low",
+        [
+            (seq.mobius_sequence(1000), 2, 999, False),
+            (seq.mobius_sequence(1000), 2, 1000, True),
+            (seq.subnormal_sequence(0.3, 50, seed=4), 7, 5, True),
+            (seq.phase_sequence("quadratic", 3000, alpha=ALPHA), 7, 2999, False),
+            (seq.phase_sequence("quadratic", 3000, alpha=ALPHA), 100, 2500, True),
+            (seq.subnormal_sequence(0.4, 700, seed=8), 512, 700, True),
+            (seq.mobius_sequence(5000), 512, 4321, False),
+        ],
+    )
+    def test_every_point_matches_exact_residue_reference(
+        self, weights, grid_size, n_terms, low
+    ):
+        report = seq.zero_set_scan(
+            weights, grid_size, n_terms, include_low_rationals=low
+        )
+        points = scan_points(grid_size, low)
+        assert report.grid.tolist() == [float(t) for t in points]
+        assert report.n_terms == n_terms
+        values = weights.values[:n_terms]
+        tol = 1e-12 * np.mean(np.abs(values))
+        for t, sigma in zip(points, report.sigma):
+            assert abs(sigma - residue_reference(values, t)) <= tol
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: seq.mobius_sequence(n),
+            lambda n: seq.subnormal_sequence(0.2, n, seed=3),
+            lambda n: seq.phase_sequence("quadratic", n, alpha=ALPHA),
+        ],
+        ids=["mobius", "subnormal", "quadratic"],
+    )
+    def test_large_n_matches_exact_residue_reference(self, build):
+        weights = build(10**6)
+        n_terms = 10**6 - 1
+        report = seq.zero_set_scan(weights, 512, n_terms)
+        points = scan_points(512, True)
+        assert report.grid.tolist() == [float(t) for t in points]
+        values = weights.values[:n_terms]
+        tol = 1e-12 * np.mean(np.abs(values))
+        picks = {0, points.index(Fraction(1, 3)), points.index(Fraction(3, 7))}
+        picks |= set(np.random.default_rng(5).choice(len(points), 3, replace=False))
+        for i in sorted(picks):
+            reference = residue_reference(values, points[i])
+            assert abs(report.sigma[i] - reference) <= tol
+
+    def test_rejects_bad_sizes(self):
+        w = seq.mobius_sequence(100)
+        for n_terms in (0, -1, 101):
+            with pytest.raises(ValueError):
+                seq.zero_set_scan(w, 16, n_terms)
+        for grid_size in (1, 0, -4):
+            with pytest.raises(ValueError):
+                seq.zero_set_scan(w, grid_size)
+
+
+def scan_points(grid_size, low):
+    """The scan grid as exact rationals: j/grid_size, plus r/s for s <= 8."""
+    points = {Fraction(j, grid_size) for j in range(grid_size)}
+    if low:
+        points |= {Fraction(r, s) for s in range(2, 9) for r in range(s)}
+    return sorted(points)
+
+
+def residue_reference(values, t):
+    """(1/N) sum c_n e(-n t), phases as exact residues n*num mod den, fsum'd."""
+    n = np.arange(1, len(values) + 1, dtype=np.int64)
+    residues = (n * t.numerator) % t.denominator
+    terms = values * np.exp(-2j * np.pi * residues / t.denominator)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)) / len(values)
+
 
 class TestCyclotomic:
     def test_known_polynomials(self):
