@@ -2,9 +2,10 @@
 
 The package has one module per subject area: ``sequences`` (weight
 generators and Cesaro spectra), ``flows`` (the step-map/metric
-abstraction), ``torus``, ``padic``, ``interval``, and ``circle`` (concrete
-flow families), ``analysis`` (the weighted-averaging engine and stability
-probes), and ``cli`` (the experiment runner).
+abstraction and the orbit streams), ``torus``, ``padic``, ``interval``,
+and ``circle`` (concrete flow families), ``analysis`` (the
+weighted-averaging engine and stability probes), and ``cli`` (the
+experiment runner).
 """
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ average of an observable with compensated summation, and classifies the
 decay of the checkpointed magnitudes.  Companion probes measure
 mean-equicontinuity responses, bad-time densities, periodic shadowing,
 and orbit autocorrelations (the Fourier coefficients of the spectral
-measure of the observable).
+measure of the observable).  None of them steps a flow itself: each
+reads an orbit stream of ``flows``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh, toeplitz
 
-from .flows import Flow, Observable
+from .flows import Flow, Observable, _observable_stream, orbit, orbit_distance_trace
 from .sequences import KahanSum, WeightSequence, cesaro_mean
 
 # verdict thresholds: empirical separation between the decaying examples
@@ -95,21 +96,21 @@ def weighted_birkhoff(
     if checkpoints[0] < 1 or checkpoints[-1] > len(weights):
         raise ValueError("checkpoints must lie in 1..len(weights)")
     acc = KahanSum()
-    x = start
     sup_observed = 0.0
     recorded: list[tuple[int, complex]] = []
-    next_idx = 0
-    values = weights.values
-    for n in range(1, checkpoints[-1] + 1):
-        x = flow.step(x)
-        fx = complex(observable.eval(x))
-        mag = abs(fx)
-        if mag > sup_observed:
-            sup_observed = mag
-        acc.add(values[n - 1] * fx)
-        if n == checkpoints[next_idx]:
+    lo = 0  # terms 1..lo are in acc
+    for block in _observable_stream(flow, observable, start, checkpoints[-1]):
+        # hypot is what abs(complex) computes; np.abs can differ by an ulp
+        mags = np.hypot(block.real, block.imag)
+        sup_observed = max(sup_observed, float(np.max(mags)))
+        terms = weights.values[lo : lo + len(block)] * block
+        cut = 0  # terms[:cut] are in acc
+        for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
+            acc.add(complex(terms[cut : n - lo].sum()))
+            cut = n - lo
             recorded.append((n, acc.value / n))
-            next_idx += 1
+        acc.add(complex(terms[cut:].sum()))
+        lo += len(block)
     slope = _fit_tail_slope(recorded)
     final_mag = abs(recorded[-1][1])
     if slope < DECAY_SLOPE and final_mag < DECAY_FINAL_LEVEL * weights.growth_bound * max(
@@ -153,16 +154,9 @@ def _fit_tail_slope(recorded) -> float:
 
 def mean_equicontinuity_probe(flow: Flow, pairs, n_steps: int) -> float:
     """Worst prefix-Cesaro orbit distance over the supplied close pairs."""
-    worst = 0.0
-    for x, y in pairs:
-        u, v = x, y
-        total = 0.0
-        for _ in range(n_steps):
-            u = flow.step(u)
-            v = flow.step(v)
-            total += flow.dist(u, v)
-        worst = max(worst, total / n_steps)
-    return worst
+    return max(
+        (mean_attraction_test(flow, x, y, n_steps) for x, y in pairs), default=0.0
+    )
 
 
 def mean_equicontinuity_curve(
@@ -194,19 +188,8 @@ def mls_bad_density(
     flow: Flow, x, y, eps: float, n_steps: int, burn_in_fraction: float = 0.1
 ) -> DensityEstimate:
     """Density of times with d(T^n x, T^n y) >= eps, tracked along prefixes."""
-    checkpoints = default_checkpoints(n_steps)
-    u, v = x, y
-    bad = 0
-    recorded = []
-    next_idx = 0
-    for n in range(1, n_steps + 1):
-        u = flow.step(u)
-        v = flow.step(v)
-        if flow.dist(u, v) >= eps:
-            bad += 1
-        if n == checkpoints[next_idx]:
-            recorded.append((n, bad))
-            next_idx += 1
+    bad = np.cumsum(orbit_distance_trace(flow, x, y, n_steps) >= eps)
+    recorded = [(n, int(bad[n - 1])) for n in default_checkpoints(n_steps)]
     burn_in = burn_in_fraction * n_steps
     rates = [c / n for n, c in recorded if n >= burn_in] or [
         recorded[-1][1] / recorded[-1][0]
@@ -216,13 +199,7 @@ def mls_bad_density(
 
 def mean_attraction_test(flow: Flow, x, z, n_steps: int) -> float:
     """(1/N) sum_{n<=N} d(T^n x, T^n z)."""
-    u, v = x, z
-    total = 0.0
-    for _ in range(n_steps):
-        u = flow.step(u)
-        v = flow.step(v)
-        total += flow.dist(u, v)
-    return total / n_steps
+    return float(orbit_distance_trace(flow, x, z, n_steps).sum()) / n_steps
 
 
 def shadow_periodic(
@@ -235,11 +212,7 @@ def shadow_periodic(
     periodic cycle shadows the orbit at this eps (e.g. irrational
     rotations).
     """
-    points = [x]
-    u = x
-    for _ in range(horizon):
-        u = flow.step(u)
-        points.append(u)
+    points = orbit(flow, x, horizon).points
     period = None
     for p in range(1, max_period + 1):
         tail_ok = all(
@@ -281,18 +254,10 @@ def autocorrelation_spectrum(
     """
     if n_terms <= n_lags:
         raise ValueError("need n_terms > n_lags")
-    block_size = 1 << 15
-    acc = np.zeros(n_lags + 1, dtype=complex)
+    accs = [KahanSum() for _ in range(n_lags + 1)]
     carry = np.empty(0, dtype=complex)
-    x = start
     produced = 0  # observable values emitted so far; value index n runs 1..N+K
-    total = n_terms + n_lags
-    while produced < total:
-        count = min(block_size, total - produced)
-        block = np.empty(count, dtype=complex)
-        for i in range(count):
-            x = flow.step(x)
-            block[i] = observable.eval(x)
+    for block in _observable_stream(flow, observable, start, n_terms + n_lags):
         ext = np.concatenate([carry, block])
         base = produced - len(carry)  # ext[i] holds the value with index base+i+1
         for k in range(n_lags + 1):
@@ -301,10 +266,10 @@ def autocorrelation_spectrum(
             hi = min(len(ext), n_terms + k - base)  # n = base+i+1-k must stay <= N
             if hi <= lo:
                 continue
-            acc[k] += np.vdot(ext[lo - k : hi - k], ext[lo:hi])
+            accs[k].add(complex(np.vdot(ext[lo - k : hi - k], ext[lo:hi])))
         carry = ext[len(ext) - n_lags :] if n_lags else np.empty(0, dtype=complex)
-        produced += count
-    return acc / n_terms
+        produced += len(block)
+    return np.array([acc.value for acc in accs]) / n_terms
 
 
 def autocorrelation_toeplitz(gamma: np.ndarray) -> np.ndarray:
@@ -390,16 +355,16 @@ def holder_defect(
     acc_x = KahanSum()
     acc_y = KahanSum()
     diff_sum = 0.0
-    u, v = x, y
-    values = weights.values
-    for n in range(1, n_terms + 1):
-        u = flow.step(u)
-        v = flow.step(v)
-        fu = complex(observable.eval(u))
-        fv = complex(observable.eval(v))
-        acc_x.add(values[n - 1] * fu)
-        acc_y.add(values[n - 1] * fv)
-        diff_sum += abs(fu - fv) ** q
+    lo = 0
+    for fu, fv in zip(
+        _observable_stream(flow, observable, x, n_terms),
+        _observable_stream(flow, observable, y, n_terms),
+    ):
+        c = weights.values[lo : lo + len(fu)]
+        acc_x.add(complex((c * fu).sum()))
+        acc_y.add(complex((c * fv).sum()))
+        diff_sum += float((np.abs(fu - fv) ** q).sum())
+        lo += len(fu)
     lhs = abs(acc_x.value - acc_y.value) / n_terms
     rhs = weights.growth_bound * (diff_sum / n_terms) ** (1.0 / q)
     return lhs - rhs

@@ -191,10 +191,6 @@ def semi_conjugacy(denjoy: DenjoyMap) -> SemiConjugacy:
     return SemiConjugacy(denjoy)
 
 
-def denjoy_step(denjoy: DenjoyMap, x: float) -> float:
-    return denjoy.step(x)
-
-
 # ----------------------------------------------------------------------
 # symbolic iteration on the invariant Cantor set
 
@@ -387,22 +383,28 @@ def _check_cyclic_monotone(step, samples: int = 128, seed: int = 5) -> None:
 # ----------------------------------------------------------------------
 # persistence
 
-def save_gap_table(denjoy: DenjoyMap, path) -> None:
+def gap_table_csv(denjoy: DenjoyMap) -> str:
     """Position-sorted CSV (n, x_n, H(x_n), raw_len) with construction metadata."""
     rows = sorted(
         range(-denjoy.truncation, denjoy.truncation + 1), key=denjoy.gap_left
     )
-    with open(path, "w") as fh:
-        fh.write(
-            f"# denjoy rho={denjoy.rotation:.17g} trunc={denjoy.truncation} "
-            f"scale={denjoy.scale:.17g} tail_mass={denjoy.tail_mass:.17g}\n"
+    lines = [
+        f"# denjoy rho={denjoy.rotation:.17g} trunc={denjoy.truncation} "
+        f"scale={denjoy.scale:.17g} tail_mass={denjoy.tail_mass:.17g}",
+        "n,x_n,left,raw_len",
+    ]
+    for n in rows:
+        lines.append(
+            f"{n},{denjoy.orbit_point(n):.17g},{denjoy.gap_left(n):.17g},"
+            f"{denjoy.raw_length(n):.17g}"
         )
-        fh.write("n,x_n,left,raw_len\n")
-        for n in rows:
-            fh.write(
-                f"{n},{denjoy.orbit_point(n):.17g},{denjoy.gap_left(n):.17g},"
-                f"{denjoy.raw_length(n):.17g}\n"
-            )
+    return "\n".join(lines) + "\n"
+
+
+def save_gap_table(denjoy: DenjoyMap, path) -> None:
+    """Write ``gap_table_csv(denjoy)`` to ``path``."""
+    with open(path, "w") as fh:
+        fh.write(gap_table_csv(denjoy))
 
 
 def load_denjoy(path) -> DenjoyMap:

@@ -129,7 +129,7 @@ def parse_config(path: str) -> list[ExperimentConfig]:
             )
         label = section_name[len("experiment") :].strip() or section_name
         # the name becomes NAME.json and NAME.csv inside the output directory
-        if label in (".", "..") or "/" in label or "\\" in label:
+        if not _is_file_name(label):
             raise ConfigError(
                 f"[{section_name}] experiment name must not be '.', '..' "
                 f"or contain a path separator"
@@ -142,11 +142,37 @@ def parse_config(path: str) -> list[ExperimentConfig]:
     return experiments
 
 
+def _is_file_name(name: str) -> bool:
+    """True when ``name`` joined onto a directory stays inside it."""
+    return name not in (".", "..") and "/" not in name and "\\" not in name
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_output(out_dir: str, name: str | None, text: str) -> int:
+    """Write ``text`` to the file ``name`` inside ``out_dir``, or to stdout.
+
+    A name that would leave ``out_dir`` is an error (exit status 2);
+    ``out_dir`` is created if needed.
+    """
+    if not name:
+        sys.stdout.write(text)
+        return 0
+    if not _is_file_name(name):
+        print(
+            f"error: --out-file {name!r} must not be '.', '..' "
+            f"or contain a path separator",
+            file=sys.stderr,
+        )
+        return 2
+    os.makedirs(out_dir, exist_ok=True)
+    _atomic_write(os.path.join(out_dir, name), text)
+    return 0
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -169,6 +195,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     try:
@@ -186,28 +215,14 @@ def cmd_run(args) -> int:
     started = time.time()
     statuses = {}
     failed = False
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(run_experiment, cfg, out_dir): cfg for cfg in experiments
-            }
-            for future in concurrent.futures.as_completed(futures):
-                cfg = futures[future]
-                try:
-                    result = future.result()
-                    statuses[cfg.name] = result["verdict"]
-                    print(f"{cfg.name}: {result['verdict']}")
-                except Exception as exc:  # surfaced per experiment
-                    statuses[cfg.name] = f"error: {exc}"
-                    print(f"{cfg.name}: error: {exc}", file=sys.stderr)
-                    failed = True
-    else:
-        for cfg in experiments:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [pool.submit(run_experiment, cfg, out_dir) for cfg in experiments]
+        for cfg, future in zip(experiments, futures):  # report in config order
             try:
-                result = run_experiment(cfg, out_dir)
+                result = future.result()
                 statuses[cfg.name] = result["verdict"]
                 print(f"{cfg.name}: {result['verdict']}")
-            except Exception as exc:
+            except Exception as exc:  # surfaced per experiment
                 statuses[cfg.name] = f"error: {exc}"
                 print(f"{cfg.name}: error: {exc}", file=sys.stderr)
                 failed = True
@@ -240,24 +255,19 @@ def cmd_cascade(args) -> int:
     for i, t_n in enumerate(params, start=1):
         ratio = f"{ratios[i - 1]:.17g}" if i - 1 < len(ratios) else ""
         lines.append(f"{i},{t_n:.17g},{ratio}")
-    text = "\n".join(lines) + "\n"
-    if args.out_file:
-        _atomic_write(os.path.join(args.out, args.out_file), text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args.out, args.out_file, "\n".join(lines) + "\n")
 
 
 def cmd_denjoy(args) -> int:
     denjoy = circle.build_denjoy(args.rho, args.trunc)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, args.out_file or "denjoy_gap_table.csv")
-    circle.save_gap_table(denjoy, path)
-    print(
-        f"gap table written to {path} (tail mass {denjoy.tail_mass:.3g}, "
-        f"rotation number target {args.rho:.12g})"
-    )
-    return 0
+    name = args.out_file or "denjoy_gap_table.csv"
+    status = _write_output(args.out, name, circle.gap_table_csv(denjoy))
+    if status == 0:
+        print(
+            f"gap table written to {os.path.join(args.out, name)} (tail mass "
+            f"{denjoy.tail_mass:.3g}, rotation number target {args.rho:.12g})"
+        )
+    return status
 
 
 def cmd_spectrum(args) -> int:
@@ -288,12 +298,7 @@ def cmd_spectrum(args) -> int:
     except (ValueError, registry.RegistryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out_file:
-        os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, args.out_file), text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args.out, args.out_file, text)
 
 
 def cmd_coding(args) -> int:
@@ -309,13 +314,7 @@ def cmd_coding(args) -> int:
             "".join(map(str, word)) + "," + "".join(map(str, image))
         )
     lines.append(f"# adding_machine = {report.is_adding_machine}")
-    text = "\n".join(lines) + "\n"
-    if args.out_file:
-        os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, args.out_file), text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args.out, args.out_file, "\n".join(lines) + "\n")
 
 
 def cmd_normal_form(args) -> int:

@@ -1,8 +1,12 @@
 """Flow abstraction shared by every concrete dynamical system.
 
 A flow bundles a step map and a metric over an opaque state type.  Flows
-are stateless: orbits are produced by repeated stepping, so arbitrarily
-long runs need O(1) memory.
+are stateless, and only the orbit streams of this module step them:
+``orbit`` materializes points, the observable stream yields f(T^k x) in
+numpy blocks, and ``orbit_distance_trace`` is the pair stream
+d(T^k x, T^k z).  Averages of an observable along arbitrarily long runs
+still need only O(block) memory; a distance trace holds one float per
+step.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 Point = Any
+
+# observable values per block of the observable stream
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,14 +70,6 @@ class Orbit:
         return self.points[k]
 
 
-def iter_orbit(flow: Flow, start: Point) -> Iterator[Point]:
-    """Yield start, T(start), T^2(start), ... indefinitely."""
-    x = start
-    while True:
-        yield x
-        x = flow.step(x)
-
-
 def orbit(flow: Flow, start: Point, n_steps: int) -> Orbit:
     """Materialize the first ``n_steps + 1`` orbit points."""
     if n_steps < 0:
@@ -83,14 +82,29 @@ def orbit(flow: Flow, start: Point, n_steps: int) -> Orbit:
     return Orbit(start=start, points=points)
 
 
+def _observable_stream(
+    flow: Flow, observable: Observable, start: Point, n_terms: int
+) -> Iterator[np.ndarray]:
+    """f(T^k x) for k = 1..n_terms, as complex blocks of at most _BLOCK values."""
+    step, evaluate = flow.step, observable.eval
+    x = start
+    for lo in range(0, n_terms, _BLOCK):
+        block = np.empty(min(_BLOCK, n_terms - lo), dtype=complex)
+        for i in range(len(block)):
+            x = step(x)
+            block[i] = evaluate(x)
+        yield block
+
+
 def orbit_distance_trace(flow: Flow, x: Point, z: Point, n_steps: int) -> np.ndarray:
     """Distances d(T^n x, T^n z) for n = 1..n_steps along synchronized orbits."""
+    step, dist = flow.step, flow.dist
     out = np.empty(n_steps)
     u, v = x, z
     for n in range(n_steps):
-        u = flow.step(u)
-        v = flow.step(v)
-        out[n] = flow.dist(u, v)
+        u = step(u)
+        v = step(v)
+        out[n] = dist(u, v)
     return out
 
 
@@ -123,12 +137,8 @@ def isometry_defect(
     worst = 0.0
     for _ in range(n_pairs):
         x, y = flow.sample(rng), flow.sample(rng)
-        base = flow.dist(x, y)
-        u, v = x, y
-        for _ in range(n_steps):
-            u = flow.step(u)
-            v = flow.step(v)
-            worst = max(worst, abs(flow.dist(u, v) - base))
+        trace = orbit_distance_trace(flow, x, y, n_steps)
+        worst = max(worst, float(np.max(np.abs(trace - flow.dist(x, y)), initial=0.0)))
     return worst
 
 
@@ -141,5 +151,5 @@ def lipschitz_one_defect(
     worst = -np.inf
     for _ in range(n_pairs):
         x, y = flow.sample(rng), flow.sample(rng)
-        worst = max(worst, flow.dist(flow.step(x), flow.step(y)) - flow.dist(x, y))
+        worst = max(worst, orbit_distance_trace(flow, x, y, 1)[0] - flow.dist(x, y))
     return worst

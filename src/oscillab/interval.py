@@ -129,10 +129,6 @@ class Cycle:
     multiplier: float
 
 
-def quad_step(t: float, x: float) -> float:
-    return QuadraticMap(t)(x)
-
-
 def fixed_points(t: float) -> tuple[float, float]:
     return QuadraticMap(t).fixed_points()
 

@@ -7,7 +7,7 @@ available together with each entry's parameter schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -144,7 +144,11 @@ def _flow_adding_machine(p: int, precision: int) -> Flow:
 
 
 def _flow_shear_fiber(t: int, y: float) -> Flow:
-    return torus.shear_minimal_fiber(t, y)
+    """The shear (x, y) -> (x + t y, y) on its invariant fiber: rotation by t y."""
+    angle = (t * y) % 1.0
+    if angle == 1.0:  # a tiny negative t * y rounds up to 1, i.e. 0 on the circle
+        angle = 0.0
+    return replace(circle.rotation_flow(angle), name=f"shear_fiber(t={t}, y={y:g})")
 
 
 FLOWS: dict[str, RegistryEntry] = {

@@ -243,15 +243,6 @@ def cesaro_mean(weights: WeightSequence, freq: float, n_terms: int | None = None
     return acc.value / n_terms
 
 
-def low_denominator_rationals(max_denominator: int = 8) -> list[float]:
-    """All r/s in [0,1) with s <= max_denominator, sorted."""
-    out = {0.0}
-    for s in range(2, max_denominator + 1):
-        for r in range(1, s):
-            out.add(r / s)
-    return sorted(out)
-
-
 # lcm(1..8): every r/s with s <= 8 is k/840 for an integer k
 _LOW_MODULUS = 840
 

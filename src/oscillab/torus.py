@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Flow, circle_distance
+from .flows import Flow
 
 
 @dataclass(frozen=True)
@@ -304,30 +304,6 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
 
 def torus_automorphism_flow(matrix: ModularMatrix) -> Flow:
     return torus_affine_flow(matrix, (0.0, 0.0))
-
-
-def shear_minimal_fiber(t: int, height: float) -> Flow:
-    """Restriction of the shear (x, y) -> (x + t y, y) to the circle fiber at y.
-
-    The fiber is invariant and the restriction is the rigid rotation by
-    t * y (mod 1), hence an isometry for the arc metric.
-    """
-    angle = (t * height) % 1.0
-
-    def step(x):
-        return (x + angle) % 1.0
-
-    def sample(rng):
-        return float(rng.random())
-
-    return Flow(
-        name=f"shear_fiber(t={t}, y={height:g})",
-        step=step,
-        dist=circle_distance,
-        sample=sample,
-        isometric=True,
-        lipschitz_one=True,
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from oscillab import analysis, circle, interval, sequences, torus
-from oscillab.flows import Flow, Observable
+from oscillab import analysis, circle, cli, interval, registry, sequences, torus
+from oscillab.flows import Flow, Observable, isometry_defect
 
 ALPHA = math.sqrt(2.0) - 1.0
 
@@ -184,6 +185,21 @@ class TestShadowPeriodic:
         assert analysis.shadow_periodic(flow, 0.3, 1e-3, 10**4) is None
 
 
+def per_step_autocorrelation(flow, obs, start, n_lags, n_terms):
+    values = []
+    x = start
+    for _ in range(n_terms + n_lags):
+        x = flow.step(x)
+        values.append(complex(obs.eval(x)))
+    values = np.array(values)
+    return np.array(
+        [
+            np.sum(values[k : k + n_terms] * np.conj(values[:n_terms])) / n_terms
+            for k in range(n_lags + 1)
+        ]
+    )
+
+
 class TestAutocorrelation:
     def test_single_mode_closed_form(self):
         flow = circle.rotation_flow(ALPHA)
@@ -217,23 +233,17 @@ class TestAutocorrelation:
         assert analysis.toeplitz_min_eigenvalue(gamma) >= -1e-6 * max(scale, 1.0)
 
     def test_block_boundaries_match_direct(self):
-        # exercise the carry logic across block joins with a short run
+        # a run inside one block; the next test crosses a block join
         flow = circle.rotation_flow(0.3)
-        obs = fourier(1)
-        n_terms, n_lags = 500, 7
-        gamma = analysis.autocorrelation_spectrum(flow, obs, 0.0, n_lags, n_terms)
-        values = []
-        x = 0.0
-        for _ in range(n_terms + n_lags):
-            x = flow.step(x)
-            values.append(complex(obs.eval(x)))
-        values = np.array(values)
-        direct = np.array(
-            [
-                np.sum(values[k : k + n_terms] * np.conj(values[:n_terms])) / n_terms
-                for k in range(n_lags + 1)
-            ]
-        )
+        gamma = analysis.autocorrelation_spectrum(flow, fourier(1), 0.0, 7, 500)
+        direct = per_step_autocorrelation(flow, fourier(1), 0.0, 7, 500)
+        assert np.max(np.abs(gamma - direct)) < 1e-12
+
+    def test_lag_window_carried_across_block_join(self):
+        flow = circle.rotation_flow(0.3)
+        n_terms = (1 << 15) + 9
+        gamma = analysis.autocorrelation_spectrum(flow, fourier(1), 0.1, 12, n_terms)
+        direct = per_step_autocorrelation(flow, fourier(1), 0.1, 12, n_terms)
         assert np.max(np.abs(gamma - direct)) < 1e-12
 
 
@@ -291,3 +301,166 @@ class TestHolderBound:
         for _ in range(100):
             x, y = starts(rng)
             assert analysis.holder_defect(w, flow, obs, x, y, 512) <= 1e-10
+
+
+# ----------------------------------------------------------------------
+# the orbit streams against plain per-step loops
+
+
+def per_step_birkhoff(weights, flow, observable, start, checkpoints):
+    """Reference: step, complex(eval), KahanSum.add, one term at a time."""
+    acc = sequences.KahanSum()
+    x = start
+    sup = 0.0
+    recorded = []
+    for n in range(1, checkpoints[-1] + 1):
+        x = flow.step(x)
+        fx = complex(observable.eval(x))
+        sup = max(sup, abs(fx))
+        acc.add(weights.values[n - 1] * fx)
+        if n in checkpoints:
+            recorded.append((n, acc.value / n))
+    return recorded, sup
+
+
+def per_step_distances(flow, x, z, n_steps):
+    u, v = x, z
+    out = []
+    for _ in range(n_steps):
+        u = flow.step(u)
+        v = flow.step(v)
+        out.append(flow.dist(u, v))
+    return out
+
+
+def bundled_experiments():
+    configs = resources.files("oscillab").joinpath("configs")
+    return [
+        cfg
+        for entry in sorted(configs.iterdir(), key=lambda e: e.name)
+        if entry.name.endswith(".cfg")
+        for cfg in cli.parse_config(str(entry))
+    ]
+
+
+# verdicts of the bundled configs under the per-step loop
+BUNDLED_VERDICTS = {
+    "counterexample": "stagnant",
+    "resonant-rotation": "stagnant",
+    "liouville-adding-machine": "decaying",
+    "liouville-shear-fiber": "decaying",
+    "mobius-padic-rational": "decaying",
+    "mobius-rotation": "decaying",
+    "nlogn-torus-auto": "decaying",
+    "polynomial-padic-poly": "decaying",
+    "quadratic-denjoy": "decaying",
+    "subnormal-quadratic-family": "decaying",
+}
+
+
+class TestStreamsMatchPerStepLoops:
+    @pytest.mark.parametrize("cfg", bundled_experiments(), ids=lambda cfg: cfg.name)
+    def test_bundled_config(self, cfg):
+        weights = registry.build_sequence(
+            cfg.sequence, cfg.sequence_params, cfg.n_terms, seed=cfg.seed
+        )
+        flow = registry.build_flow(cfg.flow, cfg.flow_params)
+        observable = registry.build_observable(cfg.observable, cfg.observable_params)
+        start = registry.parse_start(cfg.flow, cfg.start, flow)
+        report = analysis.weighted_birkhoff(
+            weights, flow, observable, start, cfg.checkpoints
+        )
+        checkpoints = list(cfg.checkpoints or analysis.default_checkpoints(cfg.n_terms))
+        expected, sup = per_step_birkhoff(weights, flow, observable, start, checkpoints)
+        assert report.verdict == BUNDLED_VERDICTS[cfg.name]
+        assert [n for n, _ in report.checkpoints] == checkpoints
+        for (_, got), (_, want) in zip(report.checkpoints, expected):
+            assert abs(got - want) <= 1e-12
+        assert report.sup_observed == sup
+
+    @pytest.mark.parametrize(
+        "flow,start",
+        [
+            (circle.rotation_flow(ALPHA), 0.1),
+            (interval.quadratic_flow(0.7), 0.3),
+        ],
+        ids=["rotation", "quadratic_family"],
+    )
+    def test_checkpoints_straddling_block_boundaries(self, flow, start, rng):
+        block = 1 << 15
+        n_terms = 2 * block + 1001  # not a multiple of the block size
+        weights = sequences.WeightSequence(
+            "gauss", rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms), 2.0
+        )
+        checkpoints = [1, block - 1, block, block + 1, 2 * block, 2 * block + 1, n_terms]
+        observable = Observable("f", lambda x: complex(np.exp(2j * np.pi * x)) + x)
+        report = analysis.weighted_birkhoff(weights, flow, observable, start, checkpoints)
+        expected, sup = per_step_birkhoff(weights, flow, observable, start, checkpoints)
+        assert [n for n, _ in report.checkpoints] == checkpoints
+        for (_, got), (_, want) in zip(report.checkpoints, expected):
+            assert abs(got - want) <= 1e-12
+        assert report.sup_observed == sup
+
+    def test_bad_density_counts_exact(self):
+        # a shear pulls fibers apart and wraps them round: the bad set is
+        # a union of long stretches, so the counts move at every checkpoint
+        flow = torus.torus_affine_flow(torus.ModularMatrix(1, 1, 0, 1))
+        x, z = np.array([0.3, 0.2]), np.array([0.3, 0.2003])
+        eps, n_steps = 0.05, 5000
+        result = analysis.mls_bad_density(flow, x, z, eps, n_steps)
+        bad = np.cumsum(np.array(per_step_distances(flow, x, z, n_steps)) >= eps)
+        expected = [(n, int(bad[n - 1])) for n in analysis.default_checkpoints(n_steps)]
+        assert list(result.bad_counts) == expected
+        assert 0 < expected[-1][1] < n_steps
+
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            circle.rotation_flow(ALPHA),
+            interval.quadratic_flow(0.7),
+            torus.torus_automorphism_flow(torus.ModularMatrix(1, 1, 0, 1)),
+        ],
+        ids=lambda flow: flow.name,
+    )
+    def test_isometry_defect_exact(self, flow):
+        got = isometry_defect(flow, np.random.default_rng(3), n_pairs=20, n_steps=300)
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(20):
+            x, y = flow.sample(rng), flow.sample(rng)
+            base = flow.dist(x, y)
+            for d in per_step_distances(flow, x, y, 300):
+                worst = max(worst, abs(d - base))
+        assert got == worst
+
+    def test_mean_attraction_and_equicontinuity(self, rng):
+        flow = torus.torus_affine_flow(torus.ModularMatrix(1, 1, 0, 1))
+        pairs = [(rng.random(2), rng.random(2)) for _ in range(5)]
+        means = []
+        for x, z in pairs:
+            want = sum(per_step_distances(flow, x, z, 3000)) / 3000
+            assert abs(analysis.mean_attraction_test(flow, x, z, 3000) - want) <= 1e-12
+            means.append(want)
+        worst = analysis.mean_equicontinuity_probe(flow, pairs, 3000)
+        assert abs(worst - max(means)) <= 1e-12
+
+    def test_holder_defect(self, rng):
+        w = sequences.mobius_sequence(512)
+        flow = interval.quadratic_flow(0.7)
+        obs = Observable("x", lambda x: complex(x))
+        q = w.growth_exponent / (w.growth_exponent - 1.0)
+        for _ in range(10):
+            x, y = rng.uniform(-1, 1, 2)
+            acc_x, acc_y = sequences.KahanSum(), sequences.KahanSum()
+            diff_sum = 0.0
+            u, v = x, y
+            for n in range(1, 513):
+                u, v = flow.step(u), flow.step(v)
+                fu, fv = complex(obs.eval(u)), complex(obs.eval(v))
+                acc_x.add(w.values[n - 1] * fu)
+                acc_y.add(w.values[n - 1] * fv)
+                diff_sum += abs(fu - fv) ** q
+            want = abs(acc_x.value - acc_y.value) / 512 - w.growth_bound * (
+                diff_sum / 512
+            ) ** (1.0 / q)
+            assert abs(analysis.holder_defect(w, flow, obs, x, y, 512) - want) <= 1e-12

@@ -192,6 +192,26 @@ class TestRunCommand:
         assert cli.main(["run", config_path("resonant-rotation.cfg")]) == 0
         assert (tmp_path / "resonant-rotation.json").exists()
 
+    def test_parallel_jobs_report_in_config_order(self, tmp_path, capsys):
+        # the first experiment is the slowest, so completion order differs
+        multi = tmp_path / "multi.cfg"
+        names = ("mobius-rotation", "resonant-rotation", "quadratic-denjoy")
+        multi.write_text(
+            "\n".join(open(config_path(f"{name}.cfg")).read() for name in names)
+        )
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(multi), "--jobs", "3"]) == 0
+        reported = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert reported == list(names)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, jobs, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "run", config_path("resonant-rotation.cfg")]
+        assert cli.main([*argv, "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_seed_override_changes_stochastic_run(self, tmp_path):
         base, other = tmp_path / "base", tmp_path / "other"
         cfg = config_path("subnormal-quadratic-family.cfg")
@@ -233,6 +253,29 @@ class TestOtherCommands:
         assert lines[1].startswith("0,-0.5")
         t1 = float(lines[2].split(",")[1])
         assert abs(t1 - 0.5) < 1e-9
+
+    def test_cascade_creates_missing_out_dir(self, tmp_path):
+        out = tmp_path / "missing" / "dir"
+        argv = ["--out", str(out), "cascade", "--depth", "2", "--out-file", "x.csv"]
+        assert cli.main(argv) == 0
+        assert (out / "x.csv").read_text().startswith("n,t_n,ratio\n")
+
+    @pytest.mark.parametrize("name", ["../esc.csv", "sub/esc.csv", "..", ".", "a\\b"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cascade", "--depth", "2"],
+            ["denjoy", "--trunc", "1000"],
+            ["spectrum", "--p", "1", "--q", "3"],
+            ["coding", "--t", "0.74839", "--depth", "2"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_out_file_cannot_leave_out_dir(self, command, name, tmp_path, capsys):
+        out = tmp_path / "a" / "out"
+        assert cli.main(["--out", str(out), *command, "--out-file", name]) == 2
+        assert capsys.readouterr().err.startswith("error: --out-file")
+        assert not any(tmp_path.iterdir())
 
     def test_denjoy_gap_table_reloadable(self, tmp_path):
         from oscillab import circle

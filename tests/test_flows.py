@@ -37,13 +37,6 @@ class TestOrbit:
         with pytest.raises(ValueError):
             flows.orbit(identity_flow(), 0.0, -1)
 
-    def test_iter_orbit_matches_orbit(self):
-        flow = rotation_flow(0.1)
-        it = flows.iter_orbit(flow, 0.0)
-        materialized = flows.orbit(flow, 0.0, 10)
-        for k in range(11):
-            assert next(it) == materialized[k]
-
 
 class TestDistanceTrace:
     def test_equal_points_zero(self):
@@ -88,11 +81,11 @@ class TestMetricChecks:
     def test_registered_isometries_at_full_sample_size(self, rng):
         # 1000 pairs followed for 1000 steps for each isometric family
         from oscillab.padic import adding_machine
-        from oscillab.torus import shear_minimal_fiber
+        from oscillab.registry import build_flow
 
         flow = rotation_flow(np.sqrt(2) - 1)
         assert flows.isometry_defect(flow, rng, n_pairs=1000, n_steps=1000) <= 1e-12
-        fiber = shear_minimal_fiber(1, np.sqrt(2) - 1)
+        fiber = build_flow("shear_fiber", {"t": "1", "y": str(np.sqrt(2) - 1)})
         assert flows.isometry_defect(fiber, rng, n_pairs=1000, n_steps=1000) <= 1e-12
         odometer = adding_machine(2, 16)
         assert flows.isometry_defect(odometer, rng, n_pairs=200, n_steps=1000) == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_modular
-from oscillab import torus
+from oscillab import registry, torus
 from oscillab.flows import isometry_defect, orbit
 
 ALPHA = math.sqrt(2.0) - 1.0
@@ -174,22 +174,35 @@ class TestConjugacyEquivalence:
         assert found is not None
 
 
+def shear_fiber(t, y):
+    return registry.build_flow("shear_fiber", {"t": str(t), "y": str(y)})
+
+
 class TestShearFiber:
     def test_trivial_fiber(self):
-        flow = torus.shear_minimal_fiber(1, 0.0)
+        flow = shear_fiber(1, 0.0)
         assert flow.step(0.3) == 0.3
 
+    def test_tiny_negative_height_is_the_trivial_fiber(self):
+        # (1 * -1e-20) % 1.0 rounds to 1.0, the same circle point as 0
+        flow = shear_fiber(1, -1e-20)
+        assert flow.name == "shear_fiber(t=1, y=-1e-20)"
+        assert flow.step(0.3) == 0.3
+
+    def test_named_after_the_shear(self):
+        assert shear_fiber(1, ALPHA).name == "shear_fiber(t=1, y=0.414214)"
+
     def test_period_two_fiber(self):
-        flow = torus.shear_minimal_fiber(2, 0.25)
+        flow = shear_fiber(2, 0.25)
         x = flow.step(flow.step(0.1))
         assert x == pytest.approx(0.1, abs=1e-15)
 
     def test_fiber_isometric(self, rng):
-        flow = torus.shear_minimal_fiber(1, ALPHA)
+        flow = shear_fiber(1, ALPHA)
         assert isometry_defect(flow, rng) <= 1e-12
 
     def test_irrational_fiber_equidistributes(self):
-        flow = torus.shear_minimal_fiber(1, ALPHA)
+        flow = shear_fiber(1, ALPHA)
         pts = np.sort([p for p in orbit(flow, 0.0, 10**4).points[1:]])
         n = len(pts)
         ranks = np.arange(1, n + 1) / n
