@@ -199,12 +199,12 @@ def cmd_run(args) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     try:
         experiments = parse_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    os.makedirs(out_dir, exist_ok=True)
     if args.seed is not None:
         experiments = [
             ExperimentConfig(
@@ -247,7 +247,11 @@ def cmd_list(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    result = interval.cascade(args.depth)
+    try:
+        result = interval.cascade(args.depth)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     params = result.parameters
     ratios = result.ratios()
     lines = ["n,t_n,ratio"]
@@ -259,7 +263,11 @@ def cmd_cascade(args) -> int:
 
 
 def cmd_denjoy(args) -> int:
-    denjoy = circle.build_denjoy(args.rho, args.trunc)
+    try:
+        denjoy = circle.build_denjoy(args.rho, args.trunc)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     name = args.out_file or "denjoy_gap_table.csv"
     status = _write_output(args.out, name, circle.gap_table_csv(denjoy))
     if status == 0:

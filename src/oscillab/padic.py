@@ -5,6 +5,12 @@ with zero tolerance: a valuation is either known exactly (below K) or the
 value is flagged as below working precision.  The spherical metric on the
 projective line extends the p-adic norm and certifies the 1-Lipschitz
 property of good-reduction rational maps on samples.
+
+A ring (p prime, K >= 1) is validated once, when a value is built from
+outside input (``PadicInt(...)``, ``from_int``, ``from_digits``).  Arithmetic
+on values of that ring, polynomial evaluation and the rational-map step work
+on the plain int residues and reduce mod p^K; they build one value per
+result and only check that their operands share a ring.
 """
 
 from __future__ import annotations
@@ -20,6 +26,17 @@ from .flows import Flow
 DEFAULT_PRECISION = 32
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
+
+
+def _valuation(n: int, p: int, precision: int) -> int:
+    """Index of the first nonzero base-p digit of ``n``; ``precision`` when n == 0."""
+    if n == 0:
+        return precision
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def _check_prime(p: int) -> None:
@@ -98,7 +115,13 @@ class PadicInt:
         return tuple(out)
 
     def _like(self, residue: int) -> "PadicInt":
-        return PadicInt(self.p, self.precision, residue)
+        """``residue`` reduced into this ring, which passed its checks when built."""
+        out = object.__new__(PadicInt)
+        # frozen, so fill the fields the way __init__ would, minus __post_init__
+        out.__dict__.update(
+            p=self.p, precision=self.precision, residue=residue % self.p**self.precision
+        )
+        return out
 
     def _check_compatible(self, other: "PadicInt") -> None:
         if self.p != other.p or self.precision != other.precision:
@@ -121,14 +144,7 @@ class PadicInt:
 
     def valuation(self) -> int:
         """Index of the first nonzero digit; ``precision`` when 0 mod p^K."""
-        if self.residue == 0:
-            return self.precision
-        v = 0
-        n = self.residue
-        while n % self.p == 0:
-            n //= self.p
-            v += 1
-        return v
+        return _valuation(self.residue, self.p, self.precision)
 
     def is_unit(self) -> bool:
         return self.residue % self.p != 0
@@ -197,10 +213,12 @@ class PadicPoly:
         return len(self.coefficients) - 1
 
     def __call__(self, x: PadicInt) -> PadicInt:
-        acc = PadicInt(self.p, self.precision, 0)
+        self.coefficients[0]._check_compatible(x)
+        r = x.residue
+        acc = 0
         for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+            acc = acc * r + c.residue
+        return x._like(acc)
 
     def __str__(self) -> str:
         return " + ".join(
@@ -309,26 +327,21 @@ def spherical_dist_value(u: ProjPoint, v: ProjPoint) -> float:
 # ----------------------------------------------------------------------
 # rational flows with good reduction
 
-def _homogenize(num: PadicPoly, den: PadicPoly) -> tuple[list[PadicInt], list[PadicInt], int]:
+def _homogenize(num: PadicPoly, den: PadicPoly) -> tuple[list[int], list[int], int]:
+    """Coefficient residues of both polynomials, zero-padded to the common degree."""
     deg = max(num.degree, den.degree)
-    zero = PadicInt(num.p, num.precision, 0)
-    nc = list(num.coefficients) + [zero] * (deg - num.degree)
-    dc = list(den.coefficients) + [zero] * (deg - den.degree)
+    nc = [c.residue for c in num.coefficients] + [0] * (deg - num.degree)
+    dc = [c.residue for c in den.coefficients] + [0] * (deg - den.degree)
     return nc, dc, deg
 
 
-def _eval_homogeneous(coeffs, x: PadicInt, y: PadicInt, deg: int) -> PadicInt:
-    """sum coeffs[i] x^i y^(deg - i), exact mod p^precision."""
-    acc = PadicInt(x.p, x.precision, 0)
-    xp = PadicInt(x.p, x.precision, 1)
-    powers = []
-    for _ in range(deg + 1):
-        powers.append(xp)
-        xp = xp * x
-    yp = PadicInt(x.p, x.precision, 1)
-    for i in range(deg, -1, -1):
-        acc = acc + coeffs[i] * powers[i] * yp
-        yp = yp * y
+def _eval_homogeneous(coeffs: list[int], x: int, y: int, deg: int) -> int:
+    """sum coeffs[i] x^i y^(deg - i) over the integers (homogeneous Horner)."""
+    acc = coeffs[deg]
+    yp = 1
+    for i in range(deg - 1, -1, -1):
+        yp *= y
+        acc = acc * x + coeffs[i] * yp
     return acc
 
 
@@ -354,17 +367,23 @@ def rational_flow(
     if num.p != den.p or num.precision != den.precision:
         raise ValueError("numerator and denominator live in different rings")
     p, precision = num.p, num.precision
+    modulus = p**precision
+    ring = num.coefficients[0]
     nc, dc, deg = _homogenize(num, den)
 
     def step(point: ProjPoint) -> ProjPoint:
-        fx = _eval_homogeneous(nc, point.x, point.y, deg)
-        fy = _eval_homogeneous(dc, point.x, point.y, deg)
-        if min(fx.valuation(), fy.valuation()) >= precision:
+        ring._check_compatible(point.x)
+        x, y = point.x.residue, point.y.residue
+        fx = _eval_homogeneous(nc, x, y, deg) % modulus
+        fy = _eval_homogeneous(dc, x, y, deg) % modulus
+        shift = min(_valuation(fx, p, precision), _valuation(fy, p, precision))
+        if shift >= precision:
             raise ArithmeticError(
                 "image fell below working precision; raise precision or "
                 "check the declared reduction"
             )
-        return ProjPoint.make(fx, fy)
+        scale = p**shift
+        return ProjPoint(ring._like(fx // scale), ring._like(fy // scale))
 
     def sample(rng) -> ProjPoint:
         a = random_padic_int(rng, p, precision)

@@ -219,8 +219,24 @@ def _obs_coordinate() -> Observable:
     return Observable("coordinate", lambda x: complex(float(x)))
 
 
+def _check_level(level: int) -> None:
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+
+
+def _check_resolution(precision: int, level: int) -> None:
+    # digits past the working precision are unknown, so the phase would be too
+    if precision < level:
+        raise ValueError(
+            f"resolution exceeds working precision (level {level} > precision {precision})"
+        )
+
+
 def _obs_padic_phase(level: int) -> Observable:
+    _check_level(level)
+
     def evaluate(x: padic.PadicInt):
+        _check_resolution(x.precision, level)
         modulus = x.p**level
         return complex(np.exp(2j * np.pi * (x.residue % modulus) / modulus))
 
@@ -229,14 +245,18 @@ def _obs_padic_phase(level: int) -> Observable:
 
 def _obs_projective_phase(level: int) -> Observable:
     """Locally constant phase on the projective line (clopen charts)."""
+    _check_level(level)
 
     def evaluate(point: padic.ProjPoint):
+        _check_resolution(point.x.precision, level)
         p = point.x.p
         modulus = p**level
-        if point.y.is_unit():
-            chart = (point.x * point.y.unit_inverse()).residue % modulus
+        x, y = point.x.residue, point.y.residue
+        # the inverse mod p^level is the inverse mod p^precision reduced
+        if y % p:
+            chart = x * pow(y, -1, modulus) % modulus
             return complex(np.exp(2j * np.pi * chart / modulus))
-        chart = (point.y * point.x.unit_inverse()).residue % modulus
+        chart = y * pow(x, -1, modulus) % modulus
         return complex(-np.exp(2j * np.pi * chart / modulus))
 
     return Observable(f"projective_phase({level})", evaluate)
@@ -317,8 +337,13 @@ def parse_start(flow_name: str, raw: str, flow: Flow):
         poly = getattr(flow, "poly")
         if "," in raw:
             digits = [int(part) for part in raw.split(",")]
+            if len(digits) > poly.precision:
+                raise ValueError(
+                    f"start has {len(digits)} digits but the flow's precision "
+                    f"is {poly.precision}"
+                )
             digits += [0] * (poly.precision - len(digits))
-            return padic.PadicInt.from_digits(digits[: poly.precision], poly.p)
+            return padic.PadicInt.from_digits(digits, poly.p)
         return padic.PadicInt.from_int(int(raw), poly.p, poly.precision)
     if flow_name == "padic_rational":
         num = getattr(flow, "numerator")

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from oscillab import cli, registry, sequences
+from oscillab import cli, padic, registry, sequences
 
 
 def config_path(name):
@@ -77,6 +77,27 @@ class TestRegistry:
         xy = registry.parse_start("torus_auto", "0.25,0.75", flow2)
         assert list(xy) == [0.25, 0.75]
 
+    def test_digit_list_longer_than_precision_rejected(self):
+        flow = registry.build_flow("adding_machine", {"p": "2", "precision": "4"})
+        assert registry.parse_start("adding_machine", "1,0,1,1", flow).residue == 13
+        with pytest.raises(ValueError, match="precision"):
+            registry.parse_start("adding_machine", "1,0,1,0,1,1", flow)
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    @pytest.mark.parametrize("name", ["padic_phase", "projective_phase"])
+    def test_phase_level_below_one_rejected(self, name, level):
+        with pytest.raises(ValueError, match="level"):
+            registry.build_observable(name, {"level": level})
+
+    def test_phase_level_above_precision_rejected(self):
+        x = padic.PadicInt.from_int(5, 3, 8)
+        point = padic.ProjPoint.from_ints(5, 1, 3, 8)
+        for name, state in (("padic_phase", x), ("projective_phase", point)):
+            assert registry.build_observable(name, {"level": "8"}).eval(state) != 0
+            observable = registry.build_observable(name, {"level": "12"})
+            with pytest.raises(ValueError, match="resolution exceeds working precision"):
+                observable.eval(state)
+
 
 class TestConfigParsing:
     def test_malformed_config_exits_two(self, tmp_path, capsys):
@@ -116,7 +137,13 @@ class TestConfigParsing:
         assert cli.main(["--out", str(out), "run", str(bad)]) == 2
         assert "path separator" in capsys.readouterr().err
         written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
-        assert written == {"bad.cfg", "a", "a/out"}
+        assert written == {"bad.cfg"}
+
+    def test_unreadable_config_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert cli.main(["--out", str(out), "run", str(tmp_path / "missing.cfg")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCommand:
@@ -275,6 +302,14 @@ class TestOtherCommands:
         out = tmp_path / "a" / "out"
         assert cli.main(["--out", str(out), *command, "--out-file", name]) == 2
         assert capsys.readouterr().err.startswith("error: --out-file")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "command", [["denjoy", "--trunc", "50"], ["cascade", "--depth", "-1"]], ids=lambda c: c[0]
+    )
+    def test_bad_size_exits_two(self, command, tmp_path, capsys):
+        assert cli.main(["--out", str(tmp_path / "out"), *command]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not any(tmp_path.iterdir())
 
     def test_denjoy_gap_table_reloadable(self, tmp_path):

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oscillab import padic
+from oscillab import cli, padic, registry
 from oscillab.flows import isometry_defect, lipschitz_one_defect, orbit
 
 primes = st.sampled_from([2, 3, 5])
@@ -242,3 +243,157 @@ class TestEmpiricalMinimality:
         flow = padic.adding_machine(2, 8)
         with pytest.raises(ValueError):
             padic.empirical_minimality(flow, padic.PadicInt.from_int(0, 2, 8), 10, 9)
+
+
+# ----------------------------------------------------------------------
+# plain-int references for the residue fast paths
+
+
+def horner_reference(coeffs, p, precision, r):
+    """P(r) mod p^precision, reducing after every Horner step."""
+    modulus = p**precision
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % modulus
+    return acc
+
+
+def int_valuation(n, p, precision):
+    if n == 0:
+        return precision
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def rational_reference(num, den, p, precision, x, y):
+    """One step of [x : y] -> [N(x, y) : D(x, y)], or None below precision."""
+    modulus = p**precision
+    deg = max(len(num), len(den)) - 1
+    forms = []
+    for coeffs in (num, den):
+        coeffs = list(coeffs) + [0] * (deg + 1 - len(coeffs))
+        forms.append(
+            sum(
+                c * pow(x, i, modulus) * pow(y, deg - i, modulus)
+                for i, c in enumerate(coeffs)
+            )
+            % modulus
+        )
+    fx, fy = forms
+    v = min(int_valuation(fx, p, precision), int_valuation(fy, p, precision))
+    if v >= precision:
+        return None
+    return fx // p**v, fy // p**v
+
+
+def bundled_padic_experiments():
+    configs = resources.files("oscillab").joinpath("configs")
+    return [
+        cfg
+        for entry in sorted(configs.iterdir(), key=lambda e: e.name)
+        if entry.name.endswith(".cfg")
+        for cfg in cli.parse_config(str(entry))
+        if cfg.flow in ("padic_poly", "adding_machine", "padic_rational")
+    ]
+
+
+class TestResidueFastPaths:
+    @pytest.mark.parametrize(
+        "cfg", bundled_padic_experiments(), ids=lambda cfg: cfg.name
+    )
+    def test_bundled_orbit_matches_int_reference(self, cfg):
+        flow = registry.build_flow(cfg.flow, cfg.flow_params)
+        point = registry.parse_start(cfg.flow, cfg.start, flow)
+        p = int(cfg.flow_params["p"])
+        precision = int(cfg.flow_params["precision"])
+        n_steps = 20_000
+        if cfg.flow == "padic_rational":
+            num = [int(c) for c in cfg.flow_params["num"].split(",")]
+            den = [int(c) for c in cfg.flow_params["den"].split(",")]
+            want = (point.x.residue, point.y.residue)
+            for _ in range(n_steps):
+                point = flow.step(point)
+                want = rational_reference(num, den, p, precision, *want)
+                assert (point.x.residue, point.y.residue) == want
+            return
+        coeffs = [int(c) for c in cfg.flow_params.get("coeffs", "1,1").split(",")]
+        want = point.residue
+        for _ in range(n_steps):
+            point = flow.step(point)
+            want = horner_reference(coeffs, p, precision, want)
+            assert point.residue == want
+            assert (point.p, point.precision) == (p, precision)
+
+    @given(
+        primes,
+        st.lists(st.integers(min_value=-99, max_value=99), min_size=1, max_size=4),
+        st.lists(st.integers(min_value=-99, max_value=99), min_size=1, max_size=4),
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=-(2**40), max_value=2**40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rational_step_matches_int_reference(self, p, num, den, x, y):
+        precision = 12
+        flow = padic.rational_flow(
+            padic.PadicPoly.from_ints(num, p, precision),
+            padic.PadicPoly.from_ints(den, p, precision),
+            check_pairs=0,
+        )
+        try:
+            point = padic.ProjPoint.from_ints(x, y, p, precision)
+        except ValueError:
+            assume(False)
+        want = rational_reference(num, den, p, precision, point.x.residue, point.y.residue)
+        if want is None:
+            with pytest.raises(ArithmeticError):
+                flow.step(point)
+            return
+        image = flow.step(point)
+        assert (image.x.residue, image.y.residue) == want
+        assert (image.x.p, image.x.precision) == (p, precision)
+
+    def test_rational_image_below_precision_raises(self):
+        # x^2 / (x y) at [0 : 1]: both forms vanish mod p^K
+        flow = padic.rational_flow(
+            padic.PadicPoly.from_ints([0, 0, 1], 3, 16),
+            padic.PadicPoly.from_ints([0, 1], 3, 16),
+        )
+        two = padic.ProjPoint.from_ints(2, 1, 3, 16)
+        assert flow.step(two).projectively_equal(two)
+        with pytest.raises(ArithmeticError):
+            flow.step(padic.ProjPoint.from_ints(0, 1, 3, 16))
+
+    @pytest.mark.parametrize("ring", [(2, 8), (3, 9)], ids=["other_prime", "other_precision"])
+    def test_points_from_another_ring_rejected(self, ring):
+        poly = padic.PadicPoly.from_ints([1, 1, 0, 1], 3, 8)
+        with pytest.raises(ValueError, match="mixed p-adic rings"):
+            poly(padic.PadicInt.from_int(5, *ring))
+        flow = padic.rational_flow(poly, padic.PadicPoly.from_ints([1], 3, 8), check_pairs=0)
+        with pytest.raises(ValueError, match="mixed p-adic rings"):
+            flow.step(padic.ProjPoint.from_ints(2, 1, *ring))
+
+    @pytest.mark.parametrize("p,precision", [(4, 8), (1, 8), (9, 4), (3, 0), (3, -2)])
+    def test_constructor_still_validates(self, p, precision):
+        with pytest.raises(ValueError):
+            padic.PadicInt(p, precision, 1)
+
+    @given(primes, small_ints, small_ints, st.integers(min_value=0, max_value=4))
+    @settings(max_examples=200, deadline=None)
+    def test_results_stay_reduced(self, p, m, n, k):
+        precision = 6
+        modulus = p**precision
+        a = padic.PadicInt.from_int(m, p, precision)
+        b = padic.PadicInt.from_int(n, p, precision)
+        poly = padic.PadicPoly.from_ints([m, -n, m * n, 7], p, precision)
+        results = [a + b, a - b, a * b, -a, poly(a)]
+        if a.is_unit():
+            results.append(a.unit_inverse())
+        scaled = a * padic.PadicInt.from_int(p**k, p, precision)
+        results.append(scaled.shift_down(k))
+        for r in results:
+            assert 0 <= r.residue < modulus
+            assert r == padic.PadicInt(p, precision, r.residue)
+        assert poly(a).residue == horner_reference([m, -n, m * n, 7], p, precision, a.residue)
