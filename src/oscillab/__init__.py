@@ -1,11 +1,11 @@
 """Oscillating sequences, mean-stable flows, and disjointness experiments.
 
 The package has one module per subject area: ``sequences`` (weight
-generators and Cesaro spectra), ``flows`` (the step-map/metric
-abstraction and the orbit streams), ``torus``, ``padic``, ``interval``,
-and ``circle`` (concrete flow families), ``analysis`` (the
-weighted-averaging engine and stability probes), and ``cli`` (the
-experiment runner).
+generators and Cesaro spectra), ``flows`` (the one ``Flow`` type and the
+orbit streams), ``torus``, ``padic``, ``interval``, and ``circle``
+(concrete flow families; each builds plain ``Flow`` values that parse
+their own start points), ``analysis`` (the weighted-averaging engine and
+stability probes), and ``cli`` (the experiment runner).
 """
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ from .analysis import (
     weighted_birkhoff,
 )
 from .circle import DenjoyMap, build_denjoy, rotation_flow, rotation_number
-from .flows import Flow, Observable, Orbit, orbit, orbit_distance_trace
+from .flows import Flow, Observable, orbit, orbit_distance_trace
 from .interval import (
     QuadraticMap,
     attractor_coding,
@@ -66,7 +66,6 @@ __all__ = [
     "rotation_number",
     "Flow",
     "Observable",
-    "Orbit",
     "orbit",
     "orbit_distance_trace",
     "QuadraticMap",

@@ -212,7 +212,7 @@ def shadow_periodic(
     periodic cycle shadows the orbit at this eps (e.g. irrational
     rotations).
     """
-    points = orbit(flow, x, horizon).points
+    points = orbit(flow, x, horizon)
     period = None
     for p in range(1, max_period + 1):
         tail_ok = all(

@@ -38,8 +38,7 @@ def rotation_flow(angle: float) -> Flow:
         step=step,
         dist=circle_distance,
         sample=lambda rng: float(rng.random()),
-        isometric=True,
-        lipschitz_one=True,
+        parse=float,
     )
 
 
@@ -76,6 +75,14 @@ class DenjoyMap:
             indices.astype(np.longdouble) * np.longdouble(self.rotation), 1.0
         ).astype(float)
         order = np.argsort(pos)
+        pos_sorted = pos[order]
+        spacing = np.diff(pos_sorted)
+        if not spacing.all():
+            raise ValueError(
+                f"rotation number {self.rotation!r} repeats orbit points within "
+                f"truncation {n_tr} ({np.count_nonzero(spacing) + 1} of {len(pos)} "
+                f"distinct); the Denjoy construction needs an irrational rotation number"
+            )
         realized = raw / trunc_mass
         lefts_sorted = np.concatenate([[0.0], np.cumsum(realized[order])[:-1]])
         lefts = np.empty_like(lefts_sorted)
@@ -90,7 +97,7 @@ class DenjoyMap:
         object.__setattr__(self, "_lefts", lefts)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_lefts_sorted", lefts_sorted)
-        object.__setattr__(self, "_pos_sorted", pos[order])
+        object.__setattr__(self, "_pos_sorted", pos_sorted)
 
     # -- table access ---------------------------------------------------
 
@@ -156,6 +163,7 @@ class DenjoyMap:
             step=self.step,
             dist=circle_distance,
             sample=lambda rng: float(rng.random()),
+            parse=float,
         )
 
 
@@ -163,32 +171,11 @@ def build_denjoy(rotation: float, truncation: int) -> DenjoyMap:
     """Construct the Denjoy map for an irrational rotation number.
 
     The caller supplies the rotation number (badly approximable values such
-    as sqrt(2) - 1 keep the gap table well separated).
+    as sqrt(2) - 1 keep the gap table well separated); one whose stored
+    orbit points n * rho mod 1 repeat, such as any p/q with q <= 2 *
+    truncation, raises ValueError.
     """
     return DenjoyMap(rotation=rotation, truncation=truncation)
-
-
-@dataclass(frozen=True)
-class SemiConjugacy:
-    """The monotone surjection h with h o T = R_rho o h, gap collapsed to a point."""
-
-    denjoy: DenjoyMap
-
-    def __call__(self, x: float) -> float:
-        return self.denjoy.semiconjugacy(x)
-
-    def defect(self, x: float) -> float:
-        """|h(T x) - R_rho(h x)| at one point (bounded by the tail mass)."""
-        after_step = self.denjoy.semiconjugacy(self.denjoy.step(x))
-        rotated = (self.denjoy.semiconjugacy(x) + self.denjoy.rotation) % 1.0
-        return circle_distance(after_step, rotated)
-
-    def sup_defect(self, points) -> float:
-        return max(self.defect(float(x)) for x in points)
-
-
-def semi_conjugacy(denjoy: DenjoyMap) -> SemiConjugacy:
-    return SemiConjugacy(denjoy)
 
 
 # ----------------------------------------------------------------------

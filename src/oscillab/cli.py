@@ -1,7 +1,8 @@
 """Experiment runner and command-line interface.
 
 Subcommands: ``run`` (execute experiments from a config file), ``list``
-(registry table), ``cascade``, ``denjoy``, ``spectrum``, ``normal-form``.
+(registry table), ``cascade``, ``denjoy``, ``spectrum``, ``coding``,
+``normal-form``.
 Reports are JSON plus a CSV mirror, written atomically; identical config
 and seed reproduce byte-identical outputs.
 """

@@ -1,9 +1,10 @@
 """Flow abstraction shared by every concrete dynamical system.
 
-A flow bundles a step map and a metric over an opaque state type.  Flows
-are stateless, and only the orbit streams of this module step them:
-``orbit`` materializes points, the observable stream yields f(T^k x) in
-numpy blocks, and ``orbit_distance_trace`` is the pair stream
+A flow bundles a step map, a metric and, optionally, a sampler and a
+start-point parser over an opaque state type; each state space's module
+builds its flows.  Flows are stateless, and only the orbit streams of this
+module step them: ``orbit`` lists points, the observable stream yields
+f(T^k x) in numpy blocks, and ``orbit_distance_trace`` is the pair stream
 d(T^k x, T^k z).  Averages of an observable along arbitrarily long runs
 still need only O(block) memory; a distance trace holds one float per
 step.
@@ -11,7 +12,7 @@ step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -27,17 +28,15 @@ class Flow:
     """A state space with a continuous self-map and a metric.
 
     ``sample`` draws a random point of the state space (used by sampling
-    checks and experiment runners).  ``isometric`` / ``lipschitz_one``
-    record what the construction promises; the checkers below verify the
-    promise on samples.
+    checks such as ``isometry_defect``).  ``parse`` reads a start point from
+    its config text (``registry.parse_start``).
     """
 
     name: str
     step: Callable[[Point], Point]
     dist: Callable[[Point, Point], float]
     sample: Callable[[np.random.Generator], Point] | None = None
-    isometric: bool = False
-    lipschitz_one: bool = False
+    parse: Callable[[str], Point] | None = None
 
     def __repr__(self) -> str:  # keep reports readable
         return f"Flow({self.name})"
@@ -54,24 +53,8 @@ class Observable:
         return f"Observable({self.name})"
 
 
-@dataclass
-class Orbit:
-    start: Point
-    points: list = field(repr=False)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.points) - 1
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, k: int) -> Point:
-        return self.points[k]
-
-
-def orbit(flow: Flow, start: Point, n_steps: int) -> Orbit:
-    """Materialize the first ``n_steps + 1`` orbit points."""
+def orbit(flow: Flow, start: Point, n_steps: int) -> list:
+    """The first ``n_steps + 1`` orbit points, ``start`` first."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     points = [start]
@@ -79,7 +62,7 @@ def orbit(flow: Flow, start: Point, n_steps: int) -> Orbit:
     for _ in range(n_steps):
         x = flow.step(x)
         points.append(x)
-    return Orbit(start=start, points=points)
+    return points
 
 
 def _observable_stream(

@@ -422,7 +422,6 @@ def renormalize(map_like):
     if isinstance(map_like, (QuadraticMap, PolyMap)):
         pm = as_poly_map(map_like)
         if pm.degree**2 <= MAX_POLY_DEGREE:
-            poly = np.polynomial.polynomial
             inner = pm.coefficients * np.power(-beta, np.arange(pm.degree + 1))
             composed = _compose_poly(pm.coefficients, inner)
             return PolyMap(-composed / beta)
@@ -615,4 +614,5 @@ def quadratic_flow(t: float) -> Flow:
         step=tmap,
         dist=lambda a, b: abs(a - b),
         sample=lambda rng: float(rng.uniform(-1.0, 1.0)),
+        parse=float,
     )

@@ -16,7 +16,7 @@ result and only check that their operands share a ring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -226,50 +226,47 @@ class PadicPoly:
         ) or "0"
 
 
-@dataclass(frozen=True)
-class PadicPolyFlow(Flow):
-    poly: PadicPoly | None = None
-
-
 def random_padic_int(rng: np.random.Generator, p: int, precision: int) -> PadicInt:
     digits = rng.integers(0, p, size=precision)
     return PadicInt.from_digits([int(d) for d in digits], p)
 
 
-def poly_flow(poly: PadicPoly) -> PadicPolyFlow:
-    """The flow x -> P(x) on Z_p with metric |x - y|_p.
+def poly_flow(poly: PadicPoly) -> Flow:
+    """The flow x -> P(x) on Z_p with metric |x - y|_p; ``step`` is ``poly``.
 
     Integral polynomials are automatically 1-Lipschitz for the p-adic
-    metric, hence equicontinuous.
+    metric, hence equicontinuous.  A start point is a decimal integer or
+    base-p digits, least significant first ("1,0,1" is 5 for p = 2).
     """
     p, precision = poly.p, poly.precision
 
     def sample(rng):
         return random_padic_int(rng, p, precision)
 
-    return PadicPolyFlow(
+    def parse(raw: str) -> PadicInt:
+        if "," in raw:
+            digits = [int(part) for part in raw.split(",")]
+            if len(digits) > precision:
+                raise ValueError(
+                    f"start has {len(digits)} digits but the flow's precision "
+                    f"is {precision}"
+                )
+            return PadicInt.from_digits(digits + [0] * (precision - len(digits)), p)
+        return PadicInt.from_int(int(raw), p, precision)
+
+    return Flow(
         name=f"padic_poly(p={p}, {poly})",
         step=poly,
         dist=padic_dist,
         sample=sample,
-        lipschitz_one=True,
-        poly=poly,
+        parse=parse,
     )
 
 
-def adding_machine(p: int, precision: int = DEFAULT_PRECISION) -> PadicPolyFlow:
+def adding_machine(p: int, precision: int = DEFAULT_PRECISION) -> Flow:
     """x -> x + 1 on Z_p: a minimal isometry (the odometer)."""
-    poly = PadicPoly.from_ints([1, 1], p, precision)
-    flow = poly_flow(poly)
-    return PadicPolyFlow(
-        name=f"adding_machine(p={p})",
-        step=flow.step,
-        dist=flow.dist,
-        sample=flow.sample,
-        isometric=True,
-        lipschitz_one=True,
-        poly=poly,
-    )
+    flow = poly_flow(PadicPoly.from_ints([1, 1], p, precision))
+    return replace(flow, name=f"adding_machine(p={p})")
 
 
 # ----------------------------------------------------------------------
@@ -345,24 +342,19 @@ def _eval_homogeneous(coeffs: list[int], x: int, y: int, deg: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class PadicRationalFlow(Flow):
-    numerator: PadicPoly | None = None
-    denominator: PadicPoly | None = None
-
-
 def rational_flow(
     num: PadicPoly,
     den: PadicPoly,
     *,
     check_pairs: int = 128,
     seed: int = 20210331,
-) -> PadicRationalFlow:
+) -> Flow:
     """Flow of a rational map on the projective line, declared good reduction.
 
     Good reduction is a hypothesis supplied by the caller; the constructor
     spot-checks the resulting 1-Lipschitz property on sampled pairs and
-    refuses to build the flow if a violation shows up.
+    refuses to build the flow if a violation shows up.  A start point is
+    "x,y", the integers of [x : y].
     """
     if num.p != den.p or num.precision != den.precision:
         raise ValueError("numerator and denominator live in different rings")
@@ -395,14 +387,16 @@ def rational_flow(
         except ValueError:
             return ProjPoint.infinity(p, precision)
 
-    flow = PadicRationalFlow(
+    def parse(raw: str) -> ProjPoint:
+        x, y = (int(part) for part in raw.split(","))
+        return ProjPoint.from_ints(x, y, p, precision)
+
+    flow = Flow(
         name=f"padic_rational(p={p}, ({num})/({den}))",
         step=step,
-        dist=lambda u, v: spherical_dist_value(u, v),
+        dist=spherical_dist_value,
         sample=sample,
-        lipschitz_one=True,
-        numerator=num,
-        denominator=den,
+        parse=parse,
     )
     rng = np.random.default_rng(seed)
     for _ in range(check_pairs):
@@ -430,16 +424,19 @@ class MinimalityProbe:
     covers_component: bool
 
 
-def empirical_minimality(flow, start: PadicInt, n_steps: int, level: int) -> MinimalityProbe:
+def empirical_minimality(
+    flow: Flow | PadicPoly, start: PadicInt, n_steps: int, level: int
+) -> MinimalityProbe:
     """Count orbit residues mod p^level and compare with the reduced dynamics.
 
+    ``flow`` is a polynomial, or a flow whose step is one (``poly_flow``).
     Polynomial evaluation commutes with reduction mod p^level, so the exact
     finite system x -> P(x) mod p^level is a faithful oracle: the probe
     reports whether the orbit visited every residue of the cycle that the
     reduced system eventually enters.
     """
-    poly = getattr(flow, "poly", None) or (flow if isinstance(flow, PadicPoly) else None)
-    if poly is None:
+    poly = flow.step if isinstance(flow, Flow) else flow
+    if not isinstance(poly, PadicPoly):
         raise TypeError("empirical_minimality needs a polynomial flow")
     if level > start.precision:
         raise ValueError("resolution exceeds working precision")

@@ -121,7 +121,7 @@ def _flow_torus_affine(matrix: str, shift) -> Flow:
 
 
 def _flow_torus_auto(matrix: str) -> Flow:
-    return torus.torus_automorphism_flow(torus.ModularMatrix.from_string(matrix))
+    return torus.torus_affine_flow(torus.ModularMatrix.from_string(matrix))
 
 
 def _flow_padic_poly(p: int, precision: int, coeffs) -> Flow:
@@ -133,14 +133,6 @@ def _flow_padic_rational(p: int, precision: int, num, den) -> Flow:
         padic.PadicPoly.from_ints(num, p, precision),
         padic.PadicPoly.from_ints(den, p, precision),
     )
-
-
-def _flow_quadratic(t: float) -> Flow:
-    return interval.quadratic_flow(t)
-
-
-def _flow_adding_machine(p: int, precision: int) -> Flow:
-    return padic.adding_machine(p, precision)
 
 
 def _flow_shear_fiber(t: int, y: float) -> Flow:
@@ -181,12 +173,12 @@ FLOWS: dict[str, RegistryEntry] = {
         description="good-reduction rational flow on the projective line",
     ),
     "quadratic_family": RegistryEntry(
-        _flow_quadratic,
+        interval.quadratic_flow,
         {"t": "float"},
         description="t - (1+t)x^2 on [-1, 1]",
     ),
     "adding_machine": RegistryEntry(
-        _flow_adding_machine,
+        padic.adding_machine,
         {"p": "int", "precision": "int"},
         description="x -> x + 1 on the p-adic integers",
     ),
@@ -322,34 +314,10 @@ def build_observable(name: str, params: dict[str, str]) -> Observable:
 
 
 def parse_start(flow_name: str, raw: str, flow: Flow):
-    """Parse a start point appropriate for the named flow.
-
-    p-adic integers accept either a decimal integer or an explicit
-    comma-separated digit list (least significant digit first).
-    """
-    raw = raw.strip()
-    if flow_name in ("rotation", "denjoy", "quadratic_family", "shear_fiber"):
-        return float(raw)
-    if flow_name in ("torus_affine", "torus_auto"):
-        x, y = (float(part) for part in raw.split(","))
-        return np.array([x, y])
-    if flow_name in ("padic_poly", "adding_machine"):
-        poly = getattr(flow, "poly")
-        if "," in raw:
-            digits = [int(part) for part in raw.split(",")]
-            if len(digits) > poly.precision:
-                raise ValueError(
-                    f"start has {len(digits)} digits but the flow's precision "
-                    f"is {poly.precision}"
-                )
-            digits += [0] * (poly.precision - len(digits))
-            return padic.PadicInt.from_digits(digits, poly.p)
-        return padic.PadicInt.from_int(int(raw), poly.p, poly.precision)
-    if flow_name == "padic_rational":
-        num = getattr(flow, "numerator")
-        x, y = (int(part) for part in raw.split(","))
-        return padic.ProjPoint.from_ints(x, y, num.p, num.precision)
-    raise RegistryError(f"no start-point parser for flow {flow_name!r}")
+    """Parse a start point with the parser of the flow's state space."""
+    if flow.parse is None:
+        raise RegistryError(f"no start-point parser for flow {flow_name!r}")
+    return flow.parse(raw.strip())
 
 
 def registry_table() -> str:

@@ -293,17 +293,17 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     def sample(rng):
         return rng.random(2)
 
+    def parse(raw: str) -> np.ndarray:
+        x, y = (float(part) for part in raw.split(","))
+        return np.array([x, y])
+
     return Flow(
         name=f"torus_affine({matrix}, b=({shift[0]:g},{shift[1]:g}))",
         step=step,
         dist=torus_dist,
         sample=sample,
-        isometric=matrix == ModularMatrix.identity(),
+        parse=parse,
     )
-
-
-def torus_automorphism_flow(matrix: ModularMatrix) -> Flow:
-    return torus_affine_flow(matrix, (0.0, 0.0))
 
 
 # ----------------------------------------------------------------------

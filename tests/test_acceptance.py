@@ -241,7 +241,7 @@ def test_10_holder_inequality(rng):
     families = [
         (circle.rotation_flow(ALPHA), scalar_mode, lambda: (rng.random(), rng.random())),
         (
-            torus.torus_automorphism_flow(torus.ModularMatrix(0, 1, -1, 0)),
+            torus.torus_affine_flow(torus.ModularMatrix(0, 1, -1, 0)),
             torus_mode,
             lambda: (rng.random(2), rng.random(2)),
         ),

@@ -16,7 +16,6 @@ def identity_flow():
         step=lambda x: x,
         dist=lambda a, b: abs(a - b),
         sample=lambda rng: float(rng.random()),
-        isometric=True,
     )
 
 
@@ -283,7 +282,7 @@ class TestHolderBound:
             (circle.rotation_flow(ALPHA), lambda rng: (rng.random(), rng.random())),
             (interval.quadratic_flow(0.7), lambda rng: tuple(rng.uniform(-1, 1, 2))),
             (
-                torus.torus_automorphism_flow(torus.ModularMatrix(0, 1, -1, 0)),
+                torus.torus_affine_flow(torus.ModularMatrix(0, 1, -1, 0)),
                 lambda rng: (rng.random(2), rng.random(2)),
             ),
         ],
@@ -418,7 +417,7 @@ class TestStreamsMatchPerStepLoops:
         [
             circle.rotation_flow(ALPHA),
             interval.quadratic_flow(0.7),
-            torus.torus_automorphism_flow(torus.ModularMatrix(1, 1, 0, 1)),
+            torus.torus_affine_flow(torus.ModularMatrix(1, 1, 0, 1)),
         ],
         ids=lambda flow: flow.name,
     )

@@ -36,7 +36,7 @@ class TestRotationFlow:
 
     def test_equidistribution(self):
         flow = circle.rotation_flow(RHO)
-        points = orbit(flow, 0.0, 10**5).points[1:]
+        points = orbit(flow, 0.0, 10**5)[1:]
         assert star_discrepancy(points) < 0.01
 
     def test_isometry(self, rng):
@@ -85,6 +85,12 @@ class TestDenjoyConstruction:
         with pytest.raises(ValueError):
             circle.build_denjoy(RHO, 100)
 
+    @pytest.mark.parametrize("rho", [0.5, 0.25, 0.1])
+    def test_rational_rotation_rejected(self, rho):
+        # n * rho mod 1 repeats within the stored range (0.1: 1355 of 2001 distinct)
+        with pytest.raises(ValueError, match="repeats orbit points"):
+            circle.build_denjoy(rho, 1000)
+
 
 class TestDenjoyStep:
     def test_left_endpoint_maps_to_left_endpoint(self, denjoy):
@@ -122,14 +128,19 @@ class TestDenjoyStep:
 
 class TestSemiConjugacy:
     def test_collapses_gaps_to_orbit_points(self, denjoy):
-        h = circle.semi_conjugacy(denjoy)
+        h = denjoy.semiconjugacy
         left = denjoy.endpoint(3, "left")
         interior = left + 0.5 * denjoy.gap_length(3)
         assert h(left) == h(interior) == denjoy.orbit_point(3)
 
     def test_defect_within_tail(self, denjoy, rng):
-        h = circle.semi_conjugacy(denjoy)
-        assert h.sup_defect(rng.random(1000)) <= 2.0 * denjoy.tail_bound
+        # |h(T x) - R_rho(h x)| on the circle
+        h = denjoy.semiconjugacy
+        sup_defect = max(
+            circle_distance(h(denjoy.step(x)), (h(x) + denjoy.rotation) % 1.0)
+            for x in rng.random(1000)
+        )
+        assert sup_defect <= 2.0 * denjoy.tail_bound
 
 
 class TestSymbolicOrbit:

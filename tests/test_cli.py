@@ -2,9 +2,11 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from oscillab import cli, padic, registry, sequences
+from oscillab.flows import Flow
 
 
 def config_path(name):
@@ -76,6 +78,41 @@ class TestRegistry:
         flow2 = registry.build_flow("torus_auto", {"matrix": "0,1;-1,0"})
         xy = registry.parse_start("torus_auto", "0.25,0.75", flow2)
         assert list(xy) == [0.25, 0.75]
+
+    # each bundled config's start, as its flow's parser reads it
+    @pytest.mark.parametrize(
+        "config, want",
+        [
+            ("counterexample.cfg", [0.20710678118654752, 0.0]),
+            ("liouville-adding-machine.cfg", padic.PadicInt(2, 32, 0)),
+            ("liouville-shear-fiber.cfg", 0.0),
+            ("mobius-padic-rational.cfg", padic.ProjPoint.from_ints(2, 1, 3, 24)),
+            ("mobius-rotation.cfg", 0.0),
+            ("nlogn-torus-auto.cfg", [0.2137, 0.718]),
+            ("polynomial-padic-poly.cfg", padic.PadicInt(3, 32, 5)),
+            ("quadratic-denjoy.cfg", 0.25),
+            ("resonant-rotation.cfg", 0.0),
+            ("subnormal-quadratic-family.cfg", 0.3),
+        ],
+    )
+    def test_bundled_config_starts(self, config, want):
+        (cfg,) = cli.parse_config(config_path(config))
+        flow = registry.build_flow(cfg.flow, cfg.flow_params)
+        start = registry.parse_start(cfg.flow, cfg.start, flow)
+        if isinstance(want, list):
+            assert isinstance(start, np.ndarray) and start.tolist() == want
+        else:
+            assert type(start) is type(want) and start == want
+
+    def test_flow_without_parser_rejected(self):
+        flow = Flow("bare", step=lambda x: x, dist=lambda a, b: abs(a - b))
+        with pytest.raises(registry.RegistryError, match="bare"):
+            registry.parse_start("bare", "0.5", flow)
+
+    @pytest.mark.parametrize("rho", ["0.5", "0.25", "0.1"])
+    def test_denjoy_rational_rotation_rejected(self, rho):
+        with pytest.raises(ValueError, match="repeats orbit points"):
+            registry.build_flow("denjoy", {"rho": rho, "trunc": "1000"})
 
     def test_digit_list_longer_than_precision_rejected(self):
         flow = registry.build_flow("adding_machine", {"p": "2", "precision": "4"})
@@ -310,6 +347,13 @@ class TestOtherCommands:
     def test_bad_size_exits_two(self, command, tmp_path, capsys):
         assert cli.main(["--out", str(tmp_path / "out"), *command]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("rho", ["0.5", "0.25", "0.1"])
+    def test_denjoy_rational_rotation_exits_two(self, rho, tmp_path, capsys):
+        argv = ["--out", str(tmp_path / "out"), "denjoy", "--rho", rho, "--trunc", "1000"]
+        assert cli.main(argv) == 2
+        assert "repeats orbit points" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_denjoy_gap_table_reloadable(self, tmp_path):

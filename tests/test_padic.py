@@ -73,7 +73,7 @@ class TestPolyFlow:
     def test_adding_machine_full_cycle(self):
         flow = padic.adding_machine(2, 6)
         orb = orbit(flow, padic.PadicInt.from_int(0, 2, 6), 2**6)
-        residues = [pt.residue for pt in orb.points]
+        residues = [pt.residue for pt in orb]
         assert sorted(residues[:-1]) == list(range(64))
         assert residues[-1] == residues[0]
 
@@ -102,7 +102,6 @@ class TestPolyFlow:
 
     def test_flow_flags(self, rng):
         flow = padic.poly_flow(padic.PadicPoly.from_ints([1, 2, 3], 5, 16))
-        assert flow.lipschitz_one
         assert lipschitz_one_defect(flow, rng, n_pairs=200) <= 0.0
 
 

@@ -203,7 +203,7 @@ class TestShearFiber:
 
     def test_irrational_fiber_equidistributes(self):
         flow = shear_fiber(1, ALPHA)
-        pts = np.sort([p for p in orbit(flow, 0.0, 10**4).points[1:]])
+        pts = np.sort([p for p in orbit(flow, 0.0, 10**4)[1:]])
         n = len(pts)
         ranks = np.arange(1, n + 1) / n
         discrepancy = max(
