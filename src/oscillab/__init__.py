@@ -5,7 +5,11 @@ generators and Cesaro spectra), ``flows`` (the one ``Flow`` type and the
 orbit streams), ``torus``, ``padic``, ``interval``, and ``circle``
 (concrete flow families; each builds plain ``Flow`` values that parse
 their own start points), ``analysis`` (the weighted-averaging engine and
-stability probes), and ``cli`` (the experiment runner).
+stability probes), ``registry`` (the names configs use for sequences,
+flows and observables) and ``cli`` (the experiment runner).  Each object
+has one implementation: the paper's counterexample runs on the registered
+``torus_affine`` flow, with ``counterexample_prefix_means`` as its
+closed-form reference.
 """
 
 __version__ = "0.1.0"
@@ -37,7 +41,9 @@ from .sequences import (
     cesaro_mean,
     liouville,
     mobius,
-    phase_sequence,
+    nlogn_phase_sequence,
+    polynomial_phase_sequence,
+    quadratic_phase_sequence,
     quadratic_rational_spectrum,
     subnormal_sequence,
     zero_set_scan,
@@ -46,7 +52,7 @@ from .torus import (
     ModularMatrix,
     classify_entropy,
     conjugacy_equivalent,
-    counterexample_average,
+    counterexample_prefix_means,
     diag_bound,
     normal_form,
 )
@@ -86,14 +92,16 @@ __all__ = [
     "cesaro_mean",
     "liouville",
     "mobius",
-    "phase_sequence",
+    "nlogn_phase_sequence",
+    "polynomial_phase_sequence",
+    "quadratic_phase_sequence",
     "quadratic_rational_spectrum",
     "subnormal_sequence",
     "zero_set_scan",
     "ModularMatrix",
     "classify_entropy",
     "conjugacy_equivalent",
-    "counterexample_average",
+    "counterexample_prefix_means",
     "diag_bound",
     "normal_form",
 ]

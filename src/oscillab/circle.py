@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import Flow, circle_distance
+from .sequences import KahanSum
 
 # sum over all integers n of 1/(n^2 + 2) in closed form
 _FULL_GAP_SUM = math.pi / math.sqrt(2.0) / math.tanh(math.sqrt(2.0) * math.pi)
@@ -339,17 +340,12 @@ def rotation_number(
     if check_monotone:
         _check_cyclic_monotone(step)
     x = start % 1.0
-    total = 0.0
-    comp = 0.0
+    total = KahanSum()
     for _ in range(n_steps):
         nxt = step(x) % 1.0
-        delta = (nxt - x) % 1.0
-        y = delta - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total.add((nxt - x) % 1.0)
         x = nxt
-    return (total / n_steps) % 1.0
+    return (total.value.real / n_steps) % 1.0
 
 
 def _cyclic_order(a: float, b: float, c: float) -> int:
@@ -386,12 +382,6 @@ def gap_table_csv(denjoy: DenjoyMap) -> str:
             f"{denjoy.raw_length(n):.17g}"
         )
     return "\n".join(lines) + "\n"
-
-
-def save_gap_table(denjoy: DenjoyMap, path) -> None:
-    """Write ``gap_table_csv(denjoy)`` to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(gap_table_csv(denjoy))
 
 
 def load_denjoy(path) -> DenjoyMap:

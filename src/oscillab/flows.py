@@ -2,10 +2,11 @@
 
 A flow bundles a step map, a metric and, optionally, a sampler and a
 start-point parser over an opaque state type; each state space's module
-builds its flows.  Flows are stateless, and only the orbit streams of this
-module step them: ``orbit`` lists points, the observable stream yields
-f(T^k x) in numpy blocks, and ``orbit_distance_trace`` is the pair stream
-d(T^k x, T^k z).  Averages of an observable along arbitrarily long runs
+builds its flows, and ``parse_pair`` reads the ``x,y`` start of the
+two-coordinate ones.  Flows are stateless, and only the orbit streams of
+this module step them: ``orbit`` lists points, the observable stream
+yields f(T^k x) in numpy blocks, and ``orbit_distance_trace`` is the pair
+stream d(T^k x, T^k z).  Averages of an observable along arbitrarily long runs
 still need only O(block) memory; a distance trace holds one float per
 step.
 """
@@ -51,6 +52,14 @@ class Observable:
 
     def __repr__(self) -> str:
         return f"Observable({self.name})"
+
+
+def parse_pair(raw: str, convert: Callable[[str], Any]) -> tuple:
+    """Read an ``x,y`` start point, converting each coordinate with ``convert``."""
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"cannot read start {raw!r}: expected the form x,y")
+    return convert(parts[0]), convert(parts[1])
 
 
 def orbit(flow: Flow, start: Point, n_steps: int) -> list:

@@ -129,10 +129,6 @@ class Cycle:
     multiplier: float
 
 
-def fixed_points(t: float) -> tuple[float, float]:
-    return QuadraticMap(t).fixed_points()
-
-
 # ----------------------------------------------------------------------
 # cycle machinery
 
@@ -246,10 +242,6 @@ class CascadeResult:
         return gaps[:-1] / gaps[1:]
 
 
-def _seed_attracting(t: float, period: int) -> tuple[float, float]:
-    return _attracting_cycle_from_critical(QuadraticMap(t), period)
-
-
 def _bracket_flip(
     t_lo: float, x_lo: float, period: int, step: float, t_cap: float
 ) -> tuple[float, float, float]:
@@ -310,7 +302,7 @@ def _cascade_cached(n_max: int) -> tuple[float, ...]:
         for frac in (0.55, 0.4, 0.7, 0.3, 0.85):
             t_seed = t_n + frac * predicted
             try:
-                x_lo, _ = _seed_attracting(t_seed, 2 * period)
+                x_lo, _ = _attracting_cycle_from_critical(QuadraticMap(t_seed), 2 * period)
                 t_lo = t_seed
                 seeded = True
                 break
@@ -474,7 +466,7 @@ def _repelling_cycle_points(t: float, level: int, cascade_params: np.ndarray) ->
     period = 2**level
     lo, hi = cascade_params[level - 1], cascade_params[level]
     t_start = lo + 0.45 * (hi - lo)
-    point, _ = _seed_attracting(t_start, period)
+    point, _ = _attracting_cycle_from_critical(QuadraticMap(t_start), period)
     for t_step in np.linspace(t_start, t, 24)[1:]:
         point, _ = _newton_polish(QuadraticMap(t_step), point, period)
     return _orbit_points(QuadraticMap(t), point, period)

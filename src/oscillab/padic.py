@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import Flow
+from .flows import Flow, parse_pair
 
 DEFAULT_PRECISION = 32
 
@@ -161,16 +161,12 @@ class PadicInt:
         return self._like(self.residue // self.p**k)
 
     def norm(self) -> PadicNorm:
+        """|x|_p = p^(-v) with v the index of the first nonzero digit."""
         v = self.valuation()
         return PadicNorm(self.p, v, below_precision=v >= self.precision)
 
     def __str__(self) -> str:
         return f"{self.residue} (mod {self.p}^{self.precision})"
-
-
-def padic_norm(x: PadicInt) -> PadicNorm:
-    """|x|_p = p^(-v) with v the index of the first nonzero digit."""
-    return x.norm()
 
 
 def padic_dist(x: PadicInt, y: PadicInt) -> float:
@@ -388,7 +384,7 @@ def rational_flow(
             return ProjPoint.infinity(p, precision)
 
     def parse(raw: str) -> ProjPoint:
-        x, y = (int(part) for part in raw.split(","))
+        x, y = parse_pair(raw, int)
         return ProjPoint.from_ints(x, y, p, precision)
 
     flow = Flow(

@@ -18,7 +18,9 @@ from .sequences import (
     WeightSequence,
     liouville_sequence,
     mobius_sequence,
-    phase_sequence,
+    nlogn_phase_sequence,
+    polynomial_phase_sequence,
+    quadratic_phase_sequence,
     subnormal_sequence,
 )
 
@@ -52,52 +54,26 @@ def _parse_value(tag: str, raw: str):
 # ----------------------------------------------------------------------
 # sequences
 
-def _seq_mobius(n_terms: int, seed=None) -> WeightSequence:
-    return mobius_sequence(n_terms)
-
-
-def _seq_liouville(n_terms: int, seed=None) -> WeightSequence:
-    return liouville_sequence(n_terms)
-
-
-def _seq_quadratic(n_terms: int, alpha: float, seed=None) -> WeightSequence:
-    return phase_sequence("quadratic", n_terms, alpha=alpha)
-
-
-def _seq_nlogn(n_terms: int, c: float, seed=None) -> WeightSequence:
-    return phase_sequence("n_log_n", n_terms, c=c)
-
-
-def _seq_polynomial(n_terms: int, coeffs, seed=None) -> WeightSequence:
-    return phase_sequence("polynomial", n_terms, coeffs=coeffs)
-
-
-def _seq_subnormal(n_terms: int, tau: float, seed=None) -> WeightSequence:
-    if seed is None:
-        raise RegistryError("subnormal sequence requires an explicit seed")
-    return subnormal_sequence(tau, n_terms, seed)
-
-
 SEQUENCES: dict[str, RegistryEntry] = {
-    "mobius": RegistryEntry(_seq_mobius, {}, description="Mobius function mu(n)"),
+    "mobius": RegistryEntry(mobius_sequence, {}, description="Mobius function mu(n)"),
     "liouville": RegistryEntry(
-        _seq_liouville, {}, description="Liouville function (-1)^Omega(n)"
+        liouville_sequence, {}, description="Liouville function (-1)^Omega(n)"
     ),
     "quadratic_phase": RegistryEntry(
-        _seq_quadratic,
+        quadratic_phase_sequence,
         {"alpha": "float"},
         description="exp(2 pi i n^2 alpha)",
     ),
     "nlogn_phase": RegistryEntry(
-        _seq_nlogn, {"c": "float"}, description="exp(2 pi i c n log n)"
+        nlogn_phase_sequence, {"c": "float"}, description="exp(2 pi i c n log n)"
     ),
     "polynomial_phase": RegistryEntry(
-        _seq_polynomial,
+        polynomial_phase_sequence,
         {"coeffs": "floats"},
         description="exp(2 pi i P(n)), coefficients ascending",
     ),
     "subnormal": RegistryEntry(
-        _seq_subnormal,
+        subnormal_sequence,
         {"tau": "float"},
         needs_seed=True,
         description="n^tau times random signs (seeded)",
@@ -299,8 +275,11 @@ def _build(group: dict[str, RegistryEntry], kind: str, name: str, params: dict[s
 
 
 def build_sequence(name: str, params: dict[str, str], n_terms: int, seed=None) -> WeightSequence:
+    """Build a registered sequence; ``seed`` reaches only the seeded entries."""
     entry = SEQUENCES.get(name)
-    if entry is not None and entry.needs_seed and seed is None:
+    if entry is None or not entry.needs_seed:
+        return _build(SEQUENCES, "sequence", name, params, n_terms=n_terms)
+    if seed is None:
         raise RegistryError(f"sequence {name!r} requires a seed")
     return _build(SEQUENCES, "sequence", name, params, n_terms=n_terms, seed=seed)
 

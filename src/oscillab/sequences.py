@@ -1,8 +1,9 @@
 """Weight sequences and their averaged Fourier spectra.
 
 Generators for the arithmetic and phase sequences used throughout the
-package (Mobius, Liouville, quadratic and polynomial phases, random
-subnormal weights), together with the Cesaro-mean machinery that locates
+package (Mobius, Liouville, quadratic, n log n and polynomial phases,
+random subnormal weights; one plain function each, which the registry
+holds directly), together with the Cesaro-mean machinery that locates
 where a sequence's averaged Fourier mass survives.  Quadratic-phase
 sequences with rational parameter get their spectrum computed exactly via
 cyclotomic integer arithmetic; everything else is measured numerically.
@@ -183,34 +184,34 @@ def _polynomial_phases(coeffs, n_terms: int) -> np.ndarray:
     return out
 
 
-def phase_sequence(kind: str, n_terms: int, **params) -> WeightSequence:
-    """Unimodular phase sequences exp(2 pi i phi(n)).
+def _phase_weights(name: str, phases: np.ndarray) -> WeightSequence:
+    return WeightSequence(name, np.exp(2j * np.pi * phases), 2.0)
 
-    kind 'n_log_n' takes ``c`` (phi = c n log n); 'quadratic' takes
-    ``alpha`` (phi = n^2 alpha, Fraction allowed for exact reduction);
-    'polynomial' takes ``coeffs`` ascending (phi = P(n)).
-    """
+
+def _check_n_terms(n_terms: int) -> None:
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    if kind == "n_log_n":
-        c = float(params.pop("c"))
-        n = np.arange(1, n_terms + 1, dtype=np.float64)
-        phases = np.mod(c * n * np.log(n), 1.0)
-        name = f"n_log_n(c={c:g})"
-    elif kind == "quadratic":
-        alpha = params.pop("alpha")
-        phases = _quadratic_phases(alpha, n_terms)
-        name = f"quadratic(alpha={alpha})"
-    elif kind == "polynomial":
-        coeffs = list(params.pop("coeffs"))
-        phases = _polynomial_phases(coeffs, n_terms)
-        name = f"polynomial({coeffs})"
-    else:
-        raise ValueError(f"unknown phase kind {kind!r}")
-    if params:
-        raise TypeError(f"unexpected parameters {sorted(params)}")
-    values = np.exp(2j * np.pi * phases)
-    return WeightSequence(name, values, 2.0)
+
+
+def quadratic_phase_sequence(n_terms: int, alpha) -> WeightSequence:
+    """exp(2 pi i n^2 alpha); a Fraction alpha is reduced exactly."""
+    _check_n_terms(n_terms)
+    return _phase_weights(f"quadratic(alpha={alpha})", _quadratic_phases(alpha, n_terms))
+
+
+def nlogn_phase_sequence(n_terms: int, c: float) -> WeightSequence:
+    """exp(2 pi i c n log n)."""
+    _check_n_terms(n_terms)
+    c = float(c)
+    n = np.arange(1, n_terms + 1, dtype=np.float64)
+    return _phase_weights(f"n_log_n(c={c:g})", np.mod(c * n * np.log(n), 1.0))
+
+
+def polynomial_phase_sequence(n_terms: int, coeffs) -> WeightSequence:
+    """exp(2 pi i P(n)) for the coefficients of P in ascending order."""
+    _check_n_terms(n_terms)
+    coeffs = list(coeffs)
+    return _phase_weights(f"polynomial({coeffs})", _polynomial_phases(coeffs, n_terms))
 
 
 def subnormal_sequence(tau: float, n_terms: int, seed: int) -> WeightSequence:
@@ -451,9 +452,3 @@ def spectrum_csv(report: SpectrumReport) -> str:
             f"{t:.17g},{s.real:.17g},{s.imag:.17g},{abs(s):.17g},{report.n_terms}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_spectrum_csv(report: SpectrumReport, path) -> None:
-    """Write ``spectrum_csv(report)`` to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(spectrum_csv(report))

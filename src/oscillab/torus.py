@@ -1,10 +1,13 @@
 """Affine and automorphism flows on the 2-torus.
 
 Entropy classification of integer matrices, the equicontinuity bound for
-diagonalizable zero-entropy automorphisms, the constructive normal form
-P^-1 M P = +/- [[1,t],[0,1]] for the non-diagonalizable ones, and the
-exact affine counterexample whose weighted Birkhoff average is constantly
-one.  All matrix work is exact integer arithmetic.
+diagonalizable zero-entropy automorphisms, and the constructive normal form
+P^-1 M P = +/- [[1,t],[0,1]] for the non-diagonalizable ones.  All matrix
+work is exact integer arithmetic.  ``torus_affine_flow`` is the one
+implementation of x -> A x + b; the paper's counterexample (a unipotent
+skew product whose quadratic-phase weighted average is constantly one)
+runs on it through the registry, and ``counterexample_prefix_means`` is its
+closed-form reference.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Flow
+from .flows import Flow, parse_pair
 
 
 @dataclass(frozen=True)
@@ -105,10 +108,6 @@ def torus_dist(u, v) -> float:
             dy = delta[1] - ny
             best = min(best, dx * dx + dy * dy)
     return math.sqrt(best)
-
-
-def torus_norm(xy) -> float:
-    return torus_dist(xy, (0.0, 0.0))
 
 
 def torus_norm_batch(points: np.ndarray) -> np.ndarray:
@@ -293,73 +292,26 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     def sample(rng):
         return rng.random(2)
 
-    def parse(raw: str) -> np.ndarray:
-        x, y = (float(part) for part in raw.split(","))
-        return np.array([x, y])
-
     return Flow(
         name=f"torus_affine({matrix}, b=({shift[0]:g},{shift[1]:g}))",
         step=step,
         dist=torus_dist,
         sample=sample,
-        parse=parse,
+        parse=lambda raw: np.array(parse_pair(raw, float)),
     )
 
 
 # ----------------------------------------------------------------------
 # the exact counterexample
 
-COUNTEREXAMPLE_MATRIX = ModularMatrix(1, 0, 1, 1)
-
-
-def counterexample_flow(alpha: float) -> Flow:
-    """The affine skew product (x, y) -> (x + alpha, x + y) on the torus.
-
-    State is kept in extended precision so long orbits stay accurate
-    enough for the exact-average identity to be visible at 1e-9.
-    """
-    alpha_ld = np.longdouble(alpha)
-
-    def step(xy):
-        x, y = xy
-        return (np.mod(x + alpha_ld, 1.0), np.mod(x + y, 1.0))
-
-    def dist(u, v):
-        return torus_dist((float(u[0]), float(u[1])), (float(v[0]), float(v[1])))
-
-    def sample(rng):
-        return (np.longdouble(rng.random()), np.longdouble(rng.random()))
-
-    return Flow(
-        name=f"counterexample_skew(alpha={alpha:g})",
-        step=step,
-        dist=dist,
-        sample=sample,
-    )
-
-
-def counterexample_start(alpha: float):
-    """The start point (alpha/2, 0) at which the averaged identity is exact."""
-    return (np.longdouble(alpha) / 2, np.longdouble(0.0))
-
-
-def counterexample_weights(alpha: float, n_terms: int):
-    """Weights exp(-pi i n^2 alpha) as a WeightSequence."""
-    from .sequences import phase_sequence
-
-    weights = phase_sequence("quadratic", n_terms, alpha=-alpha / 2.0)
-    return weights
-
-
-def counterexample_prefix_means(
-    alpha: float, checkpoints, method: str = "closed"
-) -> np.ndarray:
+def counterexample_prefix_means(alpha: float, checkpoints) -> np.ndarray:
     """Averages (1/N) sum exp(-pi i n^2 alpha) exp(2 pi i y_n) at each checkpoint.
 
     The observable reads the second coordinate of the orbit of (alpha/2, 0)
-    under the skew product.  'closed' evaluates the orbit from its closed
-    formula in extended precision; 'iterated' runs the map in float64.
-    Every prefix mean equals one up to rounding.
+    under the skew product (x, y) -> (x + alpha, x + y), evaluated from its
+    closed formula in extended precision.  Every prefix mean equals one up
+    to rounding; it is the exact reference for the registered pair
+    (``torus_affine`` with matrix 1,0;1,1 against ``quadratic_phase``).
     """
     checkpoints = sorted(int(n) for n in checkpoints)
     if checkpoints[0] < 1:
@@ -369,23 +321,7 @@ def counterexample_prefix_means(
     alpha_ld = np.longdouble(alpha)
     weight_phase = np.mod(n * n * (alpha_ld / 2), 1.0).astype(float)
     x0, y0 = alpha_ld / 2, np.longdouble(0.0)
-    if method == "closed":
-        orbit_y = np.mod(n * (n - 1) / 2 * alpha_ld + n * x0 + y0, 1.0).astype(float)
-    elif method == "iterated":
-        orbit_y = np.empty(n_max)
-        x, y = float(x0), float(y0)
-        for k in range(n_max):
-            x_new = (x + alpha) % 1.0
-            y = (x + y) % 1.0
-            x = x_new
-            orbit_y[k] = y
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    orbit_y = np.mod(n * (n - 1) / 2 * alpha_ld + n * x0 + y0, 1.0).astype(float)
     terms = np.exp(-2j * np.pi * weight_phase) * np.exp(2j * np.pi * orbit_y)
     partial = np.cumsum(terms)
     return np.array([partial[k - 1] / k for k in checkpoints])
-
-
-def counterexample_average(alpha: float, n_terms: int, method: str = "closed") -> complex:
-    """The single average at N = n_terms (equals 1 up to rounding)."""
-    return complex(counterexample_prefix_means(alpha, [n_terms], method=method)[0])

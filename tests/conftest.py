@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oscillab import analysis, registry
 from oscillab.torus import ModularMatrix
 
 
@@ -19,3 +20,22 @@ def random_modular(rng, n_factors=6, max_shear=3):
         else:
             result = result @ ModularMatrix(1, 0, k, 1)
     return result
+
+
+def counterexample_report(alpha, checkpoints):
+    """The counterexample pair as a config builds it, through the registry.
+
+    Quadratic phases e(-n^2 alpha/2) against the unipotent skew product
+    (x, y) -> (x + alpha, x + y) from (alpha/2, 0), observed by e(y).
+    """
+    flow = registry.build_flow(
+        "torus_affine", {"matrix": "1,0;1,1", "shift": f"{alpha!r},0"}
+    )
+    weights = registry.build_sequence(
+        "quadratic_phase", {"alpha": repr(-alpha / 2)}, max(checkpoints)
+    )
+    observable = registry.build_observable("torus_fourier", {"k1": "0", "k2": "1"})
+    start = registry.parse_start("torus_affine", f"{alpha / 2!r},0", flow)
+    return analysis.weighted_birkhoff(
+        weights, flow, observable, start, checkpoints=checkpoints
+    )

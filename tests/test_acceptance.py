@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import random_modular
+from conftest import counterexample_report, random_modular
 from oscillab import analysis, circle, interval, padic, sequences, torus
 from oscillab.flows import Observable
 
@@ -38,12 +38,11 @@ def _report(index, label, watch):
 def test_01_exact_counterexample():
     checkpoints = [1, 10, 100, 1000, 3162, 10**4]
     with _Stopwatch(1.0) as watch:
-        closed = torus.counterexample_prefix_means(ALPHA, checkpoints, method="closed")
+        closed = torus.counterexample_prefix_means(ALPHA, checkpoints)
         assert np.max(np.abs(closed - 1.0)) < 1e-9
-        iterated = torus.counterexample_prefix_means(
-            ALPHA, checkpoints, method="iterated"
-        )
-        assert np.max(np.abs(closed - iterated)) < 1e-6
+        report = counterexample_report(ALPHA, checkpoints)
+        shipped = np.array([value for _, value in report.checkpoints])
+        assert np.max(np.abs(closed - shipped)) < 1e-6
     _report(1, "affine counterexample averages to 1 within 1e-9", watch)
 
 
@@ -183,7 +182,7 @@ def test_08_disjointness_suite():
         assert mobius_report.verdict == "decaying"
         assert abs(mobius_report.final_value()) < 0.05
         quad_report = analysis.weighted_birkhoff(
-            sequences.phase_sequence("quadratic", n_terms, alpha=ALPHA),
+            sequences.quadratic_phase_sequence(n_terms, ALPHA),
             rotation,
             trig,
             0.0,

@@ -4,6 +4,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from conftest import counterexample_report
 from oscillab import analysis, circle, cli, interval, registry, sequences, torus
 from oscillab.flows import Flow, Observable, isometry_defect
 
@@ -36,15 +37,7 @@ class TestWeightedBirkhoff:
             assert value == pytest.approx(1.0)
 
     def test_counterexample_is_exactly_stagnant(self):
-        w = torus.counterexample_weights(ALPHA, 10**4)
-        flow = torus.counterexample_flow(ALPHA)
-        observable = Observable(
-            "e(y)", lambda xy: complex(np.exp(2j * np.pi * float(xy[1])))
-        )
-        report = analysis.weighted_birkhoff(
-            w, flow, observable, torus.counterexample_start(ALPHA),
-            checkpoints=[10, 100, 1000, 10**4],
-        )
+        report = counterexample_report(ALPHA, [10, 100, 1000, 10**4])
         assert report.verdict == "stagnant"
         assert max(abs(s - 1.0) for _, s in report.checkpoints) < 1e-9
 
@@ -266,7 +259,7 @@ class TestHookedDisjointness:
         assert report.verdict == "supported"
 
     def test_rational_quadratic_resonance(self):
-        w = sequences.phase_sequence("quadratic", 3 * 10**4, alpha=1.0 / 3.0)
+        w = sequences.quadratic_phase_sequence(3 * 10**4, 1.0 / 3.0)
         flow = circle.rotation_flow(1.0 / 3.0)
         report = analysis.hooked_disjointness(
             w, flow, fourier(-1), 0.0, support_atoms=[1.0 / 3.0]

@@ -200,6 +200,22 @@ class TestMlsDensity:
                 density = circle.mls_density_on_lambda(denjoy, a, b, eps, 1500)
                 assert density < eps
 
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.05, 0.02, 0.005, 0.001])
+    def test_recipe_range_cut_is_smallest_below_eps(self, denjoy, eps):
+        range_cut, gap = circle.mls_recipe(denjoy, eps)
+
+        def mass_outside(cut):
+            return math.fsum(
+                denjoy.gap_length(n)
+                for n in range(-denjoy.truncation, denjoy.truncation + 1)
+                if abs(n) > cut
+            )
+
+        assert range_cut >= 1
+        assert mass_outside(range_cut) < eps
+        assert not mass_outside(range_cut - 1) < eps
+        assert gap == eps / (2 * range_cut + 1)
+
     def test_horizon_past_truncation_rejected(self, denjoy):
         with pytest.raises(circle.TruncationError):
             circle.mls_density_on_lambda(
@@ -243,7 +259,7 @@ class TestRotationNumber:
 class TestPersistence:
     def test_save_load_round_trip(self, denjoy, tmp_path):
         path = tmp_path / "gaps.csv"
-        circle.save_gap_table(denjoy, path)
+        path.write_text(circle.gap_table_csv(denjoy))
         loaded = circle.load_denjoy(path)
         assert loaded.rotation == denjoy.rotation
         assert loaded.truncation == denjoy.truncation

@@ -9,6 +9,10 @@ from oscillab import cli, padic, registry, sequences
 from oscillab.flows import Flow
 
 
+# the flow of the bundled mobius-padic-rational.cfg
+PADIC_RATIONAL = {"p": "3", "precision": "24", "num": "0,0,1", "den": "1"}
+
+
 def config_path(name):
     return str(resources.files("oscillab").joinpath("configs", name))
 
@@ -78,6 +82,20 @@ class TestRegistry:
         flow2 = registry.build_flow("torus_auto", {"matrix": "0,1;-1,0"})
         xy = registry.parse_start("torus_auto", "0.25,0.75", flow2)
         assert list(xy) == [0.25, 0.75]
+
+    @pytest.mark.parametrize(
+        "flow_name, params, raw",
+        [
+            ("padic_rational", PADIC_RATIONAL, "2,1,3"),
+            ("padic_rational", PADIC_RATIONAL, "5"),
+            ("torus_auto", {"matrix": "0,1;-1,0"}, "0.5"),
+            ("torus_auto", {"matrix": "0,1;-1,0"}, "0.25,0.75,0.5"),
+        ],
+    )
+    def test_malformed_xy_start_rejected(self, flow_name, params, raw):
+        flow = registry.build_flow(flow_name, params)
+        with pytest.raises(ValueError, match=f"start '{raw}': expected the form x,y"):
+            registry.parse_start(flow_name, raw, flow)
 
     # each bundled config's start, as its flow's parser reads it
     @pytest.mark.parametrize(
@@ -276,6 +294,17 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_malformed_start_named_in_manifest(self, tmp_path):
+        text = open(config_path("mobius-padic-rational.cfg")).read()
+        cfg = tmp_path / "bad-start.cfg"
+        cfg.write_text(text.replace("start = 2,1\n", "start = 2,1,3\n"))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(cfg)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiments"]["mobius-padic-rational"] == (
+            "error: cannot read start '2,1,3': expected the form x,y"
+        )
+
     def test_seed_override_changes_stochastic_run(self, tmp_path):
         base, other = tmp_path / "base", tmp_path / "other"
         cfg = config_path("subnormal-quadratic-family.cfg")
@@ -414,7 +443,7 @@ class TestOtherCommands:
         stdout = capsys.readouterr().out
         weights = registry.build_sequence("mobius", {}, 3000)
         path = tmp_path / "scan.csv"
-        sequences.write_spectrum_csv(sequences.zero_set_scan(weights, 32, 3000), path)
+        path.write_text(sequences.spectrum_csv(sequences.zero_set_scan(weights, 32, 3000)))
         assert stdout.encode() == path.read_bytes()
 
     @pytest.mark.parametrize(

@@ -123,7 +123,9 @@ class TestCascade:
         for level in range(1, 5):
             period = 2 ** (level - 1)
             t_seed = full[level - 1] + 0.6 * (full[level] - full[level - 1])
-            point, _ = interval._seed_attracting(t_seed, period)
+            point, _ = interval._attracting_cycle_from_critical(
+                interval.QuadraticMap(t_seed), period
+            )
             for t_step in np.linspace(t_seed, full[level], 8)[1:]:
                 point, mult = interval._tracked_cycle(float(t_step), point, period)
             assert mult == pytest.approx(-1.0, abs=interval.MULTIPLIER_TOL)

@@ -47,15 +47,15 @@ class TestPadicInt:
 
 class TestNorm:
     def test_twelve_base_two(self):
-        assert padic.padic_norm(padic.PadicInt.from_int(12, 2, 8)).value == 0.25
+        assert padic.PadicInt.from_int(12, 2, 8).norm().value == 0.25
 
     def test_unit_base_three(self):
-        norm = padic.padic_norm(padic.PadicInt.from_int(1, 3, 8))
+        norm = padic.PadicInt.from_int(1, 3, 8).norm()
         assert norm.value == 1.0
         assert not norm.below_precision
 
     def test_zero_below_precision(self):
-        norm = padic.padic_norm(padic.PadicInt.from_int(0, 5, 8))
+        norm = padic.PadicInt.from_int(0, 5, 8).norm()
         assert norm.below_precision
         assert str(norm) == "below precision (<= 5^-8)"
         assert norm.as_fraction() == Fraction(1, 5**8)

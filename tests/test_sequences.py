@@ -104,7 +104,7 @@ class TestWeightSequence:
     def test_cesaro_bounded_by_growth_bound(self):
         for w in (
             seq.mobius_sequence(2000),
-            seq.phase_sequence("quadratic", 2000, alpha=ALPHA),
+            seq.quadratic_phase_sequence(2000, ALPHA),
             seq.subnormal_sequence(0.3, 2000, seed=7),
         ):
             for t in (0.0, 0.3, ALPHA):
@@ -113,32 +113,28 @@ class TestWeightSequence:
 
 class TestPhaseSequences:
     def test_quadratic_zero_alpha(self):
-        w = seq.phase_sequence("quadratic", 10, alpha=0.0)
+        w = seq.quadratic_phase_sequence(10, 0.0)
         assert w.values[4] == 1.0 + 0j
 
     def test_unit_modulus(self):
-        w = seq.phase_sequence("n_log_n", 500, c=1.0)
+        w = seq.nlogn_phase_sequence(500, 1.0)
         assert np.max(np.abs(np.abs(w.values) - 1.0)) < 1e-14
 
     def test_quadratic_grid_decay(self):
-        w = seq.phase_sequence("quadratic", 10**5, alpha=ALPHA)
+        w = seq.quadratic_phase_sequence(10**5, ALPHA)
         report = seq.zero_set_scan(w)
         assert report.max_abs < 0.05
 
     def test_nlogn_uniform_bound(self):
         n_terms = 10**4
-        w = seq.phase_sequence("n_log_n", n_terms, c=1.0)
+        w = seq.nlogn_phase_sequence(n_terms, 1.0)
         report = seq.zero_set_scan(w)
         assert report.max_abs <= 5.0 / math.sqrt(n_terms)
 
     def test_polynomial_matches_quadratic(self):
-        w_poly = seq.phase_sequence("polynomial", 3000, coeffs=[0.0, 0.0, ALPHA])
-        w_quad = seq.phase_sequence("quadratic", 3000, alpha=ALPHA)
+        w_poly = seq.polynomial_phase_sequence(3000, [0.0, 0.0, ALPHA])
+        w_quad = seq.quadratic_phase_sequence(3000, ALPHA)
         assert np.max(np.abs(w_poly.values - w_quad.values)) < 1e-8
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            seq.phase_sequence("cubic", 10)
 
 
 class TestSubnormal:
@@ -200,7 +196,7 @@ class TestCesaroMean:
 
 class TestZeroSetScan:
     def test_rescan_idempotent(self):
-        w = seq.phase_sequence("quadratic", 2000, alpha=ALPHA)
+        w = seq.quadratic_phase_sequence(2000, ALPHA)
         first = seq.zero_set_scan(w, grid_size=64)
         second = seq.zero_set_scan(w, grid_size=64)
         assert np.array_equal(first.sigma, second.sigma)
@@ -218,8 +214,8 @@ class TestZeroSetScan:
             (seq.mobius_sequence(1000), 2, 999, False),
             (seq.mobius_sequence(1000), 2, 1000, True),
             (seq.subnormal_sequence(0.3, 50, seed=4), 7, 5, True),
-            (seq.phase_sequence("quadratic", 3000, alpha=ALPHA), 7, 2999, False),
-            (seq.phase_sequence("quadratic", 3000, alpha=ALPHA), 100, 2500, True),
+            (seq.quadratic_phase_sequence(3000, ALPHA), 7, 2999, False),
+            (seq.quadratic_phase_sequence(3000, ALPHA), 100, 2500, True),
             (seq.subnormal_sequence(0.4, 700, seed=8), 512, 700, True),
             (seq.mobius_sequence(5000), 512, 4321, False),
         ],
@@ -243,7 +239,7 @@ class TestZeroSetScan:
         [
             lambda n: seq.mobius_sequence(n),
             lambda n: seq.subnormal_sequence(0.2, n, seed=3),
-            lambda n: seq.phase_sequence("quadratic", n, alpha=ALPHA),
+            lambda n: seq.quadratic_phase_sequence(n, ALPHA),
         ],
         ids=["mobius", "subnormal", "quadratic"],
     )
@@ -350,7 +346,7 @@ class TestArithmeticSubsequence:
         assert value == pytest.approx(math.ceil(101 / 2) / 101)
 
     def test_recombination(self):
-        w = seq.phase_sequence("quadratic", 4000, alpha=ALPHA)
+        w = seq.quadratic_phase_sequence(4000, ALPHA)
         for t in (0.0, 0.37):
             total = sum(
                 seq.arithmetic_subsequence_mean(w, 5, r, t, 4000) for r in range(1, 6)
@@ -437,6 +433,6 @@ class TestExport:
         w = seq.mobius_sequence(500)
         report = seq.zero_set_scan(w, grid_size=8)
         path = tmp_path / "spec.csv"
-        seq.write_spectrum_csv(report, path)
+        path.write_text(seq.spectrum_csv(report))
         header = path.read_text().splitlines()[0]
         assert header == "t,re_sigma,im_sigma,abs_sigma,N"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_modular
-from oscillab import registry, torus
+from conftest import counterexample_report, random_modular
+from oscillab import registry, sequences, torus
 from oscillab.flows import isometry_defect, orbit
 
 ALPHA = math.sqrt(2.0) - 1.0
@@ -37,7 +37,7 @@ class TestTorusMetric:
         pts = rng.random((2, 50))
         batch = torus.torus_norm_batch(pts)
         for i in range(50):
-            assert batch[i] == pytest.approx(torus.torus_norm(pts[:, i]))
+            assert batch[i] == pytest.approx(torus.torus_dist(pts[:, i], (0.0, 0.0)))
 
 
 class TestEntropyClassification:
@@ -218,15 +218,15 @@ class TestCounterexample:
         assert np.max(np.abs(values - 1.0)) < 1e-9
 
     def test_single_term_exact(self):
-        assert abs(torus.counterexample_average(0.77, 1) - 1.0) < 1e-14
+        assert abs(torus.counterexample_prefix_means(0.77, [1])[0] - 1.0) < 1e-14
 
     def test_iterated_agrees_with_closed(self):
-        closed = torus.counterexample_average(ALPHA, 10**4)
-        iterated = torus.counterexample_average(ALPHA, 10**4, method="iterated")
-        assert abs(closed - iterated) < 1e-6
+        (closed,) = torus.counterexample_prefix_means(ALPHA, [10**4])
+        shipped = counterexample_report(ALPHA, [10**4]).checkpoints[0][1]
+        assert abs(closed - shipped) < 1e-6
 
     def test_weights_match_phase_definition(self):
-        w = torus.counterexample_weights(ALPHA, 100)
+        w = sequences.quadratic_phase_sequence(100, -ALPHA / 2.0)
         n = np.arange(1, 101, dtype=np.longdouble)
         expected = np.exp(-1j * np.pi * (n * n * np.longdouble(ALPHA) % 2.0).astype(float))
         assert np.max(np.abs(w.values - expected)) < 1e-9
