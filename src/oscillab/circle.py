@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flows import Flow, circle_distance
-from .sequences import KahanSum
+from .sequences import KahanSum, rational_phases
 
 # sum over all integers n of 1/(n^2 + 2) in closed form
 _FULL_GAP_SUM = math.pi / math.sqrt(2.0) / math.tanh(math.sqrt(2.0) * math.pi)
@@ -26,16 +26,16 @@ class TruncationError(ValueError):
     """A symbolic index or horizon ran past the stored gap range."""
 
 
-def rotation_flow(angle: float) -> Flow:
-    """Rigid rotation by ``angle`` on the circle [0, 1) with arc metric."""
-    if not 0.0 <= angle < 1.0:
+def rotation_flow(rho: float) -> Flow:
+    """Rigid rotation by ``rho`` on the circle [0, 1) with arc metric."""
+    if not 0.0 <= rho < 1.0:
         raise ValueError("rotation angle must lie in [0, 1)")
 
     def step(x: float) -> float:
-        return (x + angle) % 1.0
+        return (x + rho) % 1.0
 
     return Flow(
-        name=f"rotation(rho={angle:.12g})",
+        name=f"rotation(rho={rho:.12g})",
         step=step,
         dist=circle_distance,
         sample=lambda rng: float(rng.random()),
@@ -51,6 +51,8 @@ class DenjoyMap:
     raw lengths over all of Z sum to one); realized lengths rescale the
     truncated mass to tile [0, 1) exactly.  ``tail_mass`` is the exact raw
     mass dropped by the truncation and drives every accuracy contract.
+    The orbit points x_n = n * rho mod 1 are reduced exactly from the float
+    ``rotation`` and rounded once (``sequences.rational_phases``).
     """
 
     rotation: float
@@ -71,10 +73,8 @@ class DenjoyMap:
         trunc_mass = math.fsum(raw)
         tail_mass = 1.0 - trunc_mass
         tail_bound = 2.0 * scale / (n_tr - 1.0)
-        # orbit points of the underlying rotation, extended precision
-        pos = np.mod(
-            indices.astype(np.longdouble) * np.longdouble(self.rotation), 1.0
-        ).astype(float)
+        # orbit points n * rho mod 1 of the underlying rotation, exact
+        pos = rational_phases([0, self.rotation], indices)
         order = np.argsort(pos)
         pos_sorted = pos[order]
         spacing = np.diff(pos_sorted)

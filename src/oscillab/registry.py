@@ -7,10 +7,11 @@ available together with each entry's parameter schema.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable
-
-import numpy as np
 
 from . import circle, interval, padic, torus
 from .flows import Flow, Observable
@@ -21,6 +22,7 @@ from .sequences import (
     nlogn_phase_sequence,
     polynomial_phase_sequence,
     quadratic_phase_sequence,
+    rational_phases,
     subnormal_sequence,
 )
 
@@ -84,10 +86,6 @@ SEQUENCES: dict[str, RegistryEntry] = {
 # ----------------------------------------------------------------------
 # flows
 
-def _flow_rotation(rho: float) -> Flow:
-    return circle.rotation_flow(rho)
-
-
 def _flow_denjoy(rho: float, trunc: int) -> Flow:
     return circle.build_denjoy(rho, trunc).as_flow()
 
@@ -113,15 +111,14 @@ def _flow_padic_rational(p: int, precision: int, num, den) -> Flow:
 
 def _flow_shear_fiber(t: int, y: float) -> Flow:
     """The shear (x, y) -> (x + t y, y) on its invariant fiber: rotation by t y."""
-    angle = (t * y) % 1.0
-    if angle == 1.0:  # a tiny negative t * y rounds up to 1, i.e. 0 on the circle
-        angle = 0.0
-    return replace(circle.rotation_flow(angle), name=f"shear_fiber(t={t}, y={y:g})")
+    # t y as one exact constant term, so any integer t is reduced exactly
+    (angle,) = rational_phases([t * Fraction(y)], [0])
+    return replace(circle.rotation_flow(float(angle)), name=f"shear_fiber(t={t}, y={y:g})")
 
 
 FLOWS: dict[str, RegistryEntry] = {
     "rotation": RegistryEntry(
-        _flow_rotation, {"rho": "float"}, description="rigid circle rotation"
+        circle.rotation_flow, {"rho": "float"}, description="rigid circle rotation"
     ),
     "denjoy": RegistryEntry(
         _flow_denjoy,
@@ -171,14 +168,14 @@ FLOWS: dict[str, RegistryEntry] = {
 
 def _obs_fourier(k: int) -> Observable:
     def evaluate(x):
-        return complex(np.exp(2j * np.pi * k * float(x)))
+        return cmath.exp(2j * math.pi * k * float(x))
 
     return Observable(f"fourier({k})", evaluate)
 
 
 def _obs_torus_fourier(k1: int, k2: int) -> Observable:
     def evaluate(xy):
-        return complex(np.exp(2j * np.pi * (k1 * float(xy[0]) + k2 * float(xy[1]))))
+        return cmath.exp(2j * math.pi * (k1 * float(xy[0]) + k2 * float(xy[1])))
 
     return Observable(f"torus_fourier({k1},{k2})", evaluate)
 
@@ -206,7 +203,7 @@ def _obs_padic_phase(level: int) -> Observable:
     def evaluate(x: padic.PadicInt):
         _check_resolution(x.precision, level)
         modulus = x.p**level
-        return complex(np.exp(2j * np.pi * (x.residue % modulus) / modulus))
+        return cmath.exp(2j * math.pi * (x.residue % modulus) / modulus)
 
     return Observable(f"padic_phase({level})", evaluate)
 
@@ -223,9 +220,9 @@ def _obs_projective_phase(level: int) -> Observable:
         # the inverse mod p^level is the inverse mod p^precision reduced
         if y % p:
             chart = x * pow(y, -1, modulus) % modulus
-            return complex(np.exp(2j * np.pi * chart / modulus))
+            return cmath.exp(2j * math.pi * chart / modulus)
         chart = y * pow(x, -1, modulus) % modulus
-        return complex(-np.exp(2j * np.pi * chart / modulus))
+        return -cmath.exp(2j * math.pi * chart / modulus)
 
     return Observable(f"projective_phase({level})", evaluate)
 

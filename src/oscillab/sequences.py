@@ -4,9 +4,11 @@ Generators for the arithmetic and phase sequences used throughout the
 package (Mobius, Liouville, quadratic, n log n and polynomial phases,
 random subnormal weights; one plain function each, which the registry
 holds directly), together with the Cesaro-mean machinery that locates
-where a sequence's averaged Fourier mass survives.  Quadratic-phase
-sequences with rational parameter get their spectrum computed exactly via
-cyclotomic integer arithmetic; everything else is measured numerically.
+where a sequence's averaged Fourier mass survives.  Polynomial phases
+P(n) mod 1 are reduced exactly by ``rational_phases``, the one such
+reduction in the package.  Quadratic-phase sequences with rational parameter
+get their spectrum computed exactly via cyclotomic integer arithmetic;
+everything else is measured numerically.
 """
 
 from __future__ import annotations
@@ -141,47 +143,34 @@ def liouville_sequence(n_terms: int) -> WeightSequence:
 # ----------------------------------------------------------------------
 # phase sequences
 
-def _quadratic_phases(alpha, n_terms: int) -> np.ndarray:
-    """Fractional parts of n^2 * alpha for n = 1..n_terms.
+def rational_phases(coeffs, n) -> np.ndarray:
+    """frac(sum_k coeffs[k] n^k) in [0, 1) for an integer array ``n``.
 
-    Rational alpha is reduced in exact integer arithmetic; irrational alpha
-    uses extended precision so the reduction stays accurate for n up to 1e7.
+    Each coefficient is read as a ``Fraction`` (exact for a float m/2^e),
+    so the sum is an integer numerator over the common denominator D,
+    reduced exactly and rounded once.  When D divides 2^64, Horner runs in
+    wrapping uint64, which also wraps negative n exactly; otherwise it
+    runs in Python ints.
     """
-    if isinstance(alpha, Fraction):
-        numer, denom = alpha.numerator, alpha.denominator
-        n = np.arange(1, n_terms + 1, dtype=np.int64)
-        if n_terms**2 * abs(numer) >= 2**62:
-            n = n.astype(object)  # exact big-int path for extreme sizes
-        return (((n * n * numer) % denom) / float(denom)).astype(np.float64)
-    n = np.arange(1, n_terms + 1, dtype=np.longdouble)
-    return np.mod(n * n * np.longdouble(alpha), 1.0).astype(np.float64)
-
-
-def _polynomial_phases(coeffs, n_terms: int) -> np.ndarray:
-    """Fractional parts of P(n) for n = 1..n_terms by forward differences.
-
-    The difference table keeps every intermediate in [0, 1), so rounding
-    grows only linearly in n instead of with the magnitude of P(n).
-    """
-    coeffs = [float(c) for c in coeffs]
-    deg = len(coeffs) - 1
-    init = []
-    for n in range(1, deg + 2):
-        acc = np.longdouble(0.0)
-        for c in reversed(coeffs):
-            acc = acc * n + np.longdouble(c)
-        init.append(acc)
-    # forward-difference table of order deg, reduced mod 1
-    diffs = [np.array(init, dtype=np.longdouble)]
-    for _ in range(deg):
-        diffs.append(np.diff(diffs[-1]))
-    state = [float(np.mod(d[0], 1.0)) for d in diffs]
-    out = np.empty(n_terms)
-    for k in range(n_terms):
-        out[k] = state[0]
-        for j in range(deg):
-            state[j] = (state[j] + state[j + 1]) % 1.0
-    return out
+    fracs = [Fraction(c) for c in coeffs]
+    denom = math.lcm(*(f.denominator for f in fracs))
+    numers = [f.numerator * (denom // f.denominator) for f in fracs]
+    n = np.asarray(n, dtype=np.int64)
+    dyadic = (1 << 64) % denom == 0
+    if dyadic:
+        x = n.view(np.uint64)
+        numers = [np.uint64(c % (1 << 64)) for c in numers]
+    else:
+        x = n.astype(object)
+    acc = np.zeros(x.shape, dtype=x.dtype)
+    for c in reversed(numers):
+        acc = acc * x + c
+    if dyadic:
+        values = (acc & np.uint64(denom - 1)).astype(np.float64) / float(denom)
+    else:
+        values = (acc % denom / denom).astype(np.float64)
+    # a residue within half an ulp of D rounds up to 1.0, which is 0 mod 1
+    return np.mod(values, 1.0)
 
 
 def _phase_weights(name: str, phases: np.ndarray) -> WeightSequence:
@@ -194,9 +183,10 @@ def _check_n_terms(n_terms: int) -> None:
 
 
 def quadratic_phase_sequence(n_terms: int, alpha) -> WeightSequence:
-    """exp(2 pi i n^2 alpha); a Fraction alpha is reduced exactly."""
+    """exp(2 pi i n^2 alpha), with n^2 alpha reduced mod 1 exactly."""
     _check_n_terms(n_terms)
-    return _phase_weights(f"quadratic(alpha={alpha})", _quadratic_phases(alpha, n_terms))
+    phases = rational_phases([0, 0, alpha], np.arange(1, n_terms + 1))
+    return _phase_weights(f"quadratic(alpha={alpha})", phases)
 
 
 def nlogn_phase_sequence(n_terms: int, c: float) -> WeightSequence:
@@ -211,7 +201,8 @@ def polynomial_phase_sequence(n_terms: int, coeffs) -> WeightSequence:
     """exp(2 pi i P(n)) for the coefficients of P in ascending order."""
     _check_n_terms(n_terms)
     coeffs = list(coeffs)
-    return _phase_weights(f"polynomial({coeffs})", _polynomial_phases(coeffs, n_terms))
+    phases = rational_phases(coeffs, np.arange(1, n_terms + 1))
+    return _phase_weights(f"polynomial({coeffs})", phases)
 
 
 def subnormal_sequence(tau: float, n_terms: int, seed: int) -> WeightSequence:

@@ -15,10 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .flows import Flow, parse_pair
+from .sequences import rational_phases
 
 
 @dataclass(frozen=True)
@@ -284,6 +286,8 @@ def conjugacy_equivalent(t: int, t_other: int) -> bool:
 
 def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     """x -> A x + b on [0,1)^2 with the quotient metric."""
+    if np.shape(shift) != (2,):
+        raise ValueError(f"cannot use shift {np.ravel(shift).tolist()}: expected the form x,y")
     shift = torus_reduce(shift)
 
     def step(xy):
@@ -309,19 +313,19 @@ def counterexample_prefix_means(alpha: float, checkpoints) -> np.ndarray:
 
     The observable reads the second coordinate of the orbit of (alpha/2, 0)
     under the skew product (x, y) -> (x + alpha, x + y), evaluated from its
-    closed formula in extended precision.  Every prefix mean equals one up
-    to rounding; it is the exact reference for the registered pair
-    (``torus_affine`` with matrix 1,0;1,1 against ``quadratic_phase``).
+    closed formula y_n = y_0 + n x_0 + n(n-1)/2 alpha with exact ``Fraction``
+    coefficients.  Every prefix mean equals one up to rounding; it is the
+    exact reference for the registered pair (``torus_affine`` with matrix
+    1,0;1,1 against ``quadratic_phase``).
     """
     checkpoints = sorted(int(n) for n in checkpoints)
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be >= 1")
-    n_max = checkpoints[-1]
-    n = np.arange(1, n_max + 1, dtype=np.longdouble)
-    alpha_ld = np.longdouble(alpha)
-    weight_phase = np.mod(n * n * (alpha_ld / 2), 1.0).astype(float)
-    x0, y0 = alpha_ld / 2, np.longdouble(0.0)
-    orbit_y = np.mod(n * (n - 1) / 2 * alpha_ld + n * x0 + y0, 1.0).astype(float)
+    n = np.arange(1, checkpoints[-1] + 1)
+    alpha = Fraction(alpha)
+    x0, y0 = alpha / 2, Fraction(0)
+    weight_phase = rational_phases([0, 0, alpha / 2], n)
+    orbit_y = rational_phases([y0, x0 - alpha / 2, alpha / 2], n)
     terms = np.exp(-2j * np.pi * weight_phase) * np.exp(2j * np.pi * orbit_y)
     partial = np.cumsum(terms)
     return np.array([partial[k - 1] / k for k in checkpoints])

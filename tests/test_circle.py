@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,11 @@ class TestDenjoyConstruction:
             if denjoy.orbit_point(n) < denjoy.orbit_point(1)
         )
         assert denjoy.gap_left(1) == pytest.approx(expected, abs=1e-12)
+
+    def test_orbit_points_exact(self, denjoy):
+        rho = Fraction(denjoy.rotation)
+        for n in range(-denjoy.truncation, denjoy.truncation + 1):
+            assert denjoy.orbit_point(n) == float(n * rho % 1)
 
     def test_trunc_too_small_rejected(self):
         with pytest.raises(ValueError):

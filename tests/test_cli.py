@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -96,6 +97,15 @@ class TestRegistry:
         flow = registry.build_flow(flow_name, params)
         with pytest.raises(ValueError, match=f"start '{raw}': expected the form x,y"):
             registry.parse_start(flow_name, raw, flow)
+
+    @pytest.mark.parametrize(
+        "raw, named",
+        [("0.41421356237309503", "[0.41421356237309503]"), ("0.4,0,0", "[0.4, 0.0, 0.0]"), ("", "[]")],
+    )
+    def test_torus_affine_shift_needs_two_coordinates(self, raw, named):
+        params = {"matrix": "1,0;1,1", "shift": raw}
+        with pytest.raises(ValueError, match=re.escape(f"shift {named}: expected the form x,y")):
+            registry.build_flow("torus_affine", params)
 
     # each bundled config's start, as its flow's parser reads it
     @pytest.mark.parametrize(
@@ -303,6 +313,17 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiments"]["mobius-padic-rational"] == (
             "error: cannot read start '2,1,3': expected the form x,y"
+        )
+
+    def test_malformed_shift_named_in_manifest(self, tmp_path):
+        text = open(config_path("counterexample.cfg")).read()
+        cfg = tmp_path / "bad-shift.cfg"
+        cfg.write_text(text.replace("flow.shift = 0.41421356237309503,0\n", "flow.shift = 0.4,0,0\n"))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(cfg)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiments"]["counterexample"] == (
+            "error: cannot use shift [0.4, 0.0, 0.0]: expected the form x,y"
         )
 
     def test_seed_override_changes_stochastic_run(self, tmp_path):

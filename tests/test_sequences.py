@@ -137,6 +137,48 @@ class TestPhaseSequences:
         assert np.max(np.abs(w_poly.values - w_quad.values)) < 1e-8
 
 
+def exact_phase(coeffs, n: int) -> float:
+    return float(sum(Fraction(c) * n**k for k, c in enumerate(coeffs)) % 1)
+
+
+# sampled n up to 1e7, n near 2^31, and negative n
+PHASE_N = np.concatenate(
+    [
+        np.random.default_rng(7).integers(1, 10**7, size=200),
+        2**31 + np.arange(-3, 4),
+        -np.random.default_rng(8).integers(1, 10**7, size=50),
+        [-(2**31), -1, 0],
+    ]
+)
+
+
+class TestRationalPhases:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [0, 0, ALPHA],
+            [0.1, ALPHA, -0.0131, 0.07],
+            [0, 0, 1e-5],  # a 2^-69 denominator: the Python-int path
+            [Fraction(1, 3), 0, Fraction(-5, 7)],
+        ],
+    )
+    def test_matches_fraction_reference(self, coeffs):
+        got = seq.rational_phases(coeffs, PHASE_N)
+        assert got.tolist() == [exact_phase(coeffs, int(n)) for n in PHASE_N]
+        assert np.all((got >= 0.0) & (got < 1.0))
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 2**64), Fraction(1, 3 * 2**60)])
+    def test_residue_rounding_to_one_wraps_to_zero(self, eps):
+        # 1 - eps rounds to 1.0 as a float; mod 1 that is 0
+        assert seq.rational_phases([-eps], np.arange(4)).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(5, 7), 1e-5, -ALPHA / 2])
+    def test_quadratic_sequence_is_exact(self, alpha):
+        w = seq.quadratic_phase_sequence(3000, alpha)
+        phases = [exact_phase([0, 0, alpha], n) for n in range(1, 3001)]
+        assert np.array_equal(w.values, np.exp(2j * np.pi * np.array(phases)))
+
+
 class TestSubnormal:
     def test_magnitudes_exact(self):
         w = seq.subnormal_sequence(0.3, 1000, seed=11)
