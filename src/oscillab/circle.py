@@ -27,12 +27,20 @@ class TruncationError(ValueError):
 
 
 def rotation_flow(rho: float) -> Flow:
-    """Rigid rotation by ``rho`` on the circle [0, 1) with arc metric."""
+    """Rigid rotation by ``rho`` on the circle [0, 1) with arc metric.
+
+    ``block`` is the closed form x + k rho mod 1, reduced exactly from the
+    float start and ``rho`` and rounded once per point.
+    """
     if not 0.0 <= rho < 1.0:
         raise ValueError("rotation angle must lie in [0, 1)")
 
     def step(x: float) -> float:
         return (x + rho) % 1.0
+
+    def block(x: float, n_steps: int):
+        points = rational_phases([x, rho], np.arange(n_steps + 1))
+        return points[1:], float(points[-1])
 
     return Flow(
         name=f"rotation(rho={rho:.12g})",
@@ -40,6 +48,7 @@ def rotation_flow(rho: float) -> Flow:
         dist=circle_distance,
         sample=lambda rng: float(rng.random()),
         parse=float,
+        block=block,
     )
 
 
@@ -154,6 +163,33 @@ class DenjoyMap:
             return 0.0
         return float(self._lefts_sorted[rank])
 
+    def block(self, x: float, n_steps: int):
+        """The next ``n_steps`` points, read symbolically off the gap table.
+
+        A point at fraction f of gap n lands at fraction f of gap n + k
+        after k steps, so each run inside the table is one gather
+        ``lefts[n + k] + f * lens[n + k]``; a point in the last stored gap
+        takes one real ``step``.
+        """
+        points = np.empty(n_steps)
+        done = 0
+        while done < n_steps:
+            x = x % 1.0
+            n = self.locate(x)
+            run = min(self.truncation - n, n_steps - done)
+            if run == 0:
+                x = self.step(x)
+                points[done] = x
+                done += 1
+                continue
+            slot = self._slot(n)
+            frac = (x - self._lefts[slot]) / self._realized[slot]
+            ahead = np.arange(slot + 1, slot + run + 1)
+            points[done : done + run] = self._lefts[ahead] + frac * self._realized[ahead]
+            done += run
+            x = float(points[done - 1])
+        return points, x
+
     def semiconjugacy(self, x: float) -> float:
         """h collapsing each gap to its rotation-orbit point: h o T = R o h."""
         return self.orbit_point(self.locate(x))
@@ -165,6 +201,7 @@ class DenjoyMap:
             dist=circle_distance,
             sample=lambda rng: float(rng.random()),
             parse=float,
+            block=self.block,
         )
 
 

@@ -9,6 +9,15 @@ yields f(T^k x) in numpy blocks, and ``orbit_distance_trace`` is the pair
 stream d(T^k x, T^k z).  Averages of an observable along arbitrarily long runs
 still need only O(block) memory; a distance trace holds one float per
 step.
+
+The observable stream has a block kernel: when the flow has ``block`` and
+the observable ``eval_block``, each block of points comes from one
+``block`` call and its values from one ``eval_block`` call; otherwise it
+steps and evaluates one point at a time.  Every registered flow and
+observable has both.  A block stacks its points along a leading axis:
+a float array of shape (n,) for the circle and interval flows, (n, 2)
+for the torus, and a ``padic.ResidueBlock`` (the ring plus residue
+arrays) for the p-adic flows.
 """
 
 from __future__ import annotations
@@ -30,7 +39,9 @@ class Flow:
 
     ``sample`` draws a random point of the state space (used by sampling
     checks such as ``isometry_defect``).  ``parse`` reads a start point from
-    its config text (``registry.parse_start``).
+    its config text (``registry.parse_start``).  ``block(x, n)`` returns
+    ``(points, last)``: the next ``n`` orbit points T x .. T^n x stacked
+    along a leading axis (see the module docstring), and T^n x as a point.
     """
 
     name: str
@@ -38,6 +49,7 @@ class Flow:
     dist: Callable[[Point, Point], float]
     sample: Callable[[np.random.Generator], Point] | None = None
     parse: Callable[[str], Point] | None = None
+    block: Callable[[Point, int], tuple[Any, Point]] | None = None
 
     def __repr__(self) -> str:  # keep reports readable
         return f"Flow({self.name})"
@@ -45,10 +57,15 @@ class Flow:
 
 @dataclass(frozen=True)
 class Observable:
-    """A complex-valued function evaluated along orbits."""
+    """A complex-valued function evaluated along orbits.
+
+    ``eval_block`` evaluates a block of points, as ``Flow.block`` stacks
+    them, to a complex array with one value per point.
+    """
 
     name: str
     eval: Callable[[Point], complex]
+    eval_block: Callable[[Any], np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"Observable({self.name})"
@@ -78,8 +95,20 @@ def _observable_stream(
     flow: Flow, observable: Observable, start: Point, n_terms: int
 ) -> Iterator[np.ndarray]:
     """f(T^k x) for k = 1..n_terms, as complex blocks of at most _BLOCK values."""
-    step, evaluate = flow.step, observable.eval
     x = start
+    if flow.block is not None and observable.eval_block is not None:
+        for lo in range(0, n_terms, _BLOCK):
+            size = min(_BLOCK, n_terms - lo)
+            points, x = flow.block(x, size)
+            values = np.asarray(observable.eval_block(points), dtype=complex)
+            if values.shape != (size,):
+                raise ValueError(
+                    f"{observable.name} gave values of shape {values.shape} "
+                    f"for {size} points of {flow.name}"
+                )
+            yield values
+        return
+    step, evaluate = flow.step, observable.eval
     for lo in range(0, n_terms, _BLOCK):
         block = np.empty(min(_BLOCK, n_terms - lo), dtype=complex)
         for i in range(len(block)):

@@ -8,6 +8,7 @@ Schwarzian checks, and the odometer coding of deep attracting cycles.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -599,12 +600,25 @@ def basin_probe(t: float, x: float, n_steps: int, max_period: int = 2**10) -> Ba
 
 
 def quadratic_flow(t: float) -> Flow:
-    """The quadratic family member as a metric flow on [-1, 1]."""
+    """The quadratic family member as a metric flow on [-1, 1].
+
+    ``step`` is the map itself; ``block`` iterates it on Python floats.
+    """
     tmap = QuadraticMap(t)
+
+    def block(x: float, n_steps: int):
+        x = float(x)
+        points = array("d")
+        for _ in range(n_steps):
+            x = tmap(x)
+            points.append(x)
+        return np.frombuffer(points), x
+
     return Flow(
         name=f"quadratic_family(t={t:g})",
         step=tmap,
         dist=lambda a, b: abs(a - b),
         sample=lambda rng: float(rng.uniform(-1.0, 1.0)),
         parse=float,
+        block=block,
     )

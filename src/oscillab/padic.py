@@ -10,7 +10,9 @@ A ring (p prime, K >= 1) is validated once, when a value is built from
 outside input (``PadicInt(...)``, ``from_int``, ``from_digits``).  Arithmetic
 on values of that ring, polynomial evaluation and the rational-map step work
 on the plain int residues and reduce mod p^K; they build one value per
-result and only check that their operands share a ring.
+result and only check that their operands share a ring.  A flow's
+``block`` builds no value per point: it returns a ``ResidueBlock`` of
+residue arrays.
 """
 
 from __future__ import annotations
@@ -173,6 +175,25 @@ def padic_dist(x: PadicInt, y: PadicInt) -> float:
     return (x - y).norm().value
 
 
+@dataclass(frozen=True, eq=False)
+class ResidueBlock:
+    """Orbit points of one ring, stacked as residue arrays (``Flow.block``).
+
+    ``x`` holds the residues of points of Z_p, or the first coordinates of
+    points [x : y] of the projective line, whose second coordinates are in
+    ``y``.  The arrays are int64 when p^precision fits, Python ints otherwise.
+    """
+
+    p: int
+    precision: int
+    x: np.ndarray
+    y: np.ndarray | None = None
+
+
+def _residue_dtype(modulus: int):
+    return np.int64 if modulus <= 2**62 else object
+
+
 # ----------------------------------------------------------------------
 # polynomials and flows on Z_p
 
@@ -191,6 +212,8 @@ class PadicPoly:
             if c.p != p or c.precision != prec:
                 raise ValueError("mixed p-adic rings in coefficients")
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
+        # coefficient residues from the top degree down, for _horner
+        object.__setattr__(self, "_top_down", [c.residue for c in reversed(self.coefficients)])
 
     @classmethod
     def from_ints(cls, coeffs, p: int, precision: int = DEFAULT_PRECISION) -> "PadicPoly":
@@ -210,16 +233,20 @@ class PadicPoly:
 
     def __call__(self, x: PadicInt) -> PadicInt:
         self.coefficients[0]._check_compatible(x)
-        r = x.residue
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * r + c.residue
-        return x._like(acc)
+        return x._like(_horner(self._top_down, x.residue, x.p**x.precision))
 
     def __str__(self) -> str:
         return " + ".join(
             f"{c.residue}*x^{k}" for k, c in enumerate(self.coefficients) if c.residue
         ) or "0"
+
+
+def _horner(top_down: list[int], r: int, modulus: int) -> int:
+    """P(r) mod ``modulus`` from P's coefficient residues, top degree first."""
+    acc = 0
+    for c in top_down:
+        acc = acc * r + c
+    return acc % modulus
 
 
 def random_padic_int(rng: np.random.Generator, p: int, precision: int) -> PadicInt:
@@ -235,6 +262,17 @@ def poly_flow(poly: PadicPoly) -> Flow:
     base-p digits, least significant first ("1,0,1" is 5 for p = 2).
     """
     p, precision = poly.p, poly.precision
+    modulus = p**precision
+
+    def block(x: PadicInt, n_steps: int):
+        poly.coefficients[0]._check_compatible(x)
+        r = x.residue
+        residues = []
+        for _ in range(n_steps):
+            r = _horner(poly._top_down, r, modulus)
+            residues.append(r)
+        points = ResidueBlock(p, precision, np.array(residues, dtype=_residue_dtype(modulus)))
+        return points, x._like(r)
 
     def sample(rng):
         return random_padic_int(rng, p, precision)
@@ -256,13 +294,25 @@ def poly_flow(poly: PadicPoly) -> Flow:
         dist=padic_dist,
         sample=sample,
         parse=parse,
+        block=block,
     )
 
 
 def adding_machine(p: int, precision: int = DEFAULT_PRECISION) -> Flow:
-    """x -> x + 1 on Z_p: a minimal isometry (the odometer)."""
-    flow = poly_flow(PadicPoly.from_ints([1, 1], p, precision))
-    return replace(flow, name=f"adding_machine(p={p})")
+    """x -> x + 1 on Z_p: a minimal isometry (the odometer).
+
+    ``block`` is the closed form (x + k) mod p^precision.
+    """
+    poly = PadicPoly.from_ints([1, 1], p, precision)
+    modulus = p**precision
+    dtype = _residue_dtype(modulus)
+
+    def block(x: PadicInt, n_steps: int):
+        poly.coefficients[0]._check_compatible(x)
+        residues = (np.arange(1, n_steps + 1).astype(dtype) + x.residue) % modulus
+        return ResidueBlock(p, precision, residues), x._like(x.residue + n_steps)
+
+    return replace(poly_flow(poly), name=f"adding_machine(p={p})", block=block)
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +408,10 @@ def rational_flow(
     modulus = p**precision
     ring = num.coefficients[0]
     nc, dc, deg = _homogenize(num, den)
+    dtype = _residue_dtype(modulus)
 
-    def step(point: ProjPoint) -> ProjPoint:
-        ring._check_compatible(point.x)
-        x, y = point.x.residue, point.y.residue
+    def image(x: int, y: int) -> tuple[int, int]:
+        """Normalized residues of the image of [x : y]."""
         fx = _eval_homogeneous(nc, x, y, deg) % modulus
         fy = _eval_homogeneous(dc, x, y, deg) % modulus
         shift = min(_valuation(fx, p, precision), _valuation(fy, p, precision))
@@ -371,7 +421,25 @@ def rational_flow(
                 "check the declared reduction"
             )
         scale = p**shift
-        return ProjPoint(ring._like(fx // scale), ring._like(fy // scale))
+        return fx // scale, fy // scale
+
+    def step(point: ProjPoint) -> ProjPoint:
+        ring._check_compatible(point.x)
+        fx, fy = image(point.x.residue, point.y.residue)
+        return ProjPoint(ring._like(fx), ring._like(fy))
+
+    def block(point: ProjPoint, n_steps: int):
+        ring._check_compatible(point.x)
+        x, y = point.x.residue, point.y.residue
+        xs, ys = [], []
+        for _ in range(n_steps):
+            x, y = image(x, y)
+            xs.append(x)
+            ys.append(y)
+        points = ResidueBlock(
+            p, precision, np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+        )
+        return points, ProjPoint(ring._like(x), ring._like(y))
 
     def sample(rng) -> ProjPoint:
         a = random_padic_int(rng, p, precision)
@@ -393,6 +461,7 @@ def rational_flow(
         dist=spherical_dist_value,
         sample=sample,
         parse=parse,
+        block=block,
     )
     rng = np.random.default_rng(seed)
     for _ in range(check_pairs):

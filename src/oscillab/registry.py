@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from . import circle, interval, padic, torus
 from .flows import Flow, Observable
 from .sequences import (
@@ -165,23 +167,37 @@ FLOWS: dict[str, RegistryEntry] = {
 
 # ----------------------------------------------------------------------
 # observables
+#
+# Each ``eval_block`` computes what ``eval`` computes per point, in the same
+# floating-point operations, so a block's values equal the per-point ones.
 
 def _obs_fourier(k: int) -> Observable:
     def evaluate(x):
         return cmath.exp(2j * math.pi * k * float(x))
 
-    return Observable(f"fourier({k})", evaluate)
+    def evaluate_block(points):
+        return np.exp(2j * math.pi * k * np.asarray(points, dtype=float))
+
+    return Observable(f"fourier({k})", evaluate, evaluate_block)
 
 
 def _obs_torus_fourier(k1: int, k2: int) -> Observable:
     def evaluate(xy):
         return cmath.exp(2j * math.pi * (k1 * float(xy[0]) + k2 * float(xy[1])))
 
-    return Observable(f"torus_fourier({k1},{k2})", evaluate)
+    def evaluate_block(points):
+        xy = np.asarray(points, dtype=float)
+        return np.exp(2j * math.pi * (k1 * xy[:, 0] + k2 * xy[:, 1]))
+
+    return Observable(f"torus_fourier({k1},{k2})", evaluate, evaluate_block)
 
 
 def _obs_coordinate() -> Observable:
-    return Observable("coordinate", lambda x: complex(float(x)))
+    return Observable(
+        "coordinate",
+        lambda x: complex(float(x)),
+        lambda points: np.asarray(points, dtype=float).astype(complex),
+    )
 
 
 def _check_level(level: int) -> None:
@@ -197,20 +213,40 @@ def _check_resolution(precision: int, level: int) -> None:
         )
 
 
+def _check_block(points, projective: bool, name: str) -> None:
+    if not isinstance(points, padic.ResidueBlock) or (points.y is not None) != projective:
+        space = "the projective line" if projective else "Z_p"
+        raise TypeError(f"{name} evaluates points of {space}")
+
+
+def _unit_phases(residues: np.ndarray, modulus: int) -> np.ndarray:
+    """exp(2 pi i r / modulus) per residue r, rounded as cmath.exp(2j*pi*r/modulus)."""
+    # the imaginary part of 2j*pi*r/modulus is (2*pi*r)/modulus, its real part 0
+    return np.exp(1j * np.asarray(2 * math.pi * residues / modulus, dtype=float))
+
+
 def _obs_padic_phase(level: int) -> Observable:
     _check_level(level)
+    name = f"padic_phase({level})"
 
     def evaluate(x: padic.PadicInt):
         _check_resolution(x.precision, level)
         modulus = x.p**level
         return cmath.exp(2j * math.pi * (x.residue % modulus) / modulus)
 
-    return Observable(f"padic_phase({level})", evaluate)
+    def evaluate_block(points: padic.ResidueBlock):
+        _check_block(points, False, name)
+        _check_resolution(points.precision, level)
+        modulus = points.p**level
+        return _unit_phases(points.x % modulus, modulus)
+
+    return Observable(name, evaluate, evaluate_block)
 
 
 def _obs_projective_phase(level: int) -> Observable:
     """Locally constant phase on the projective line (clopen charts)."""
     _check_level(level)
+    name = f"projective_phase({level})"
 
     def evaluate(point: padic.ProjPoint):
         _check_resolution(point.x.precision, level)
@@ -224,7 +260,23 @@ def _obs_projective_phase(level: int) -> Observable:
         chart = y * pow(x, -1, modulus) % modulus
         return -cmath.exp(2j * math.pi * chart / modulus)
 
-    return Observable(f"projective_phase({level})", evaluate)
+    def evaluate_block(points: padic.ResidueBlock):
+        _check_block(points, True, name)
+        _check_resolution(points.precision, level)
+        p = points.p
+        modulus = p**level
+        # products of two residues mod p^level must not overflow int64
+        dtype = np.int64 if modulus * modulus < 2**63 else object
+        x = (points.x % modulus).astype(dtype)
+        y = (points.y % modulus).astype(dtype)
+        finite = y % p != 0
+        # the chart divides by the unit coordinate: invert each distinct one once
+        units, where = np.unique(np.where(finite, y, x), return_inverse=True)
+        inverses = np.array([pow(int(u), -1, modulus) for u in units], dtype=dtype)
+        phases = _unit_phases(np.where(finite, x, y) * inverses[where] % modulus, modulus)
+        return np.where(finite, phases, -phases)
+
+    return Observable(name, evaluate, evaluate_block)
 
 
 OBSERVABLES: dict[str, RegistryEntry] = {

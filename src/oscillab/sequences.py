@@ -107,28 +107,43 @@ def _prime_sieve(n_max: int) -> np.ndarray:
 
 
 def mobius(n_max: int) -> np.ndarray:
-    """Mobius function mu(1)..mu(n_max) by a multiplicative sieve."""
+    """Mobius function mu(1)..mu(n_max) by a multiplicative sieve.
+
+    Only the primes up to sqrt(n_max) are sieved: a squarefree n whose
+    small prime factors multiply to less than n has exactly one more,
+    larger prime factor.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     mu = np.ones(n_max + 1, dtype=np.int64)
-    for p in _prime_sieve(n_max):
+    small = np.ones(n_max + 1, dtype=np.int64)  # product of the sieved primes dividing n
+    for p in _prime_sieve(math.isqrt(n_max)):
+        p = int(p)
         mu[p::p] *= -1
-        sq = int(p) * int(p)
-        if sq <= n_max:
-            mu[sq::sq] = 0
+        small[p::p] *= p
+        mu[p * p :: p * p] = 0
+    mu[small < np.arange(n_max + 1)] *= -1
     return mu[1:]
 
 
 def liouville(n_max: int) -> np.ndarray:
-    """Liouville function (-1)^Omega(n) for n = 1..n_max."""
+    """Liouville function (-1)^Omega(n) for n = 1..n_max.
+
+    Only the primes up to sqrt(n_max) are sieved, with multiplicity: what
+    is left of n after its small prime powers is 1 or one larger prime.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     omega = np.zeros(n_max + 1, dtype=np.int64)
-    for p in _prime_sieve(n_max):
-        pk = int(p)
+    small = np.ones(n_max + 1, dtype=np.int64)  # the part of n made of sieved primes
+    for p in _prime_sieve(math.isqrt(n_max)):
+        p = int(p)
+        pk = p
         while pk <= n_max:
             omega[pk::pk] += 1
-            pk *= int(p)
+            small[pk::pk] *= p
+            pk *= p
+    omega += small < np.arange(n_max + 1)
     return np.where(omega[1:] % 2 == 0, 1, -1).astype(np.int64)
 
 

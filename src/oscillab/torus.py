@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,11 +81,6 @@ class ModularMatrix:
     def inverse(self) -> "ModularMatrix":
         det = self.det
         return ModularMatrix(self.d * det, -self.b * det, -self.c * det, self.a * det)
-
-    def apply(self, xy) -> np.ndarray:
-        """Matrix-vector product (no mod-1 reduction)."""
-        x, y = xy
-        return np.array([self.a * x + self.b * y, self.c * x + self.d * y])
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.int64)
@@ -285,13 +281,31 @@ def conjugacy_equivalent(t: int, t_other: int) -> bool:
 # flows
 
 def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
-    """x -> A x + b on [0,1)^2 with the quotient metric."""
+    """x -> A x + b on [0,1)^2 with the quotient metric.
+
+    A point is a float array (x, y); ``step`` and ``block`` run one map on
+    Python floats, and ``block`` stacks its points as an (n, 2) array.
+    """
     if np.shape(shift) != (2,):
         raise ValueError(f"cannot use shift {np.ravel(shift).tolist()}: expected the form x,y")
     shift = torus_reduce(shift)
+    a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
+    sx, sy = float(shift[0]), float(shift[1])
+
+    def affine(x: float, y: float) -> tuple[float, float]:
+        return (a * x + b * y + sx) % 1.0, (c * x + d * y + sy) % 1.0
 
     def step(xy):
-        return torus_reduce(matrix.apply(xy) + shift)
+        return np.array(affine(float(xy[0]), float(xy[1])))
+
+    def block(xy, n_steps: int):
+        x, y = float(xy[0]), float(xy[1])
+        points = array("d")  # raw doubles: no float object kept per coordinate
+        for _ in range(n_steps):
+            x, y = affine(x, y)
+            points.append(x)
+            points.append(y)
+        return np.frombuffer(points).reshape(n_steps, 2), np.array([x, y])
 
     def sample(rng):
         return rng.random(2)
@@ -302,6 +316,7 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
         dist=torus_dist,
         sample=sample,
         parse=lambda raw: np.array(parse_pair(raw, float)),
+        block=block,
     )
 
 

@@ -42,6 +42,33 @@ class TestRegistry:
         ):
             assert name in registry.FLOWS
 
+    def test_every_registered_entry_has_a_block_kernel(self):
+        # a new flow or observable must not fall back to the per-point stream
+        flow_params = {
+            "rotation": {"rho": "0.25"},
+            "denjoy": {"rho": "0.41421356237309503", "trunc": "1000"},
+            "torus_affine": {"matrix": "1,0;1,1", "shift": "0.5,0"},
+            "torus_auto": {"matrix": "0,1;-1,0"},
+            "padic_poly": {"p": "3", "precision": "8", "coeffs": "1,1"},
+            "padic_rational": PADIC_RATIONAL,
+            "quadratic_family": {"t": "0.7"},
+            "adding_machine": {"p": "2", "precision": "8"},
+            "shear_fiber": {"t": "1", "y": "0.5"},
+        }
+        observable_params = {
+            "fourier": {"k": "1"},
+            "torus_fourier": {"k1": "1", "k2": "0"},
+            "coordinate": {},
+            "padic_phase": {"level": "2"},
+            "projective_phase": {"level": "2"},
+        }
+        assert set(flow_params) == set(registry.FLOWS)
+        assert set(observable_params) == set(registry.OBSERVABLES)
+        for name, params in flow_params.items():
+            assert registry.build_flow(name, params).block is not None, name
+        for name, params in observable_params.items():
+            assert registry.build_observable(name, params).eval_block is not None, name
+
     def test_table_lists_everything(self):
         table = registry.registry_table()
         for name in list(registry.SEQUENCES) + list(registry.FLOWS) + list(
@@ -221,6 +248,16 @@ class TestRunCommand:
         assert report["verdict"] == "stagnant"
         final = report["checkpoints"][-1]
         assert abs(complex(final["re"], final["im"]) - 1.0) < 1e-6
+
+    def test_resonant_rotation_config_exact(self, tmp_path):
+        # weights e(n rho) against e(-x_n) on x_n = n rho mod 1: every term is 1
+        code = cli.main(
+            ["--out", str(tmp_path), "run", config_path("resonant-rotation.cfg")]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "resonant-rotation.json").read_text())
+        for checkpoint in report["checkpoints"]:
+            assert abs(complex(checkpoint["re"], checkpoint["im"]) - 1.0) <= 1e-15
 
     def test_mobius_rotation_config_decays(self, tmp_path):
         code = cli.main(

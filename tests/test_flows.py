@@ -123,3 +123,173 @@ class TestObservableBoundedness:
                 x = flow.step(x)
                 sup = max(sup, abs(observable.eval(x)))
             assert np.isfinite(sup) and sup <= 1.0 + 1e-12
+
+
+PADIC_POLY = {"p": "3", "precision": "8", "coeffs": "1,1"}
+PADIC_RATIONAL = {"p": "3", "precision": "8", "num": "0,0,1", "den": "1"}
+
+
+def registered(flow, observable, start):
+    """The registry's flow, observable and parsed start for (name, params) pairs."""
+    from oscillab import registry
+
+    (flow_name, flow_params), (obs_name, obs_params) = flow, observable
+    built = registry.build_flow(flow_name, flow_params)
+    return (
+        built,
+        registry.build_observable(obs_name, obs_params),
+        registry.parse_start(flow_name, start, built),
+    )
+
+
+def stepped(flow, x, n_steps):
+    """Reference for ``flow.block``: the points of n_steps ``step`` calls, and the last."""
+    points = []
+    for _ in range(n_steps):
+        x = flow.step(x)
+        points.append(x)
+    return points, x
+
+
+class TestBlocksMatchSteps:
+    """``block(x, m)`` returns what m ``step`` calls return."""
+
+    @pytest.mark.parametrize(
+        "matrix,shift",
+        [
+            ("1,3;0,1", (0.0, 0.0)),  # unipotent
+            ("0,1;-1,0", (0.0, 0.0)),  # finite order
+            ("2,1;1,1", (0.0, 0.0)),  # positive entropy
+            ("1,0;1,1", (0.41421356237309503, 0.0)),  # the counterexample's skew product
+            ("2,1;1,1", (0.41421356237309503, 0.3)),  # every term of both coordinates
+        ],
+    )
+    def test_torus_bit_identical(self, matrix, shift):
+        from oscillab.torus import ModularMatrix, torus_affine_flow
+
+        flow = torus_affine_flow(ModularMatrix.from_string(matrix), shift)
+        start = np.array([0.2137, 0.718])
+        points, last = flow.block(start, 3000)
+        want, want_last = stepped(flow, start, 3000)
+        assert points.shape == (3000, 2)
+        assert np.array_equal(points, np.array(want))
+        assert np.array_equal(last, want_last)
+
+    def test_quadratic_family_bit_identical(self):
+        flow = quadratic_flow(0.7)
+        points, last = flow.block(0.3, 5000)
+        want, want_last = stepped(flow, 0.3, 5000)
+        assert np.array_equal(points, np.array(want))
+        assert last == want_last
+
+    def test_padic_poly_bit_identical(self):
+        from oscillab import padic
+
+        flow = padic.poly_flow(padic.PadicPoly.from_ints([1, 1, 0, 1], 3, 32))
+        start = padic.PadicInt.from_int(5, 3, 32)
+        points, last = flow.block(start, 2000)
+        want, want_last = stepped(flow, start, 2000)
+        assert (points.p, points.precision, points.y) == (3, 32, None)
+        assert points.x.tolist() == [x.residue for x in want]
+        assert last == want_last
+
+    def test_adding_machine_wraps_past_modulus(self):
+        from oscillab import padic
+
+        flow = padic.adding_machine(3, 4)
+        start = padic.PadicInt.from_int(75, 3, 4)
+        points, last = flow.block(start, 200)  # passes 3^4 = 81 twice
+        want, want_last = stepped(flow, start, 200)
+        assert points.x.tolist() == [x.residue for x in want]
+        assert 0 in points.x.tolist()
+        assert last == want_last
+
+    def test_padic_rational_bit_identical(self):
+        from oscillab import padic
+
+        flow = padic.rational_flow(
+            padic.PadicPoly.from_ints([0, 0, 1], 3, 24), padic.PadicPoly.from_ints([1], 3, 24)
+        )
+        start = padic.ProjPoint.from_ints(2, 1, 3, 24)
+        points, last = flow.block(start, 1000)
+        want, want_last = stepped(flow, start, 1000)
+        assert points.x.tolist() == [pt.x.residue for pt in want]
+        assert points.y.tolist() == [pt.y.residue for pt in want]
+        assert last == want_last
+
+    def test_padic_rational_below_precision_raises(self):
+        from oscillab import padic
+
+        # x^2 / (x y) at [0 : 1]: both forms vanish mod p^K
+        flow = padic.rational_flow(
+            padic.PadicPoly.from_ints([0, 0, 1], 3, 16), padic.PadicPoly.from_ints([0, 1], 3, 16)
+        )
+        start = padic.ProjPoint.from_ints(0, 1, 3, 16)
+        with pytest.raises(ArithmeticError, match="below working precision"):
+            flow.step(start)
+        with pytest.raises(ArithmeticError, match="below working precision"):
+            flow.block(start, 10)
+
+    @pytest.mark.parametrize("start", [0.3, 1e-30, 0.9999999999999999])
+    def test_rotation_within_1e12(self, start):
+        flow = rotation_flow(np.sqrt(2) - 1)
+        points, last = flow.block(start, 5000)
+        want, want_last = stepped(flow, start, 5000)
+        assert np.all((points >= 0.0) & (points < 1.0))
+        gaps = [flows.circle_distance(a, b) for a, b in zip(points, want)]
+        assert max(gaps) <= 1e-12
+        assert flows.circle_distance(last, want_last) <= 1e-12
+
+    def test_denjoy_across_table_exits_within_1e12(self):
+        from oscillab.circle import build_denjoy
+
+        denjoy = build_denjoy(np.sqrt(2) - 1, 1000)
+        flow = denjoy.as_flow()
+        start = denjoy.gap_left(990) + 0.3 * denjoy.gap_length(990)
+        points, last = flow.block(start, 3000)
+        want, want_last = stepped(flow, start, 3000)
+        gaps = [flows.circle_distance(a, b) for a, b in zip(points, want)]
+        assert max(gaps) <= 1e-12
+        assert flows.circle_distance(last, want_last) <= 1e-12
+        exits = sum(denjoy.locate(x) == denjoy.truncation for x in want)
+        assert exits >= 1
+
+    @pytest.mark.parametrize(
+        "flow,observable,start",
+        [
+            (("quadratic_family", {"t": "0.7"}), ("coordinate", {}), "0.3"),
+            (
+                ("torus_auto", {"matrix": "0,1;-1,0"}),
+                ("torus_fourier", {"k1": "1", "k2": "1"}),
+                "0.2137,0.718",
+            ),
+            (
+                ("padic_poly", {"p": "3", "precision": "32", "coeffs": "1,1,0,1"}),
+                ("padic_phase", {"level": "4"}),
+                "5",
+            ),
+        ],
+        ids=["quadratic_family", "torus_auto", "padic_poly"],
+    )
+    def test_stream_chains_blocks_exactly(self, flow, observable, start):
+        flow, observable, x = registered(flow, observable, start)
+        n_terms = 2 * flows._BLOCK + 3
+        got = np.concatenate(list(flows._observable_stream(flow, observable, x, n_terms)))
+        points, _ = stepped(flow, x, n_terms)
+        want = np.array([complex(observable.eval(point)) for point in points])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "flow,observable,start,error",
+        [
+            (("torus_auto", {"matrix": "0,1;-1,0"}), ("fourier", {"k": "1"}), "0.2,0.7", ValueError),
+            (("padic_poly", PADIC_POLY), ("projective_phase", {"level": "2"}), "5", TypeError),
+            (("padic_poly", PADIC_POLY), ("coordinate", {}), "5", TypeError),
+            (("padic_rational", PADIC_RATIONAL), ("padic_phase", {"level": "2"}), "2,1", TypeError),
+        ],
+        ids=["fourier-on-torus", "projective-on-Zp", "coordinate-on-Zp", "padic-on-projective"],
+    )
+    def test_mismatched_observable_rejected(self, flow, observable, start, error):
+        flow, observable, x = registered(flow, observable, start)
+        with pytest.raises(error):
+            next(flows._observable_stream(flow, observable, x, 10))

@@ -46,6 +46,16 @@ def brute_omega(n):
     return count
 
 
+@pytest.fixture(scope="module")
+def factorized():
+    """mu(n) and (-1)^Omega(n) for n = 1..2*10^4, by trial division."""
+    ns = range(1, 20_001)
+    return (
+        np.array([brute_mobius(n) for n in ns]),
+        np.array([(-1) ** brute_omega(n) for n in ns]),
+    )
+
+
 class TestArithmeticSequences:
     def test_mobius_n1(self):
         assert list(seq.mobius(1)) == [1]
@@ -82,6 +92,17 @@ class TestArithmeticSequences:
         ell = seq.liouville(200)
         for n in range(1, 201):
             assert ell[n - 1] == (-1) ** brute_omega(n)
+
+    # the sieves run over the primes up to sqrt(N): N at and around prime squares
+    @pytest.mark.parametrize(
+        "n_max",
+        [1, 2, 3, 4, 20_000]
+        + [p * p + d for p in (2, 3, 5, 7, 11, 101, 139) for d in (-1, 0, 1)],
+    )
+    def test_sieves_against_factorization(self, n_max, factorized):
+        mobius, liouville = factorized
+        assert np.array_equal(seq.mobius(n_max), mobius[:n_max])
+        assert np.array_equal(seq.liouville(n_max), liouville[:n_max])
 
 
 class TestWeightSequence:
