@@ -370,12 +370,9 @@ def non_equicontinuity_witness(
 # ----------------------------------------------------------------------
 # rotation number
 
-def rotation_number(
-    step, start: float, n_steps: int, check_monotone: bool = True
-) -> float:
+def rotation_number(step, start: float, n_steps: int) -> float:
     """Average lift displacement of an orientation-preserving circle map."""
-    if check_monotone:
-        _check_cyclic_monotone(step)
+    _check_cyclic_monotone(step)
     x = start % 1.0
     total = KahanSum()
     for _ in range(n_steps):

@@ -122,6 +122,7 @@ def parse_config(path: str) -> list[ExperimentConfig]:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     experiments = []
+    sections: dict[str, str] = {}  # experiment name -> its section name
     for section_name in parser.sections():
         if not section_name.startswith("experiment"):
             raise ConfigError(
@@ -135,6 +136,9 @@ def parse_config(path: str) -> list[ExperimentConfig]:
                 f"[{section_name}] experiment name must not be '.', '..' "
                 f"or contain a path separator"
             )
+        if label in sections:
+            raise ConfigError(f"[{sections[label]}] and [{section_name}] share the name {label!r}")
+        sections[label] = section_name
         cfg = ExperimentConfig.from_section(label, parser[section_name])
         cfg.known_names()
         experiments.append(cfg)

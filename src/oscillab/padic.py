@@ -3,8 +3,9 @@
 Arithmetic is exact modulo p^K, so ultrametric inequalities can be tested
 with zero tolerance: a valuation is either known exactly (below K) or the
 value is flagged as below working precision.  The spherical metric on the
-projective line extends the p-adic norm and certifies the 1-Lipschitz
-property of good-reduction rational maps on samples.
+projective line extends the p-adic norm; a rational map is 1-Lipschitz for
+it when it has good reduction, which ``rational_flow`` decides exactly from
+the resultant of its forms mod p.
 
 A ring (p prime, K >= 1) is validated once, when a value is built from
 outside input (``PadicInt(...)``, ``from_int``, ``from_digits``).  Arithmetic
@@ -371,10 +372,15 @@ def spherical_dist_value(u: ProjPoint, v: ProjPoint) -> float:
 # rational flows with good reduction
 
 def _homogenize(num: PadicPoly, den: PadicPoly) -> tuple[list[int], list[int], int]:
-    """Coefficient residues of both polynomials, zero-padded to the common degree."""
+    """Coefficient residues of both polynomials, zero-padded to the common
+    degree, with their common power of p divided out."""
     deg = max(num.degree, den.degree)
-    nc = [c.residue for c in num.coefficients] + [0] * (deg - num.degree)
-    dc = [c.residue for c in den.coefficients] + [0] * (deg - den.degree)
+    shift = min(c.valuation() for c in num.coefficients + den.coefficients)
+    if shift >= num.precision:
+        raise ValueError(f"numerator and denominator are both 0 mod {num.p}^{num.precision}")
+    scale = num.p**shift
+    nc = [c.residue // scale for c in num.coefficients] + [0] * (deg - num.degree)
+    dc = [c.residue // scale for c in den.coefficients] + [0] * (deg - den.degree)
     return nc, dc, deg
 
 
@@ -388,19 +394,39 @@ def _eval_homogeneous(coeffs: list[int], x: int, y: int, deg: int) -> int:
     return acc
 
 
-def rational_flow(
-    num: PadicPoly,
-    den: PadicPoly,
-    *,
-    check_pairs: int = 128,
-    seed: int = 20210331,
-) -> Flow:
-    """Flow of a rational map on the projective line, declared good reduction.
+def _resultant_mod_p(f: list[int], g: list[int], p: int) -> int:
+    """Res(F, G) mod p of two forms of one degree d, coefficients lowest first.
 
-    Good reduction is a hypothesis supplied by the caller; the constructor
-    spot-checks the resulting 1-Lipschitz property on sampled pairs and
-    refuses to build the flow if a violation shows up.  A start point is
-    "x,y", the integers of [x : y].
+    The determinant of the 2d x 2d Sylvester matrix, by elimination over F_p.
+    """
+    d = len(f) - 1
+    rows = [
+        [0] * i + [c % p for c in reversed(coeffs)] + [0] * (d - 1 - i)
+        for coeffs in (f, g)
+        for i in range(d)
+    ]
+    det = 1
+    for col in range(2 * d):
+        pivot = next((r for r in range(col, 2 * d) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        det = det * rows[col][col] * (1 if pivot == col else -1) % p
+        inv = pow(rows[col][col], -1, p)
+        for r in range(col + 1, 2 * d):
+            factor = rows[r][col] * inv % p
+            rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def rational_flow(num: PadicPoly, den: PadicPoly) -> Flow:
+    """Flow of [x : y] -> [N(x, y) : D(x, y)], the forms of ``_homogenize``.
+
+    The map must have good reduction, Res(N, D) a unit, or this raises
+    ``ValueError``.  Then it is 1-Lipschitz for the spherical metric, and the
+    image of a normalized point has a unit coordinate, so a step is two
+    homogeneous Horner evaluations mod p^K.  A start point is "x,y", the
+    integers of [x : y].
     """
     if num.p != den.p or num.precision != den.precision:
         raise ValueError("numerator and denominator live in different rings")
@@ -408,20 +434,17 @@ def rational_flow(
     modulus = p**precision
     ring = num.coefficients[0]
     nc, dc, deg = _homogenize(num, den)
+    name = f"padic_rational(p={p}, ({num})/({den}))"
+    if _resultant_mod_p(nc, dc, p) == 0:
+        raise ValueError(f"{name} has bad reduction: its resultant is 0 mod {p}")
     dtype = _residue_dtype(modulus)
 
     def image(x: int, y: int) -> tuple[int, int]:
-        """Normalized residues of the image of [x : y]."""
-        fx = _eval_homogeneous(nc, x, y, deg) % modulus
-        fy = _eval_homogeneous(dc, x, y, deg) % modulus
-        shift = min(_valuation(fx, p, precision), _valuation(fy, p, precision))
-        if shift >= precision:
-            raise ArithmeticError(
-                "image fell below working precision; raise precision or "
-                "check the declared reduction"
-            )
-        scale = p**shift
-        return fx // scale, fy // scale
+        """Residues of the image of [x : y], normalized by good reduction."""
+        return (
+            _eval_homogeneous(nc, x, y, deg) % modulus,
+            _eval_homogeneous(dc, x, y, deg) % modulus,
+        )
 
     def step(point: ProjPoint) -> ProjPoint:
         ring._check_compatible(point.x)
@@ -455,25 +478,14 @@ def rational_flow(
         x, y = parse_pair(raw, int)
         return ProjPoint.from_ints(x, y, p, precision)
 
-    flow = Flow(
-        name=f"padic_rational(p={p}, ({num})/({den}))",
+    return Flow(
+        name=name,
         step=step,
         dist=spherical_dist_value,
         sample=sample,
         parse=parse,
         block=block,
     )
-    rng = np.random.default_rng(seed)
-    for _ in range(check_pairs):
-        u, v = sample(rng), sample(rng)
-        before = spherical_dist(u, v)
-        after = spherical_dist(step(u), step(v))
-        if after.valuation < before.valuation:
-            raise ValueError(
-                f"sampled pair violates the 1-Lipschitz bound "
-                f"(rho before={before}, after={after}); bad reduction?"
-            )
-    return flow
 
 
 # ----------------------------------------------------------------------
@@ -506,14 +518,6 @@ def empirical_minimality(
     if level > start.precision:
         raise ValueError("resolution exceeds working precision")
     modulus = poly.p**level
-    coeffs = [c.residue % modulus for c in poly.coefficients]
-
-    def reduced_step(r: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % modulus
-        return acc
-
     # exact orbit of the finite reduced system: tail + cycle
     seen: dict[int, int] = {}
     r = start.residue % modulus
@@ -521,13 +525,13 @@ def empirical_minimality(
     while r not in seen:
         seen[r] = len(trail)
         trail.append(r)
-        r = reduced_step(r)
+        r = _horner(poly._top_down, r, modulus)
     cycle = frozenset(trail[seen[r]:])
 
     histogram: dict[int, int] = {}
     r = start.residue % modulus
     for _ in range(n_steps + 1):
         histogram[r] = histogram.get(r, 0) + 1
-        r = reduced_step(r)
+        r = _horner(poly._top_down, r, modulus)
     covers = cycle.issubset(histogram)
     return MinimalityProbe(level, histogram, cycle, covers)

@@ -274,7 +274,6 @@ def zero_set_scan(
     weights: WeightSequence,
     grid_size: int = 512,
     n_terms: int | None = None,
-    include_low_rationals: bool = True,
 ) -> SpectrumReport:
     """Evaluate the Cesaro mean over a frequency grid and record the peak.
 
@@ -293,23 +292,18 @@ def zero_set_scan(
     if not 1 <= n_terms <= n_total:
         raise ValueError(f"n_terms must be in 1..{n_total}")
     values = weights.values[:n_terms]
-    uniform = _folded_spectrum(values, grid_size)
-    if not include_low_rationals:
-        grid = np.arange(grid_size) / grid_size
-        sigma = uniform / n_terms
-    else:
-        # numerators over the common denominator keep the union exact
-        common = math.lcm(grid_size, _LOW_MODULUS)
-        g_step, low_step = common // grid_size, common // _LOW_MODULUS
-        low = [r * (common // s) for s in range(2, 9) for r in range(1, s)]
-        keys = np.union1d(np.arange(grid_size) * g_step, low)
-        grid = keys / common
-        # a point that is also some j/grid_size takes its value from that fold
-        sigma = np.where(
-            keys % g_step == 0,
-            uniform[keys // g_step],
-            _folded_spectrum(values, _LOW_MODULUS)[keys // low_step],
-        ) / n_terms
+    # numerators over the common denominator keep the union exact
+    common = math.lcm(grid_size, _LOW_MODULUS)
+    g_step, low_step = common // grid_size, common // _LOW_MODULUS
+    low = [r * (common // s) for s in range(2, 9) for r in range(1, s)]
+    keys = np.union1d(np.arange(grid_size) * g_step, low)
+    grid = keys / common
+    # a point that is also some j/grid_size takes its value from that fold
+    sigma = np.where(
+        keys % g_step == 0,
+        _folded_spectrum(values, grid_size)[keys // g_step],
+        _folded_spectrum(values, _LOW_MODULUS)[keys // low_step],
+    ) / n_terms
     return SpectrumReport(
         grid=grid,
         sigma=sigma,

@@ -231,6 +231,29 @@ class TestConfigParsing:
         written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
         assert written == {"bad.cfg"}
 
+    def test_repeated_experiment_name_exits_two(self, tmp_path, capsys):
+        # both sections would write a.json and a.csv, and the manifest keeps one verdict
+        body = (
+            "sequence = mobius\nn = 10\nflow = rotation\nflow.rho = 0.1\n"
+            "observable = fourier\nobservable.k = 1\nstart = 0\n"
+        )
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[experiment a]\n{body}\n[experiment  a]\n{body}")
+        with pytest.raises(cli.ConfigError, match=r"\[experiment a\] and \[experiment  a\]"):
+            cli.parse_config(str(bad))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bundled_configs_parse_as_one_file(self, tmp_path):
+        # the benchmark joins every bundled config into one file and runs it
+        combined = tmp_path / "combined.cfg"
+        names = bundled_config_names()
+        combined.write_text("\n".join(open(config_path(name)).read() for name in names))
+        parsed = [cfg.name for cfg in cli.parse_config(str(combined))]
+        assert parsed == [name[: -len(".cfg")] for name in names]
+
     def test_unreadable_config_leaves_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert cli.main(["--out", str(out), "run", str(tmp_path / "missing.cfg")]) == 2

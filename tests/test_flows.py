@@ -220,15 +220,13 @@ class TestBlocksMatchSteps:
     def test_padic_rational_below_precision_raises(self):
         from oscillab import padic
 
-        # x^2 / (x y) at [0 : 1]: both forms vanish mod p^K
-        flow = padic.rational_flow(
-            padic.PadicPoly.from_ints([0, 0, 1], 3, 16), padic.PadicPoly.from_ints([0, 1], 3, 16)
-        )
-        start = padic.ProjPoint.from_ints(0, 1, 3, 16)
-        with pytest.raises(ArithmeticError, match="below working precision"):
-            flow.step(start)
-        with pytest.raises(ArithmeticError, match="below working precision"):
-            flow.block(start, 10)
+        # x^2 / (x y) would send [0 : 1] below working precision; its bad
+        # reduction is refused at build time, naming p and the map
+        with pytest.raises(ValueError, match=r"p=3, \(1\*x\^2\)/\(1\*x\^1\)\) has bad reduction"):
+            padic.rational_flow(
+                padic.PadicPoly.from_ints([0, 0, 1], 3, 16),
+                padic.PadicPoly.from_ints([0, 1], 3, 16),
+            )
 
     @pytest.mark.parametrize("start", [0.3, 1e-30, 0.9999999999999999])
     def test_rotation_within_1e12(self, start):

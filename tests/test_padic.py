@@ -204,6 +204,13 @@ class TestRationalFlow:
         with pytest.raises(ValueError):
             self._build([0, 3], [1])
 
+    def test_common_power_of_p_divided_out(self):
+        # 3z / 3 is the identity once the common 3 is divided out
+        flow = self._build([0, 3], [3])
+        for x, y in [(0, 1), (1, 0), (5, 1), (1, 6), (3**15 + 7, 1)]:
+            point = padic.ProjPoint.from_ints(x, y, 3, 16)
+            assert flow.step(point) == point
+
 
 class TestEmpiricalMinimality:
     def test_adding_machine_covers(self):
@@ -288,6 +295,41 @@ def rational_reference(num, den, p, precision, x, y):
     return fx // p**v, fy // p**v
 
 
+def good_reduction_reference(num, den, p):
+    """Whether N and D mod p, homogenized to degree d, share no zero on the line.
+
+    They share one when both leading coefficients vanish (the point at
+    infinity [1 : 0]) or when the dehomogenized reductions have a
+    non-constant gcd over F_p.
+    """
+    deg = max(len(num), len(den)) - 1
+    f = [c % p for c in num] + [0] * (deg + 1 - len(num))
+    g = [c % p for c in den] + [0] * (deg + 1 - len(den))
+    if deg > 0 and f[deg] == g[deg] == 0:
+        return False
+    return fp_gcd_degree(f, g, p) == 0
+
+
+def fp_gcd_degree(a, b, p):
+    """Degree of gcd(a, b) over F_p, coefficients lowest first (Euclid)."""
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
 def bundled_padic_experiments():
     configs = resources.files("oscillab").joinpath("configs")
     return [
@@ -336,41 +378,47 @@ class TestResidueFastPaths:
     @settings(max_examples=200, deadline=None)
     def test_rational_step_matches_int_reference(self, p, num, den, x, y):
         precision = 12
-        flow = padic.rational_flow(
-            padic.PadicPoly.from_ints(num, p, precision),
-            padic.PadicPoly.from_ints(den, p, precision),
-            check_pairs=0,
-        )
+        modulus = p**precision
+        polys = [padic.PadicPoly.from_ints(c, p, precision) for c in (num, den)]
+        residues = [c % modulus for c in num + den]
+        if not any(residues):
+            with pytest.raises(ValueError):
+                padic.rational_flow(*polys)
+            return
+        scale = p ** min(int_valuation(r, p, precision) for r in residues)
+        num = [c % modulus // scale for c in num]
+        den = [c % modulus // scale for c in den]
+        if not good_reduction_reference(num, den, p):
+            with pytest.raises(ValueError, match="bad reduction"):
+                padic.rational_flow(*polys)
+            return
+        flow = padic.rational_flow(*polys)
         try:
             point = padic.ProjPoint.from_ints(x, y, p, precision)
         except ValueError:
             assume(False)
         want = rational_reference(num, den, p, precision, point.x.residue, point.y.residue)
-        if want is None:
-            with pytest.raises(ArithmeticError):
-                flow.step(point)
-            return
         image = flow.step(point)
         assert (image.x.residue, image.y.residue) == want
         assert (image.x.p, image.x.precision) == (p, precision)
 
     def test_rational_image_below_precision_raises(self):
-        # x^2 / (x y) at [0 : 1]: both forms vanish mod p^K
-        flow = padic.rational_flow(
-            padic.PadicPoly.from_ints([0, 0, 1], 3, 16),
-            padic.PadicPoly.from_ints([0, 1], 3, 16),
-        )
-        two = padic.ProjPoint.from_ints(2, 1, 3, 16)
-        assert flow.step(two).projectively_equal(two)
-        with pytest.raises(ArithmeticError):
-            flow.step(padic.ProjPoint.from_ints(0, 1, 3, 16))
+        # x^2 / (x y) would send [0 : 1] below working precision, and
+        # (x^2 + 1) / (x^2 + 3x + 1) reduces to the constant 1 mod 3: both
+        # have bad reduction and are refused before any step
+        for num, den in [([0, 0, 1], [0, 1]), ([1, 0, 1], [1, 3, 1])]:
+            with pytest.raises(ValueError, match="bad reduction"):
+                padic.rational_flow(
+                    padic.PadicPoly.from_ints(num, 3, 16),
+                    padic.PadicPoly.from_ints(den, 3, 16),
+                )
 
     @pytest.mark.parametrize("ring", [(2, 8), (3, 9)], ids=["other_prime", "other_precision"])
     def test_points_from_another_ring_rejected(self, ring):
         poly = padic.PadicPoly.from_ints([1, 1, 0, 1], 3, 8)
         with pytest.raises(ValueError, match="mixed p-adic rings"):
             poly(padic.PadicInt.from_int(5, *ring))
-        flow = padic.rational_flow(poly, padic.PadicPoly.from_ints([1], 3, 8), check_pairs=0)
+        flow = padic.rational_flow(poly, padic.PadicPoly.from_ints([1], 3, 8))
         with pytest.raises(ValueError, match="mixed p-adic rings"):
             flow.step(padic.ProjPoint.from_ints(2, 1, *ring))
 

@@ -272,24 +272,20 @@ class TestZeroSetScan:
             assert np.any(np.isclose(report.grid, t))
 
     @pytest.mark.parametrize(
-        "weights, grid_size, n_terms, low",
+        "weights, grid_size, n_terms",
         [
-            (seq.mobius_sequence(1000), 2, 999, False),
-            (seq.mobius_sequence(1000), 2, 1000, True),
-            (seq.subnormal_sequence(0.3, 50, seed=4), 7, 5, True),
-            (seq.quadratic_phase_sequence(3000, ALPHA), 7, 2999, False),
-            (seq.quadratic_phase_sequence(3000, ALPHA), 100, 2500, True),
-            (seq.subnormal_sequence(0.4, 700, seed=8), 512, 700, True),
-            (seq.mobius_sequence(5000), 512, 4321, False),
+            (seq.mobius_sequence(1000), 2, 999),
+            (seq.mobius_sequence(1000), 2, 1000),
+            (seq.subnormal_sequence(0.3, 50, seed=4), 7, 5),
+            (seq.quadratic_phase_sequence(3000, ALPHA), 7, 2999),
+            (seq.quadratic_phase_sequence(3000, ALPHA), 100, 2500),
+            (seq.subnormal_sequence(0.4, 700, seed=8), 512, 700),
+            (seq.mobius_sequence(5000), 512, 4321),
         ],
     )
-    def test_every_point_matches_exact_residue_reference(
-        self, weights, grid_size, n_terms, low
-    ):
-        report = seq.zero_set_scan(
-            weights, grid_size, n_terms, include_low_rationals=low
-        )
-        points = scan_points(grid_size, low)
+    def test_every_point_matches_exact_residue_reference(self, weights, grid_size, n_terms):
+        report = seq.zero_set_scan(weights, grid_size, n_terms)
+        points = scan_points(grid_size)
         assert report.grid.tolist() == [float(t) for t in points]
         assert report.n_terms == n_terms
         values = weights.values[:n_terms]
@@ -310,7 +306,7 @@ class TestZeroSetScan:
         weights = build(10**6)
         n_terms = 10**6 - 1
         report = seq.zero_set_scan(weights, 512, n_terms)
-        points = scan_points(512, True)
+        points = scan_points(512)
         assert report.grid.tolist() == [float(t) for t in points]
         values = weights.values[:n_terms]
         tol = 1e-12 * np.mean(np.abs(values))
@@ -330,11 +326,10 @@ class TestZeroSetScan:
                 seq.zero_set_scan(w, grid_size)
 
 
-def scan_points(grid_size, low):
+def scan_points(grid_size):
     """The scan grid as exact rationals: j/grid_size, plus r/s for s <= 8."""
     points = {Fraction(j, grid_size) for j in range(grid_size)}
-    if low:
-        points |= {Fraction(r, s) for s in range(2, 9) for r in range(s)}
+    points |= {Fraction(r, s) for s in range(2, 9) for r in range(s)}
     return sorted(points)
 
 
