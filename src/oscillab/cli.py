@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -124,12 +125,13 @@ def parse_config(path: str) -> list[ExperimentConfig]:
     experiments = []
     sections: dict[str, str] = {}  # experiment name -> its section name
     for section_name in parser.sections():
-        if not section_name.startswith("experiment"):
+        match = re.fullmatch(r"experiment(\s.*)?", section_name)
+        if match is None:
             raise ConfigError(
                 f"unexpected section [{section_name}]; sections must be "
                 f"[experiment <name>]"
             )
-        label = section_name[len("experiment") :].strip() or section_name
+        label = (match[1] or "").strip() or section_name
         # the name becomes NAME.json and NAME.csv inside the output directory
         if not _is_file_name(label):
             raise ConfigError(

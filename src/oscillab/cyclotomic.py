@@ -9,9 +9,9 @@ integers.  No floating-point zero test is involved.
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
+
+import numpy as np
 
 
 @functools.lru_cache(maxsize=None)
@@ -57,32 +57,45 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def reduce_root_counts(counts, order: int) -> tuple[int, ...]:
-    """Remainder of ``sum counts[m] x^m`` modulo the order-th cyclotomic polynomial."""
-    if len(counts) != order:
-        raise ValueError("counts must have one slot per residue")
+def reduction_matrix(order: int) -> np.ndarray:
+    """Rows: the coefficients (ascending) of x^m mod phi_order, m < order.
+
+    Row m + 1 is row m times x, its x^deg term replaced by -(phi - x^deg).
+    """
     phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    rem = [int(c) for c in counts]
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        # phi is monic, so the reduction stays integral
-        for j in range(deg + 1):
-            rem[i - deg + j] -= c * phi[j]
-    return tuple(rem[:deg])
+    row = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(order):
+        rows.append(row)
+        top = row[-1]
+        row = [c - top * p for c, p in zip([0] + row[:-1], phi)]
+    return np.array(rows)
 
 
-def root_sum_is_zero(counts, order: int) -> bool:
-    """Exact test: does ``sum counts[m] exp(2 pi i m / order)`` vanish?"""
-    return all(c == 0 for c in reduce_root_counts(counts, order))
+def reduce_root_counts(counts, order: int) -> np.ndarray:
+    """Remainders of ``sum counts[..., m] x^m`` modulo the order-th cyclotomic polynomial.
+
+    ``counts @ reduction_matrix(order)``, exact for any integer counts: the
+    product runs in float64 only when every term and partial sum is an
+    integer below 2^53 (row L1 norm <= order * max|count|, times the matrix
+    height), so any summation order is exact; otherwise on Python ints.
+    """
+    counts = np.asarray(counts)
+    if counts.shape[-1:] != (order,) or counts.dtype.kind not in "biuO":
+        raise ValueError("counts must be integers, one slot per residue")
+    matrix = reduction_matrix(order)
+    largest = max(int(counts.max(initial=0)), -int(counts.min(initial=0)))
+    if order * largest * int(np.abs(matrix).max()) < 2**53:
+        return (counts.astype(np.float64) @ matrix).astype(np.int64)
+    return counts.astype(object) @ matrix.astype(object)
 
 
-def root_sum_value(counts, order: int) -> complex:
-    """Floating-point value of the root-of-unity sum (for reporting only)."""
-    return sum(
-        int(c) * cmath.exp(2j * math.pi * m / order)
-        for m, c in enumerate(counts)
-        if c
-    )
+def root_sum_is_zero(counts, order: int):
+    """Exact test, row by row: does ``sum counts[..., m] exp(2 pi i m / order)`` vanish?"""
+    return ~(reduce_root_counts(counts, order) != 0).any(axis=-1)
+
+
+def root_sum_value(counts, order: int):
+    """Floating-point value of each row's root-of-unity sum (for reporting only)."""
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    return np.asarray(counts, dtype=np.float64) @ roots

@@ -469,10 +469,7 @@ def rational_flow(num: PadicPoly, den: PadicPoly) -> Flow:
         if rng.random() < 0.5:
             return ProjPoint.make(a, PadicInt.from_int(1, p, precision))
         b = random_padic_int(rng, p, precision)
-        try:
-            return ProjPoint.make(PadicInt.from_int(1, p, precision), a * b)
-        except ValueError:
-            return ProjPoint.infinity(p, precision)
+        return ProjPoint.make(PadicInt.from_int(1, p, precision), a * b)
 
     def parse(raw: str) -> ProjPoint:
         x, y = parse_pair(raw, int)

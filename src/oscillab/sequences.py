@@ -315,9 +315,10 @@ def zero_set_scan(
 def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, complex]:
     """Exact surviving spectrum of the phases exp(2 pi i n^2 numer/denom).
 
-    Candidates are the reduced rationals r/s with s | denom; for each, the
-    limit of the Cesaro mean is a root-of-unity sum over one period, which
-    is tested for vanishing in exact cyclotomic arithmetic.  Returns the
+    Candidates are the frequencies b/denom, b = 0..denom-1 (every reduced
+    r/s with s | denom); for each, the limit of the Cesaro mean is the
+    root-of-unity sum over one period of the residues numer k^2 + b k,
+    tested for vanishing in exact cyclotomic arithmetic.  Returns the
     non-vanishing frequencies with their limit amplitudes.
     """
     if denom < 1:
@@ -326,20 +327,17 @@ def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, comple
         raise ValueError("require 0 <= numer < denom")
     if math.gcd(numer, denom) != 1:
         raise ValueError("numer and denom must be coprime")
-    atoms: dict[Fraction, complex] = {}
-    for s in range(1, denom + 1):
-        if denom % s != 0:
-            continue
-        stride = denom // s
-        for r in range(s):
-            if math.gcd(r, s) != 1:
-                continue
-            counts = [0] * denom
-            for k in range(denom):
-                counts[(k * k * numer + k * r * stride) % denom] += 1
-            if not root_sum_is_zero(counts, denom):
-                atoms[Fraction(r, s)] = root_sum_value(counts, denom) / denom
-    return atoms
+    k = np.arange(denom, dtype=np.int64)
+    b = k[:, None]
+    # slot b*denom + (numer k^2 + b k mod denom), built in place (one q x q array)
+    slots = b * k
+    slots += numer * (k * k % denom)
+    slots %= denom
+    slots += b * denom
+    counts = np.bincount(slots.ravel(), minlength=denom * denom).reshape(denom, denom)
+    alive = np.flatnonzero(~root_sum_is_zero(counts, denom))
+    amplitudes = root_sum_value(counts[alive], denom) / denom
+    return {Fraction(int(r), denom): complex(a) for r, a in zip(alive, amplitudes)}
 
 
 def quadratic_rational_cesaro(

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestConfigParsing:
         bad = tmp_path / "bad.cfg"
         bad.write_text(f"[experiment a]\n{body}\n[experiment  a]\n{body}")
         with pytest.raises(cli.ConfigError, match=r"\[experiment a\] and \[experiment  a\]"):
+            cli.parse_config(str(bad))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(bad)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["experimental", "experiments a", "experiment_a", " experiment a"])
+    def test_misspelt_section_exits_two(self, section, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(
+            f"[{section}]\nsequence = mobius\nn = 10\nflow = rotation\n"
+            "flow.rho = 0.1\nobservable = fourier\nobservable.k = 1\nstart = 0\n"
+        )
+        with pytest.raises(cli.ConfigError, match=rf"\[{section}\]"):
             cli.parse_config(str(bad))
         out = tmp_path / "out"
         assert cli.main(["--out", str(out), "run", str(bad)]) == 2
@@ -495,6 +510,12 @@ class TestOtherCommands:
         assert lines[0] == "r,s,re_amp,im_amp,abs_amp"
         atoms = {(ln.split(",")[0], ln.split(",")[1]) for ln in lines[1:]}
         assert atoms == {("0", "1"), ("1", "3"), ("2", "3")}
+
+    def test_spectrum_exact_table_sorted(self, capsys):
+        assert cli.main(["spectrum", "--p", "1", "--q", "12"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        freqs = [Fraction(int(ln.split(",")[0]), int(ln.split(",")[1])) for ln in lines]
+        assert freqs == [Fraction(b, 6) for b in range(6)]
 
     def test_spectrum_scan(self, tmp_path):
         assert (

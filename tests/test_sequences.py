@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from oscillab import sequences as seq
 from oscillab.cyclotomic import (
     cyclotomic_polynomial,
+    reduce_root_counts,
     root_sum_is_zero,
     root_sum_value,
 )
@@ -341,6 +343,41 @@ def residue_reference(values, t):
     return complex(math.fsum(terms.real), math.fsum(terms.imag)) / len(values)
 
 
+def long_division_remainder(counts, order):
+    """Per-coefficient long division of sum counts[m] x^m by the monic phi_order."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    rem = [int(c) for c in counts]
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j in range(deg + 1):
+                rem[i - deg + j] -= c * phi[j]
+    return rem[:deg]
+
+
+def spectrum_reference(numer, denom):
+    """Candidates r/s over the divisors s of denom, one long division each."""
+    atoms = {}
+    for s in range(1, denom + 1):
+        if denom % s:
+            continue
+        stride = denom // s
+        for r in range(s):
+            if math.gcd(r, s) != 1:
+                continue
+            counts = [0] * denom
+            for k in range(denom):
+                counts[(k * k * numer + k * r * stride) % denom] += 1
+            if any(long_division_remainder(counts, denom)):
+                atoms[Fraction(r, s)] = sum(
+                    c * cmath.exp(2j * math.pi * m / denom)
+                    for m, c in enumerate(counts)
+                    if c
+                ) / denom
+    return atoms
+
+
 class TestCyclotomic:
     def test_known_polynomials(self):
         assert cyclotomic_polynomial(1) == (-1, 1)
@@ -361,6 +398,37 @@ class TestCyclotomic:
             numeric = abs(root_sum_value(list(counts), q)) < 1e-9
             assert exact == numeric
 
+    def test_rows_match_long_division(self, rng):
+        for order in (1, 2, 6, 12, 15, 30, 64, 97, 105):
+            counts = rng.integers(-5, 6, size=(7, order))
+            counts[0] = 1  # the full period vanishes for order > 1
+            reduced = reduce_root_counts(counts, order)
+            assert reduced.shape == (7, len(cyclotomic_polynomial(order)) - 1)
+            for row, counts_row in zip(reduced, counts):
+                assert list(row) == long_division_remainder(counts_row, order)
+                assert list(row) == list(reduce_root_counts(counts_row, order))
+            assert list(root_sum_is_zero(counts, order)) == [
+                root_sum_is_zero(row, order) for row in counts
+            ]
+
+    @pytest.mark.parametrize("big", [2**60, 2**70])
+    @pytest.mark.parametrize("order", [3, 12, 64, 97])
+    def test_huge_counts_decided_exactly(self, big, order):
+        # big + 1 rounds to big in float64, so an unguarded float product
+        # would call the second sum zero
+        full = [big] * order
+        assert root_sum_is_zero(full, order)
+        assert root_sum_is_zero(np.array(full, dtype=object), order)
+        full[order // 2] += 1
+        assert not root_sum_is_zero(full, order)
+        assert long_division_remainder(full, order) == list(reduce_root_counts(full, order))
+
+    def test_rejects_wrong_shape_and_float_counts(self):
+        with pytest.raises(ValueError):
+            reduce_root_counts([1, 1], 3)
+        with pytest.raises(ValueError):
+            reduce_root_counts([1.0, 1.0, 1.0], 3)
+
 
 class TestQuadraticRationalSpectrum:
     def test_known_small_spectra(self):
@@ -378,6 +446,31 @@ class TestQuadraticRationalSpectrum:
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             seq.quadratic_rational_spectrum(2, 4)
+
+    def test_matches_reference_for_every_coprime_numer(self):
+        for denom in range(1, 65):
+            for numer in range(denom):
+                if math.gcd(numer, denom) != 1:
+                    continue
+                atoms = seq.quadratic_rational_spectrum(numer, denom)
+                reference = spectrum_reference(numer, denom)
+                assert set(atoms) == set(reference), (numer, denom)
+                for freq, amp in reference.items():
+                    assert abs(atoms[freq] - amp) < 1e-12, (numer, denom, freq)
+
+    def test_gauss_sum_mass_and_moduli(self):
+        # Gauss sums have modulus 0, sqrt(q) or sqrt(2q); a q-periodic
+        # unimodular sequence has spectral mass 1 (Parseval)
+        for denom in range(2, 97):
+            for numer in range(1, denom):
+                if math.gcd(numer, denom) != 1:
+                    continue
+                atoms = seq.quadratic_rational_spectrum(numer, denom)
+                mass = sum(abs(a) ** 2 for a in atoms.values())
+                assert abs(mass - 1.0) <= 1e-9, (numer, denom)
+                for freq, amp in atoms.items():
+                    assert denom % freq.denominator == 0
+                    assert min(abs(abs(amp) ** 2 * denom - m) for m in (1, 2)) <= 1e-9
 
     def test_brute_force_agreement_all_q(self):
         # direct averaging at N = 1e6*q against the exact amplitudes
