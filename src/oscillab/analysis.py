@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, toeplitz
+import numpy.random
 
 from .flows import Flow, Observable, _observable_stream, orbit, orbit_distance_trace
 from .sequences import KahanSum, WeightSequence, cesaro_mean
@@ -102,7 +102,10 @@ def weighted_birkhoff(
     for block in _observable_stream(flow, observable, start, checkpoints[-1]):
         # hypot is what abs(complex) computes; np.abs can differ by an ulp
         mags = np.hypot(block.real, block.imag)
-        sup_observed = max(sup_observed, float(np.max(mags)))
+        block_sup = float(np.max(mags))
+        if not math.isfinite(block_sup):
+            raise ValueError(f"observable is not finite on the orbit of {start!r}")
+        sup_observed = max(sup_observed, block_sup)
         terms = weights.values[lo : lo + len(block)] * block
         cut = 0  # terms[:cut] are in acc
         for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
@@ -273,13 +276,14 @@ def autocorrelation_spectrum(
 
 
 def autocorrelation_toeplitz(gamma: np.ndarray) -> np.ndarray:
-    """Hermitian Toeplitz matrix of the autocorrelations."""
-    return toeplitz(np.conj(gamma), gamma)
+    """Hermitian Toeplitz matrix: conj(gamma[i - j]) for i >= j, gamma[j - i] above."""
+    i, j = np.indices((len(gamma), len(gamma)))
+    return np.where(i >= j, np.conj(gamma)[i - j], np.asarray(gamma)[j - i])
 
 
 def toeplitz_min_eigenvalue(gamma: np.ndarray) -> float:
     """Smallest eigenvalue of the autocorrelation Toeplitz matrix."""
-    return float(eigvalsh(autocorrelation_toeplitz(gamma))[0])
+    return float(np.linalg.eigvalsh(autocorrelation_toeplitz(gamma))[0])
 
 
 def rotation_trig_autocorrelation(coeffs: dict[int, complex], angle: float, lags) -> np.ndarray:

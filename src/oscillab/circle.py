@@ -14,6 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random
 
 from .flows import Flow, circle_distance
 from .sequences import KahanSum, rational_phases

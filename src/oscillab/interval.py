@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
+import numpy.polynomial
 
 from .flows import Flow
 
@@ -102,15 +101,14 @@ class PolyMap:
 
 
 @dataclass(frozen=True)
-class SampledMap:
-    """Grid samples with a cubic-spline evaluator and a tracked sup-norm error."""
+class RenormalizedMap:
+    """-T(T(-beta x)) / beta, evaluated through T for maps too deep to compose."""
 
-    grid: np.ndarray
-    values: np.ndarray
-    error_bound: float
+    base: object
+    beta: float
 
     def __call__(self, x):
-        return CubicSpline(self.grid, self.values)(x)
+        return -self.base(self.base(-self.beta * x)) / self.beta
 
 
 def as_poly_map(map_like) -> PolyMap:
@@ -377,7 +375,7 @@ def schwarzian(map_like, x: float) -> float:
 
 
 def positive_fixed_point(map_like) -> float:
-    """The fixed point in (0, 1) of a quadratic-like map (root-finding)."""
+    """The fixed point in (0, 1) of a quadratic-like map, bisected to one ulp."""
     f = lambda x: map_like(x) - x
     lo, hi = 1e-12, 1.0 - 1e-12
     if f(lo) <= 0.0 or f(hi) >= 0.0:
@@ -392,7 +390,12 @@ def positive_fixed_point(map_like) -> float:
         if bracket is None:
             raise ValueError("map has no positive fixed point in (0, 1)")
         lo, hi = bracket
-    return float(brentq(f, lo, hi, xtol=1e-15))
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(min((lo, hi), key=lambda x: abs(f(x))))
 
 
 def _compose_poly(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -408,8 +411,8 @@ def renormalize(map_like):
 
     With b the positive fixed point, the renormalized map is
     -T(T(-b x)) / b.  Polynomial inputs are composed exactly while the
-    degree stays within MAX_POLY_DEGREE; beyond that the result is sampled
-    on a grid with a tracked interpolation error.
+    degree stays within MAX_POLY_DEGREE; beyond that, and for any other
+    map, the result evaluates that formula through T itself.
     """
     beta = positive_fixed_point(map_like)
     if isinstance(map_like, (QuadraticMap, PolyMap)):
@@ -418,16 +421,7 @@ def renormalize(map_like):
             inner = pm.coefficients * np.power(-beta, np.arange(pm.degree + 1))
             composed = _compose_poly(pm.coefficients, inner)
             return PolyMap(-composed / beta)
-
-    def image(x):
-        return -map_like(map_like(-beta * x)) / beta
-
-    grid = np.linspace(-1.0, 1.0, 4097)
-    values = np.asarray(image(grid), dtype=float)
-    spline = CubicSpline(grid, values)
-    probes = 0.5 * (grid[:-1] + grid[1:])
-    err = float(np.max(np.abs(spline(probes) - np.asarray(image(probes)))))
-    return SampledMap(grid=grid, values=values, error_bound=err)
+    return RenormalizedMap(map_like, beta)
 
 
 def sup_defect(map_a, map_b, grid_size: int = 1024) -> float:
@@ -606,6 +600,12 @@ def quadratic_flow(t: float) -> Flow:
     """
     tmap = QuadraticMap(t)
 
+    def parse(raw: str) -> float:
+        x = float(raw)
+        if not -1.0 <= x <= 1.0:
+            raise ValueError(f"start {raw!r} must lie in [-1, 1]")
+        return x
+
     def block(x: float, n_steps: int):
         x = float(x)
         points = array("d")
@@ -619,6 +619,6 @@ def quadratic_flow(t: float) -> Flow:
         step=tmap,
         dist=lambda a, b: abs(a - b),
         sample=lambda rng: float(rng.uniform(-1.0, 1.0)),
-        parse=float,
+        parse=parse,
         block=block,
     )

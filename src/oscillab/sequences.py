@@ -18,6 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import numpy.fft
+import numpy.ma  # np.union1d calls np.ma.is_masked
+import numpy.random
 
 from .cyclotomic import root_sum_is_zero, root_sum_value
 

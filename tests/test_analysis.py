@@ -66,6 +66,14 @@ class TestWeightedBirkhoff:
                 w, identity_flow(), CONST_ONE, 0.0, checkpoints=[50, 50]
             )
 
+    def test_diverging_orbit_rejected(self):
+        # started outside [-1, 1] the quadratic family runs off to infinity
+        w = sequences.mobius_sequence(1000)
+        flow = interval.quadratic_flow(0.7)
+        coordinate = registry.build_observable("coordinate", {})
+        with pytest.raises(ValueError, match="not finite"):
+            analysis.weighted_birkhoff(w, flow, coordinate, 5.0)
+
     def test_linearity_in_weights_and_observable(self, rng):
         n_terms = 500
         u = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
@@ -223,6 +231,17 @@ class TestAutocorrelation:
         gamma = analysis.autocorrelation_spectrum(flow, fourier(1), 0.1, 12, 10**4)
         scale = abs(gamma[0])
         assert analysis.toeplitz_min_eigenvalue(gamma) >= -1e-6 * max(scale, 1.0)
+
+    def test_toeplitz_matches_loop_reference(self, rng):
+        from scipy.linalg import toeplitz
+
+        gamma = rng.normal(size=9) + 1j * rng.normal(size=9)
+        expected = np.array(
+            [[np.conj(gamma[i - j]) if i >= j else gamma[j - i] for j in range(9)] for i in range(9)]
+        )
+        matrix = analysis.autocorrelation_toeplitz(gamma)
+        assert np.array_equal(matrix, expected)
+        assert np.array_equal(matrix, toeplitz(np.conj(gamma), gamma))
 
     def test_block_boundaries_match_direct(self):
         # a run inside one block; the next test crosses a block join

@@ -390,6 +390,18 @@ class TestRunCommand:
             "error: cannot read start '2,1,3': expected the form x,y"
         )
 
+    def test_quadratic_start_outside_interval_named_in_manifest(self, tmp_path):
+        text = open(config_path("subnormal-quadratic-family.cfg")).read()
+        cfg = tmp_path / "bad-start.cfg"
+        cfg.write_text(text.replace("start = 0.3\n", "start = 5.0\n"))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(cfg)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiments"]["subnormal-quadratic-family"] == (
+            "error: start '5.0' must lie in [-1, 1]"
+        )
+        assert not (out / "subnormal-quadratic-family.json").exists()
+
     def test_malformed_shift_named_in_manifest(self, tmp_path):
         text = open(config_path("counterexample.cfg")).read()
         cfg = tmp_path / "bad-shift.cfg"

@@ -250,7 +250,15 @@ class TestRenormalize:
     def test_positive_fixed_point_matches_formula(self):
         for t in (0.6, 0.7):
             beta = interval.positive_fixed_point(interval.QuadraticMap(t))
-            assert beta == pytest.approx(t / (1.0 + t), abs=1e-12)
+            assert beta == pytest.approx(t / (1.0 + t), abs=1e-15)
+
+    def test_fixed_point_brackets_sign_change_within_one_ulp(self):
+        renorm = interval.renormalize(interval.QuadraticMap(0.78))
+        assert isinstance(renorm, interval.PolyMap)
+        beta = interval.positive_fixed_point(renorm)
+        f = lambda x: renorm(x) - x
+        below, above = np.nextafter(beta, 0.0), np.nextafter(beta, 1.0)
+        assert f(below) > 0.0 >= f(beta) or f(beta) > 0.0 >= f(above)
 
     def test_renormalized_has_attracting_fixed_point(self):
         # between the first two flips the renormalized map has an
@@ -284,8 +292,14 @@ class TestRenormalize:
         second = interval.renormalize(first)
         assert isinstance(second, interval.PolyMap) and second.degree == 16
         third = interval.renormalize(second)
-        assert isinstance(third, interval.SampledMap)
-        assert third.error_bound < 1e-9
+        assert isinstance(third, interval.RenormalizedMap)
+        beta = interval.positive_fixed_point(second)
+        xs = np.linspace(-1.0, 1.0, 1025)
+        assert np.array_equal(third(xs), -second(second(-beta * xs)) / beta)
+        fourth = interval.renormalize(third)
+        assert isinstance(fourth, interval.RenormalizedMap) and fourth.base is third
+        assert fourth(-1.0) == pytest.approx(-1.0, abs=1e-12)
+        assert fourth(1.0) == pytest.approx(-1.0, abs=1e-12)
 
     def test_defect_decreases_toward_fixed_point(self):
         t_inf = interval.feigenbaum_parameter(8).value

@@ -1,6 +1,15 @@
+import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import oscillab
+
+PACKAGE = Path(oscillab.__file__).parent
 
 
 def test_star_import_binds_every_public_name():
@@ -12,6 +21,61 @@ def test_star_import_binds_every_public_name():
 
 def test_no_longdouble_in_package():
     # np.longdouble is float64 on some platforms; exact phases use integers
-    package = Path(oscillab.__file__).parent
-    named = [p.name for p in sorted(package.rglob("*.py")) if "longdouble" in p.read_text()]
+    named = [p.name for p in sorted(PACKAGE.rglob("*.py")) if "longdouble" in p.read_text()]
     assert named == []
+
+
+def test_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = sorted(imported - set(sys.stdlib_module_names))
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    declared = sorted(re.match(r"[\w.-]+", dep)[0] for dep in pyproject["project"]["dependencies"])
+    assert third_party == declared
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter that imports this package."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, oscillab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert run_fresh(code) == "[]"
+
+
+LATE_NUMPY_IMPORTS = """
+import sys
+from importlib import resources
+from oscillab import cli, sequences
+
+loaded = set(sys.modules)
+for entry in sorted(resources.files("oscillab").joinpath("configs").iterdir()):
+    if entry.name.endswith(".cfg"):
+        for cfg in cli.parse_config(str(entry)):
+            cli.run_experiment(cfg, sys.argv[1])
+weights = sequences.mobius_sequence(1000)
+sequences.zero_set_scan(weights)
+sequences.cesaro_mean(weights, 0.25)
+sequences.quadratic_rational_spectrum(1, 12)
+print(sorted(m for m in sys.modules if m.startswith("numpy.") and m not in loaded))
+"""
+
+
+def test_calls_import_no_numpy_submodule(tmp_path):
+    # a numpy submodule first reached inside a call would be timed with it
+    assert run_fresh(LATE_NUMPY_IMPORTS, str(tmp_path)) == "[]"
