@@ -18,6 +18,20 @@ observable has both.  A block stacks its points along a leading axis:
 a float array of shape (n,) for the circle and interval flows, (n, 2)
 for the torus, and a ``padic.ResidueBlock`` (the ring plus residue
 arrays) for the p-adic flows.
+
+Eventually periodic orbits stop early.  A ``block`` that steps in a loop
+compares each new state with the one saved at the last power of two
+(Brent's cycle check).  At the first exact repeat of the full state the
+orbit is periodic from there on, so ``tile`` fills the rest of the block
+from the cycle already computed: the tiled points are the points the loop
+would produce, bit for bit.  (Floats compare with ``==``, which equates
+0.0 and -0.0; each such map sends both to the same image.)  An orbit that
+never repeats runs the loop to the end of the block.
+
+Finite reductions make repeats certain.  An observable with a ``level``
+reads only the residue mod p^level, and a flow with ``reduce`` can step
+its orbit mod p^level, where at most p^level states exist; the observable
+stream then steps the reduced flow.
 """
 
 from __future__ import annotations
@@ -41,7 +55,14 @@ class Flow:
     checks such as ``isometry_defect``).  ``parse`` reads a start point from
     its config text (``registry.parse_start``).  ``block(x, n)`` returns
     ``(points, last)``: the next ``n`` orbit points T x .. T^n x stacked
-    along a leading axis (see the module docstring), and T^n x as a point.
+    along a leading axis (see the module docstring), and T^n x as a point;
+    a block that meets an exact repeat of the state tiles the cycle.
+
+    ``reduce(x, level)`` returns ``(flow, x)``: the flow that steps the
+    orbit mod p^level, and x there, when ``level`` is below this flow's
+    precision, and this flow and x otherwise.  The reduced orbit is the
+    full orbit read mod p^level, so an observable of that ``level`` gives
+    the same values on both.
     """
 
     name: str
@@ -50,6 +71,7 @@ class Flow:
     sample: Callable[[np.random.Generator], Point] | None = None
     parse: Callable[[str], Point] | None = None
     block: Callable[[Point, int], tuple[Any, Point]] | None = None
+    reduce: Callable[[Point, int], tuple[Flow, Point]] | None = None
 
     def __repr__(self) -> str:  # keep reports readable
         return f"Flow({self.name})"
@@ -60,12 +82,15 @@ class Observable:
     """A complex-valued function evaluated along orbits.
 
     ``eval_block`` evaluates a block of points, as ``Flow.block`` stacks
-    them, to a complex array with one value per point.
+    them, to a complex array with one value per point.  ``level`` is set
+    when the observable reads only the residue of a p-adic point mod
+    p^level; the observable stream then steps ``Flow.reduce``'s flow.
     """
 
     name: str
     eval: Callable[[Point], complex]
     eval_block: Callable[[Any], np.ndarray] | None = None
+    level: int | None = None
 
     def __repr__(self) -> str:
         return f"Observable({self.name})"
@@ -77,6 +102,18 @@ def parse_pair(raw: str, convert: Callable[[str], Any]) -> tuple:
     if len(parts) != 2:
         raise ValueError(f"cannot read start {raw!r}: expected the form x,y")
     return convert(parts[0]), convert(parts[1])
+
+
+def tile(head, n: int, period: int) -> np.ndarray:
+    """``head``'s rows continued to ``n`` rows by repeating its last ``period``.
+
+    ``head`` holds a block's first points T x .. T^t x, and T^t x equals
+    T^(t - period) x (x itself when t == period), so the orbit runs through
+    the last ``period`` points of ``head`` again and again.
+    """
+    start = len(head) - period
+    k = np.arange(n)
+    return head[np.where(k < start, k, start + (k - start) % period)]
 
 
 def orbit(flow: Flow, start: Point, n_steps: int) -> list:
@@ -96,6 +133,8 @@ def _observable_stream(
 ) -> Iterator[np.ndarray]:
     """f(T^k x) for k = 1..n_terms, as complex blocks of at most _BLOCK values."""
     x = start
+    if flow.reduce is not None and observable.level is not None:
+        flow, x = flow.reduce(x, observable.level)
     if flow.block is not None and observable.eval_block is not None:
         for lo in range(0, n_terms, _BLOCK):
             size = min(_BLOCK, n_terms - lo)

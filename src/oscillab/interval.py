@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial
 
-from .flows import Flow
+from .flows import Flow, tile
 
 CASCADE_ORIGIN = -0.5  # parameter where the fixed points collide (parabolic)
 CYCLE_TOL = 1e-10
@@ -561,10 +561,9 @@ def basin_probe(t: float, x: float, n_steps: int, max_period: int = 2**10) -> Ba
     whose phase minimizes the trace.
     """
     tmap = QuadraticMap(t)
+    orbit, _ = quadratic_flow(t).block(x, n_steps)
     burn = min(n_steps, 20000)
-    y = x
-    for _ in range(burn):
-        y = tmap(y)
+    y = float(orbit[burn - 1]) if burn else x
     period = None
     for candidate in (2**k for k in range(15)):
         if candidate > max_period:
@@ -577,13 +576,8 @@ def basin_probe(t: float, x: float, n_steps: int, max_period: int = 2**10) -> Ba
         raise CycleNotFound("orbit did not settle on a power-of-two cycle")
     point, _ = _newton_polish(tmap, y, period)
     cycle = _orbit_points(tmap, point, period)
-    traces = np.zeros(period)
-    u = x
-    for n in range(1, n_steps + 1):
-        u = tmap(u)
-        for phase in range(period):
-            traces[phase] += abs(u - cycle[(phase + n) % period])
-    traces /= n_steps
+    n = np.arange(1, n_steps + 1)
+    traces = [np.abs(orbit - cycle[(phase + n) % period]).mean() for phase in range(period)]
     phase = int(np.argmin(traces))
     return BasinProbe(
         period=period,
@@ -596,7 +590,8 @@ def basin_probe(t: float, x: float, n_steps: int, max_period: int = 2**10) -> Ba
 def quadratic_flow(t: float) -> Flow:
     """The quadratic family member as a metric flow on [-1, 1].
 
-    ``step`` is the map itself; ``block`` iterates it on Python floats.
+    ``step`` is the map itself; ``block`` iterates it on Python floats
+    and stops at the first exact repeat (``flows.tile``).
     """
     tmap = QuadraticMap(t)
 
@@ -609,10 +604,21 @@ def quadratic_flow(t: float) -> Flow:
     def block(x: float, n_steps: int):
         x = float(x)
         points = array("d")
-        for _ in range(n_steps):
+        period = 0
+        saved, saved_k, due = x, 0, 1  # Brent: the state at the last power of two
+        for k in range(1, n_steps + 1):
             x = tmap(x)
             points.append(x)
-        return np.frombuffer(points), x
+            if x == saved:
+                period = k - saved_k
+                break
+            if k == due:
+                saved, saved_k, due = x, k, 2 * k
+        points = np.frombuffer(points)
+        if period:
+            points = tile(points, n_steps, period)
+            x = float(points[-1])
+        return points, x
 
     return Flow(
         name=f"quadratic_family(t={t:g})",

@@ -13,7 +13,9 @@ on values of that ring, polynomial evaluation and the rational-map step work
 on the plain int residues and reduce mod p^K; they build one value per
 result and only check that their operands share a ring.  A flow's
 ``block`` builds no value per point: it returns a ``ResidueBlock`` of
-residue arrays.
+residue arrays, and stops at the first exact repeat of the residues
+(``flows.tile``).  Its ``reduce`` steps the same orbit mod p^level, which
+has at most p^level states, for an observable that reads no more.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import Flow, parse_pair
+from .flows import Flow, parse_pair, tile
 
 DEFAULT_PRECISION = 32
 
@@ -250,6 +252,25 @@ def _horner(top_down: list[int], r: int, modulus: int) -> int:
     return acc % modulus
 
 
+def _poly_orbit(top_down: list[int], r: int, n_steps: int, modulus: int) -> tuple[list[int], int]:
+    """Residues P(r), P(P(r)), ... mod ``modulus``, up to ``n_steps`` of them.
+
+    The walk stops at the first exact repeat, found by comparing each
+    residue with the one at the last power of two (Brent), and returns the
+    residues so far with the period; the period is 0 when none repeated.
+    """
+    residues = []
+    saved, saved_k, due = r, 0, 1
+    for k in range(1, n_steps + 1):
+        r = _horner(top_down, r, modulus)
+        residues.append(r)
+        if r == saved:
+            return residues, k - saved_k
+        if k == due:
+            saved, saved_k, due = r, k, 2 * k
+    return residues, 0
+
+
 def random_padic_int(rng: np.random.Generator, p: int, precision: int) -> PadicInt:
     digits = rng.integers(0, p, size=precision)
     return PadicInt.from_digits([int(d) for d in digits], p)
@@ -264,16 +285,23 @@ def poly_flow(poly: PadicPoly) -> Flow:
     """
     p, precision = poly.p, poly.precision
     modulus = p**precision
+    ring = poly.coefficients[0]
 
     def block(x: PadicInt, n_steps: int):
-        poly.coefficients[0]._check_compatible(x)
-        r = x.residue
-        residues = []
-        for _ in range(n_steps):
-            r = _horner(poly._top_down, r, modulus)
-            residues.append(r)
-        points = ResidueBlock(p, precision, np.array(residues, dtype=_residue_dtype(modulus)))
-        return points, x._like(r)
+        ring._check_compatible(x)
+        head, period = _poly_orbit(poly._top_down, x.residue, n_steps, modulus)
+        residues = np.array(head, dtype=_residue_dtype(modulus))
+        if period:
+            residues = tile(residues, n_steps, period)
+        last = int(residues[-1]) if n_steps else x.residue
+        return ResidueBlock(p, precision, residues), x._like(last)
+
+    def reduce(x: PadicInt, level: int):
+        ring._check_compatible(x)
+        if level >= precision:
+            return flow, x
+        low = PadicPoly.from_ints([c.residue for c in poly.coefficients], p, level)
+        return poly_flow(low), PadicInt(p, level, x.residue)
 
     def sample(rng):
         return random_padic_int(rng, p, precision)
@@ -289,14 +317,16 @@ def poly_flow(poly: PadicPoly) -> Flow:
             return PadicInt.from_digits(digits + [0] * (precision - len(digits)), p)
         return PadicInt.from_int(int(raw), p, precision)
 
-    return Flow(
+    flow = Flow(
         name=f"padic_poly(p={p}, {poly})",
         step=poly,
         dist=padic_dist,
         sample=sample,
         parse=parse,
         block=block,
+        reduce=reduce,
     )
+    return flow
 
 
 def adding_machine(p: int, precision: int = DEFAULT_PRECISION) -> Flow:
@@ -313,7 +343,8 @@ def adding_machine(p: int, precision: int = DEFAULT_PRECISION) -> Flow:
         residues = (np.arange(1, n_steps + 1).astype(dtype) + x.residue) % modulus
         return ResidueBlock(p, precision, residues), x._like(x.residue + n_steps)
 
-    return replace(poly_flow(poly), name=f"adding_machine(p={p})", block=block)
+    # poly_flow's reduce would step by Horner; the closed form needs no reduction
+    return replace(poly_flow(poly), name=f"adding_machine(p={p})", block=block, reduce=None)
 
 
 # ----------------------------------------------------------------------
@@ -455,14 +486,32 @@ def rational_flow(num: PadicPoly, den: PadicPoly) -> Flow:
         ring._check_compatible(point.x)
         x, y = point.x.residue, point.y.residue
         xs, ys = [], []
-        for _ in range(n_steps):
+        period = 0
+        x0, y0, saved_k, due = x, y, 0, 1  # Brent: the state at the last power of two
+        for k in range(1, n_steps + 1):
             x, y = image(x, y)
             xs.append(x)
             ys.append(y)
-        points = ResidueBlock(
-            p, precision, np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
-        )
-        return points, ProjPoint(ring._like(x), ring._like(y))
+            if x == x0 and y == y0:
+                period = k - saved_k
+                break
+            if k == due:
+                x0, y0, saved_k, due = x, y, k, 2 * k
+        xs, ys = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+        if period:
+            xs, ys = tile(xs, n_steps, period), tile(ys, n_steps, period)
+            x, y = int(xs[-1]), int(ys[-1])
+        return ResidueBlock(p, precision, xs, ys), ProjPoint(ring._like(x), ring._like(y))
+
+    def reduce(point: ProjPoint, level: int):
+        ring._check_compatible(point.x)
+        if level >= precision:
+            return flow, point
+        # the forms, whose common power of p is divided out: rebuilt from num
+        # and den at level L, forms whose coefficients all share p^L would
+        # read as 0 mod p^L and raise
+        low = rational_flow(PadicPoly.from_ints(nc, p, level), PadicPoly.from_ints(dc, p, level))
+        return low, ProjPoint.from_ints(point.x.residue, point.y.residue, p, level)
 
     def sample(rng) -> ProjPoint:
         a = random_padic_int(rng, p, precision)
@@ -475,14 +524,16 @@ def rational_flow(num: PadicPoly, den: PadicPoly) -> Flow:
         x, y = parse_pair(raw, int)
         return ProjPoint.from_ints(x, y, p, precision)
 
-    return Flow(
+    flow = Flow(
         name=name,
         step=step,
         dist=spherical_dist_value,
         sample=sample,
         parse=parse,
         block=block,
+        reduce=reduce,
     )
+    return flow
 
 
 # ----------------------------------------------------------------------
@@ -507,28 +558,30 @@ def empirical_minimality(
     Polynomial evaluation commutes with reduction mod p^level, so the exact
     finite system x -> P(x) mod p^level is a faithful oracle: the probe
     reports whether the orbit visited every residue of the cycle that the
-    reduced system eventually enters.
+    reduced system eventually enters.  The reduced orbit is stepped only up
+    to its first repeat; the visit counts of its ``n_steps + 1`` states
+    follow from the tail and the cycle.
     """
     poly = flow.step if isinstance(flow, Flow) else flow
     if not isinstance(poly, PadicPoly):
         raise TypeError("empirical_minimality needs a polynomial flow")
+    poly.coefficients[0]._check_compatible(start)
     if level > start.precision:
         raise ValueError("resolution exceeds working precision")
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
     modulus = poly.p**level
-    # exact orbit of the finite reduced system: tail + cycle
-    seen: dict[int, int] = {}
     r = start.residue % modulus
-    trail = []
-    while r not in seen:
-        seen[r] = len(trail)
-        trail.append(r)
-        r = _horner(poly._top_down, r, modulus)
-    cycle = frozenset(trail[seen[r]:])
-
-    histogram: dict[int, int] = {}
-    r = start.residue % modulus
-    for _ in range(n_steps + 1):
-        histogram[r] = histogram.get(r, 0) + 1
-        r = _horner(poly._top_down, r, modulus)
+    # at most p^level states, so Brent's check meets a repeat within 3 p^level steps
+    head, period = _poly_orbit(poly._top_down, r, 3 * modulus, modulus)
+    states = [r] + head
+    tail = next(i for i in range(len(states)) if states[i] == states[i + period])
+    trail = states[: tail + period]  # the tail, then the cycle, each state once
+    # states 0..n_steps: the tail once each, then laps of the cycle and a remainder
+    laps, rem = divmod(n_steps + 1 - tail, period)
+    histogram = {
+        s: 1 if i < tail else laps + (i - tail < rem) for i, s in enumerate(trail[: n_steps + 1])
+    }
+    cycle = frozenset(trail[tail:])
     covers = cycle.issubset(histogram)
     return MinimalityProbe(level, histogram, cycle, covers)

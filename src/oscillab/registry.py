@@ -240,7 +240,7 @@ def _obs_padic_phase(level: int) -> Observable:
         modulus = points.p**level
         return _unit_phases(points.x % modulus, modulus)
 
-    return Observable(name, evaluate, evaluate_block)
+    return Observable(name, evaluate, evaluate_block, level=level)
 
 
 def _obs_projective_phase(level: int) -> Observable:
@@ -276,7 +276,7 @@ def _obs_projective_phase(level: int) -> Observable:
         phases = _unit_phases(np.where(finite, x, y) * inverses[where] % modulus, modulus)
         return np.where(finite, phases, -phases)
 
-    return Observable(name, evaluate, evaluate_block)
+    return Observable(name, evaluate, evaluate_block, level=level)
 
 
 OBSERVABLES: dict[str, RegistryEntry] = {

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import Flow, parse_pair
+from .flows import Flow, parse_pair, tile
 from .sequences import rational_phases
 
 
@@ -284,7 +284,8 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     """x -> A x + b on [0,1)^2 with the quotient metric.
 
     A point is a float array (x, y); ``step`` and ``block`` run one map on
-    Python floats, and ``block`` stacks its points as an (n, 2) array.
+    Python floats, and ``block`` stacks its points as an (n, 2) array and
+    stops at the first exact repeat (``flows.tile``).
     """
     if np.shape(shift) != (2,):
         raise ValueError(f"cannot use shift {np.ravel(shift).tolist()}: expected the form x,y")
@@ -301,11 +302,22 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     def block(xy, n_steps: int):
         x, y = float(xy[0]), float(xy[1])
         points = array("d")  # raw doubles: no float object kept per coordinate
-        for _ in range(n_steps):
+        period = 0
+        x0, y0, saved_k, due = x, y, 0, 1  # Brent: the state at the last power of two
+        for k in range(1, n_steps + 1):
             x, y = affine(x, y)
             points.append(x)
             points.append(y)
-        return np.frombuffer(points).reshape(n_steps, 2), np.array([x, y])
+            if x == x0 and y == y0:
+                period = k - saved_k
+                break
+            if k == due:
+                x0, y0, saved_k, due = x, y, k, 2 * k
+        points = np.frombuffer(points).reshape(-1, 2)
+        if period:
+            points = tile(points, n_steps, period)
+            x, y = points[-1]
+        return points, np.array([x, y])
 
     def sample(rng):
         return rng.random(2)

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oscillab import cli, padic, registry, sequences
+from oscillab import cli, interval, padic, registry, sequences
 from oscillab.flows import Flow
 
 
@@ -316,6 +316,31 @@ class TestRunCommand:
         assert all(
             not status.startswith("error") for status in manifest["experiments"].values()
         )
+
+    @pytest.mark.parametrize(
+        "name,owner,attr,bound",
+        [
+            # mod 3^4, 81 states, the orbit repeats after 24 steps, with period 9
+            ("polynomial-padic-poly", padic, "_horner", 2 * 3**4),
+            # the float orbit repeats bit for bit from step 237, with period 4
+            ("subnormal-quadratic-family", interval.QuadraticMap, "__call__", 1000),
+        ],
+    )
+    def test_periodic_bundled_orbits_stop_stepping(self, name, owner, attr, bound, tmp_path, monkeypatch):
+        # the shipped N is 20000 for both: each block stops at its first repeat
+        step = getattr(owner, attr)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return step(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+        (cfg,) = cli.parse_config(config_path(f"{name}.cfg"))
+        assert cfg.n_terms == 20000
+        cli.run_experiment(cfg, str(tmp_path))
+        assert 0 < calls <= bound
 
     def test_reruns_byte_identical(self, tmp_path):
         out1 = tmp_path / "first"

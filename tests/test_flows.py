@@ -162,6 +162,7 @@ class TestBlocksMatchSteps:
             ("2,1;1,1", (0.0, 0.0)),  # positive entropy
             ("1,0;1,1", (0.41421356237309503, 0.0)),  # the counterexample's skew product
             ("2,1;1,1", (0.41421356237309503, 0.3)),  # every term of both coordinates
+            ("1,0;0,1", (0.0, 0.0)),  # every point fixed: the first repeats the start
         ],
     )
     def test_torus_bit_identical(self, matrix, shift):
@@ -177,8 +178,23 @@ class TestBlocksMatchSteps:
 
     def test_quadratic_family_bit_identical(self):
         flow = quadratic_flow(0.7)
-        points, last = flow.block(0.3, 5000)
+        points, last = flow.block(0.3, 5000)  # repeats from step 237, period 4
         want, want_last = stepped(flow, 0.3, 5000)
+        assert np.array_equal(points, np.array(want))
+        assert last == want_last
+
+    @pytest.mark.parametrize(
+        "t,start",
+        [
+            (0.5, 0.3),  # the first flip: no state repeats, so nothing is tiled
+            (0.7, -1.0),  # the fixed point -1: the first point repeats the start
+        ],
+        ids=["no_repeat", "fixed_start"],
+    )
+    def test_quadratic_family_tiles_exact_repeats_only(self, t, start):
+        flow = quadratic_flow(t)
+        points, last = flow.block(start, 5000)
+        want, want_last = stepped(flow, start, 5000)
         assert np.array_equal(points, np.array(want))
         assert last == want_last
 
@@ -190,6 +206,24 @@ class TestBlocksMatchSteps:
         points, last = flow.block(start, 2000)
         want, want_last = stepped(flow, start, 2000)
         assert (points.p, points.precision, points.y) == (3, 32, None)
+        assert points.x.tolist() == [x.residue for x in want]
+        assert last == want_last
+
+    @pytest.mark.parametrize(
+        "coeffs,p,precision,start",
+        [
+            ([0, 0, 1], 2, 8, 1),  # x^2 fixes 1: the first point repeats the start
+            ([1, 1, 0, 1], 3, 4, 5),  # mod 81: the orbit repeats within 24 steps
+        ],
+        ids=["fixed_start", "mod_81"],
+    )
+    def test_padic_poly_tiles_bit_identical(self, coeffs, p, precision, start):
+        from oscillab import padic
+
+        flow = padic.poly_flow(padic.PadicPoly.from_ints(coeffs, p, precision))
+        start = padic.PadicInt.from_int(start, p, precision)
+        points, last = flow.block(start, 2000)
+        want, want_last = stepped(flow, start, 2000)
         assert points.x.tolist() == [x.residue for x in want]
         assert last == want_last
 
@@ -211,6 +245,28 @@ class TestBlocksMatchSteps:
             padic.PadicPoly.from_ints([0, 0, 1], 3, 24), padic.PadicPoly.from_ints([1], 3, 24)
         )
         start = padic.ProjPoint.from_ints(2, 1, 3, 24)
+        points, last = flow.block(start, 1000)
+        want, want_last = stepped(flow, start, 1000)
+        assert points.x.tolist() == [pt.x.residue for pt in want]
+        assert points.y.tolist() == [pt.y.residue for pt in want]
+        assert last == want_last
+
+    @pytest.mark.parametrize(
+        "precision,start",
+        [
+            (3, (2, 1)),  # mod 27: the orbit repeats
+            (24, (1, 1)),  # [x^2 : y^2] fixes [1 : 1]: the first point repeats the start
+        ],
+        ids=["mod_27", "fixed_start"],
+    )
+    def test_padic_rational_tiles_bit_identical(self, precision, start):
+        from oscillab import padic
+
+        flow = padic.rational_flow(
+            padic.PadicPoly.from_ints([0, 0, 1], 3, precision),
+            padic.PadicPoly.from_ints([1], 3, precision),
+        )
+        start = padic.ProjPoint.from_ints(*start, 3, precision)
         points, last = flow.block(start, 1000)
         want, want_last = stepped(flow, start, 1000)
         assert points.x.tolist() == [pt.x.residue for pt in want]
@@ -256,6 +312,8 @@ class TestBlocksMatchSteps:
         "flow,observable,start",
         [
             (("quadratic_family", {"t": "0.7"}), ("coordinate", {}), "0.3"),
+            # the first flip: this orbit repeats no state, so no block tiles
+            (("quadratic_family", {"t": "0.5"}), ("coordinate", {}), "0.3"),
             (
                 ("torus_auto", {"matrix": "0,1;-1,0"}),
                 ("torus_fourier", {"k1": "1", "k2": "1"}),
@@ -266,10 +324,16 @@ class TestBlocksMatchSteps:
                 ("padic_phase", {"level": "4"}),
                 "5",
             ),
+            (
+                ("padic_rational", {"p": "3", "precision": "24", "num": "0,0,1", "den": "1"}),
+                ("projective_phase", {"level": "3"}),
+                "2,1",
+            ),
         ],
-        ids=["quadratic_family", "torus_auto", "padic_poly"],
+        ids=["quadratic_family", "quadratic_no_repeat", "torus_auto", "padic_poly", "padic_rational"],
     )
     def test_stream_chains_blocks_exactly(self, flow, observable, start):
+        # the p-adic rows step mod p^level in the stream and at full precision here
         flow, observable, x = registered(flow, observable, start)
         n_terms = 2 * flows._BLOCK + 3
         got = np.concatenate(list(flows._observable_stream(flow, observable, x, n_terms)))
@@ -291,3 +355,34 @@ class TestBlocksMatchSteps:
         flow, observable, x = registered(flow, observable, start)
         with pytest.raises(error):
             next(flows._observable_stream(flow, observable, x, 10))
+
+    @pytest.mark.parametrize(
+        "flow,observable,start",
+        [
+            (("padic_poly", PADIC_POLY), ("padic_phase", {"level": "9"}), "5"),
+            (("padic_rational", PADIC_RATIONAL), ("projective_phase", {"level": "9"}), "2,1"),
+        ],
+        ids=["padic_poly", "padic_rational"],
+    )
+    def test_level_beyond_precision_raises(self, flow, observable, start):
+        # no reduction above the working precision: the observable refuses the points
+        flow, observable, x = registered(flow, observable, start)
+        with pytest.raises(ValueError, match="resolution exceeds working precision"):
+            next(flows._observable_stream(flow, observable, x, 10))
+
+    @pytest.mark.parametrize(
+        "flow,observable,start",
+        [
+            (("padic_poly", PADIC_POLY), ("padic_phase", {"level": "2"}), "5"),
+            (("padic_rational", PADIC_RATIONAL), ("projective_phase", {"level": "2"}), "2,1"),
+        ],
+        ids=["padic_poly", "padic_rational"],
+    )
+    def test_reduction_keeps_the_ring_check(self, flow, observable, start):
+        from oscillab import registry
+
+        (name, params), (built, observable, _) = flow, registered(flow, observable, start)
+        # the same start text, read in the 2-adic ring
+        other = registry.parse_start(name, start, registry.build_flow(name, {**params, "p": "2"}))
+        with pytest.raises(ValueError, match="mixed p-adic rings"):
+            next(flows._observable_stream(built, observable, other, 10))

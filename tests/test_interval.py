@@ -347,6 +347,19 @@ class TestAttractorCoding:
             interval.attractor_coding(0.3, 2)
 
 
+def basin_traces_loop(t, x, n_steps, cycle):
+    """Per-step reference for ``basin_probe``: the mean distance at each phase."""
+    tmap = interval.QuadraticMap(t)
+    period = len(cycle)
+    traces = np.zeros(period)
+    u = x
+    for n in range(1, n_steps + 1):
+        u = tmap(u)
+        for phase in range(period):
+            traces[phase] += abs(u - cycle[(phase + n) % period])
+    return traces / n_steps
+
+
 class TestBasinProbe:
     def test_right_endpoint_hits_minus_one(self):
         probe = interval.basin_probe(0.3, 1.0, 500)
@@ -363,3 +376,12 @@ class TestBasinProbe:
         probe = interval.basin_probe(0.7, 0.3, 10**4)
         assert probe.period == 2
         assert probe.cesaro_trace < 1e-3
+
+    @pytest.mark.parametrize(
+        "t,x,n_steps", [(0.3, 1.0, 500), (0.0, 0.5, 1000), (0.7, 0.3, 10**4), (0.78, 0.1, 10**4)]
+    )
+    def test_cesaro_trace_matches_per_step_loop(self, t, x, n_steps):
+        probe = interval.basin_probe(t, x, n_steps)
+        traces = basin_traces_loop(t, x, n_steps, probe.cycle)
+        assert abs(probe.cesaro_trace - traces[probe.phase]) <= 1e-12
+        assert traces[probe.phase] <= traces.min() + 1e-12

@@ -250,6 +250,13 @@ class TestEmpiricalMinimality:
         with pytest.raises(ValueError):
             padic.empirical_minimality(flow, padic.PadicInt.from_int(0, 2, 8), 10, 9)
 
+    @pytest.mark.parametrize("p,precision,n_steps", [(3, 8, 10), (2, 6, 10), (2, 8, -1)])
+    def test_bad_start_or_length_rejected(self, p, precision, n_steps):
+        # a start of another ring, or a negative length, fails loudly
+        flow = padic.adding_machine(2, 8)
+        with pytest.raises(ValueError):
+            padic.empirical_minimality(flow, padic.PadicInt.from_int(5, p, precision), n_steps, 3)
+
 
 # ----------------------------------------------------------------------
 # plain-int references for the residue fast paths
