@@ -320,9 +320,10 @@ def hooked_disjointness(
 
     If every atom mean is small the decay hypothesis applies and the
     Birkhoff average should decay ('supported'); a resonant atom paired
-    with a stagnant average is 'resonant'; disagreement is 'mixed'.
+    with a stagnant average is 'resonant'; disagreement is 'mixed'.  Each
+    atom goes to ``cesaro_mean`` as given, so a ``Fraction`` r/s is exact.
     """
-    atom_means = {t: cesaro_mean(weights, float(t)) for t in support_atoms}
+    atom_means = {t: cesaro_mean(weights, t) for t in support_atoms}
     spectral_clear = all(abs(v) < atom_level for v in atom_means.values())
     report = weighted_birkhoff(weights, flow, observable, start, checkpoints)
     if spectral_clear and report.verdict == "decaying":

@@ -5,10 +5,16 @@ package (Mobius, Liouville, quadratic, n log n and polynomial phases,
 random subnormal weights; one plain function each, which the registry
 holds directly), together with the Cesaro-mean machinery that locates
 where a sequence's averaged Fourier mass survives.  Polynomial phases
-P(n) mod 1 are reduced exactly by ``rational_phases``, the one such
-reduction in the package.  Quadratic-phase sequences with rational parameter
-get their spectrum computed exactly via cyclotomic integer arithmetic;
-everything else is measured numerically.
+P(n) mod 1 are kept as exact integer residues over the common denominator
+D of P's coefficients until a float is needed: ``rational_phases`` rounds
+each once (the one such reduction in the package), and the phase
+sequences gather their weights from one table of the D roots of unity
+when D <= N.  A Cesaro mean at a rational frequency r/s with s <= N is
+exact in its phases too: the terms are folded by n mod a multiple of s
+(``residue_fold``), so each phase n r/s is an integer residue.
+Quadratic-phase sequences with rational parameter get their spectrum
+computed exactly via cyclotomic integer arithmetic; everything else is
+measured numerically.
 """
 
 from __future__ import annotations
@@ -161,14 +167,14 @@ def liouville_sequence(n_terms: int) -> WeightSequence:
 # ----------------------------------------------------------------------
 # phase sequences
 
-def rational_phases(coeffs, n) -> np.ndarray:
-    """frac(sum_k coeffs[k] n^k) in [0, 1) for an integer array ``n``.
+def _phase_residues(coeffs, n) -> tuple[np.ndarray, int]:
+    """(D sum_k coeffs[k] n^k mod D, D) for an integer array ``n``.
 
     Each coefficient is read as a ``Fraction`` (exact for a float m/2^e),
-    so the sum is an integer numerator over the common denominator D,
-    reduced exactly and rounded once.  When D divides 2^64, Horner runs in
-    wrapping uint64, which also wraps negative n exactly; otherwise it
-    runs in Python ints.
+    so the sum is an integer numerator over the common denominator D.
+    When D divides 2^64, Horner runs in wrapping uint64, which also wraps
+    negative n exactly, and the residues are uint64; otherwise it runs in
+    Python ints and the residues are Python ints.
     """
     fracs = [Fraction(c) for c in coeffs]
     denom = math.lcm(*(f.denominator for f in fracs))
@@ -182,17 +188,52 @@ def rational_phases(coeffs, n) -> np.ndarray:
         x = n.astype(object)
     acc = np.zeros(x.shape, dtype=x.dtype)
     for c in reversed(numers):
-        acc = acc * x + c
+        acc *= x
+        acc += c
     if dyadic:
-        values = (acc & np.uint64(denom - 1)).astype(np.float64) / float(denom)
+        acc &= np.uint64(denom - 1)
     else:
-        values = (acc % denom / denom).astype(np.float64)
+        acc %= denom
+    return acc, denom
+
+
+def _round_phases(residues: np.ndarray, denom: int) -> np.ndarray:
+    """residues / denom in [0, 1), each rounded once."""
+    if residues.dtype == object:
+        values = (residues / denom).astype(np.float64)
+    else:
+        values = residues.astype(np.float64)
+        values /= float(denom)
     # a residue within half an ulp of D rounds up to 1.0, which is 0 mod 1
-    return np.mod(values, 1.0)
+    values[values == 1.0] = 0.0
+    return values
 
 
-def _phase_weights(name: str, phases: np.ndarray) -> WeightSequence:
-    return WeightSequence(name, np.exp(2j * np.pi * phases), 2.0)
+def rational_phases(coeffs, n) -> np.ndarray:
+    """frac(sum_k coeffs[k] n^k) in [0, 1) for an integer array ``n``.
+
+    Exact for every rational (and every float) coefficient: the sum is
+    reduced as an integer residue over the common denominator D and
+    rounded once, on any platform and for any n in int64.
+    """
+    return _round_phases(*_phase_residues(coeffs, n))
+
+
+def _phase_weights(name: str, coeffs, n_terms: int) -> WeightSequence:
+    """exp(2 pi i P(n)) for n = 1..n_terms, P's coefficients ascending.
+
+    When P's denominator D is at most n_terms, the D roots of unity are
+    computed once and gathered by residue.  Each root is exp of its phase
+    rounded as ``rational_phases`` rounds it, so the weights are the same
+    bits as exp of every phase, which is what a larger D computes.
+    """
+    residues, denom = _phase_residues(coeffs, np.arange(1, n_terms + 1))
+    if denom <= n_terms:
+        roots = np.exp(2j * np.pi * (np.arange(denom) / denom))
+        values = roots[residues.astype(np.intp)]
+    else:
+        values = np.exp(2j * np.pi * _round_phases(residues, denom))
+    return WeightSequence(name, values, 2.0)
 
 
 def _check_n_terms(n_terms: int) -> None:
@@ -203,8 +244,7 @@ def _check_n_terms(n_terms: int) -> None:
 def quadratic_phase_sequence(n_terms: int, alpha) -> WeightSequence:
     """exp(2 pi i n^2 alpha), with n^2 alpha reduced mod 1 exactly."""
     _check_n_terms(n_terms)
-    phases = rational_phases([0, 0, alpha], np.arange(1, n_terms + 1))
-    return _phase_weights(f"quadratic(alpha={alpha})", phases)
+    return _phase_weights(f"quadratic(alpha={alpha})", [0, 0, alpha], n_terms)
 
 
 def nlogn_phase_sequence(n_terms: int, c: float) -> WeightSequence:
@@ -212,15 +252,15 @@ def nlogn_phase_sequence(n_terms: int, c: float) -> WeightSequence:
     _check_n_terms(n_terms)
     c = float(c)
     n = np.arange(1, n_terms + 1, dtype=np.float64)
-    return _phase_weights(f"n_log_n(c={c:g})", np.mod(c * n * np.log(n), 1.0))
+    phases = np.mod(c * n * np.log(n), 1.0)
+    return WeightSequence(f"n_log_n(c={c:g})", np.exp(2j * np.pi * phases), 2.0)
 
 
 def polynomial_phase_sequence(n_terms: int, coeffs) -> WeightSequence:
     """exp(2 pi i P(n)) for the coefficients of P in ascending order."""
     _check_n_terms(n_terms)
     coeffs = list(coeffs)
-    phases = rational_phases(coeffs, np.arange(1, n_terms + 1))
-    return _phase_weights(f"polynomial({coeffs})", phases)
+    return _phase_weights(f"polynomial({coeffs})", coeffs, n_terms)
 
 
 def subnormal_sequence(tau: float, n_terms: int, seed: int) -> WeightSequence:
@@ -237,13 +277,35 @@ def subnormal_sequence(tau: float, n_terms: int, seed: int) -> WeightSequence:
 # ----------------------------------------------------------------------
 # Cesaro means and spectra
 
-def cesaro_mean(weights: WeightSequence, freq: float, n_terms: int | None = None) -> complex:
-    """(1/N) sum_{n<=N} c_n exp(-2 pi i n freq), block-compensated."""
+def cesaro_mean(
+    weights: WeightSequence, freq: float | Fraction, n_terms: int | None = None
+) -> complex:
+    """(1/N) sum_{n<=N} c_n exp(-2 pi i n freq).
+
+    ``freq`` is a float or a ``Fraction``, read exactly as the fraction
+    r/s it denotes.  When s <= N, the phases n r/s are exact integer
+    residues: the terms are folded by n mod a multiple of s
+    (``residue_fold``), the folds of each class k mod s are added, and the
+    s sums meet the s roots exp(-2 pi i (r k mod s)/s).  A larger s (a
+    float irrational, or 1/3 as a float, whose denominator is 2^54) takes
+    the float phases n freq, summed block by block with compensation.
+    """
     n_total = len(weights)
     if n_terms is None:
         n_terms = n_total
     if not 1 <= n_terms <= n_total:
         raise ValueError(f"n_terms must be in 1..{n_total}")
+    exact = freq if isinstance(freq, Fraction) else Fraction(float(freq))
+    s = exact.denominator
+    if s <= n_terms:
+        # fold by n mod a multiple of s, so each fold and each class's sum
+        # of folds adds about sqrt(N/s) terms: the rounding grows like
+        # sqrt(N), not N, while every phase stays an integer residue
+        width = s * math.isqrt(n_terms // s)
+        folds = residue_fold(weights.values[:n_terms], width).reshape(-1, s).sum(axis=0)
+        residues = (exact.numerator % s) * np.arange(s) % s
+        return complex(folds @ np.exp(-2j * np.pi * (residues / s))) / n_terms
+    freq = float(freq)
     acc = KahanSum()
     for start in range(0, n_terms, _BLOCK):
         stop = min(start + _BLOCK, n_terms)
@@ -257,11 +319,14 @@ def cesaro_mean(weights: WeightSequence, freq: float, n_terms: int | None = None
 _LOW_MODULUS = 840
 
 
-def _folded_spectrum(values: np.ndarray, m: int) -> np.ndarray:
-    """sum_{n=1..len(values)} c_n exp(-2 pi i n k/m) for k = 0..m-1.
+def residue_fold(values: np.ndarray, m: int) -> np.ndarray:
+    """F_k = sum of c_n over n = 1..len(values) with n = k (mod m), k = 0..m-1.
 
-    The terms are folded by n mod m, so each phase is an exact integer
-    residue, and one FFT of the m folds gives every k at once.
+    The phase exp(-2 pi i n j/m) of every term in fold k is exp(-2 pi i
+    k j/m), an exact integer residue, so a sum of the c_n against any
+    frequency j/m is a sum over the m folds: ``cesaro_mean`` at r/s takes
+    one dot product with s roots, and ``zero_set_scan`` one FFT for every
+    j/m at once.  Each fold is summed in order of n, block by block.
     """
     fold_re = np.zeros(m)
     fold_im = np.zeros(m)
@@ -270,7 +335,7 @@ def _folded_spectrum(values: np.ndarray, m: int) -> np.ndarray:
         residues = np.arange(start + 1, start + 1 + len(block)) % m
         fold_re += np.bincount(residues, weights=block.real, minlength=m)
         fold_im += np.bincount(residues, weights=block.imag, minlength=m)
-    return np.fft.fft(fold_re + 1j * fold_im)
+    return fold_re + 1j * fold_im
 
 
 def zero_set_scan(
@@ -304,8 +369,8 @@ def zero_set_scan(
     # a point that is also some j/grid_size takes its value from that fold
     sigma = np.where(
         keys % g_step == 0,
-        _folded_spectrum(values, grid_size)[keys // g_step],
-        _folded_spectrum(values, _LOW_MODULUS)[keys // low_step],
+        np.fft.fft(residue_fold(values, grid_size))[keys // g_step],
+        np.fft.fft(residue_fold(values, _LOW_MODULUS))[keys // low_step],
     ) / n_terms
     return SpectrumReport(
         grid=grid,
@@ -343,6 +408,22 @@ def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, comple
     return {Fraction(int(r), denom): complex(a) for r, a in zip(alive, amplitudes)}
 
 
+_BRUTE_BLOCK = 1 << 22
+
+
+def _quadratic_residue_counts(
+    numer: int, denom: int, shift: int, start: int, stop: int
+) -> np.ndarray:
+    """How often n^2 numer - n shift is each residue mod denom, n = start+1..stop.
+
+    n is taken less a multiple of denom, which leaves every residue as it
+    is and keeps n below denom + (stop - start) in int64.
+    """
+    base = start - start % denom
+    n = np.arange(start + 1 - base, stop + 1 - base, dtype=np.int64)
+    return np.bincount((n * n * numer - n * shift) % denom, minlength=denom)
+
+
 def quadratic_rational_cesaro(
     numer: int, denom: int, freq: Fraction, n_terms: int
 ) -> complex:
@@ -350,18 +431,21 @@ def quadratic_rational_cesaro(
 
     Brute-force companion to ``quadratic_rational_spectrum``: phases are
     reduced with integer arithmetic so the only float work is the final
-    root-of-unity sum.
+    root-of-unity sum.  Raises if denom is so large that n^2 numer, with n
+    below denom plus one block, would overflow int64.
     """
     if freq.denominator > denom or denom % freq.denominator != 0:
         raise ValueError("freq must have denominator dividing denom")
-    stride = denom // freq.denominator
+    numer %= denom
+    shift = freq.numerator * (denom // freq.denominator) % denom
+    n_max = min(n_terms, denom + _BRUTE_BLOCK)
+    if n_max * n_max * numer + n_max * shift >= 1 << 63:
+        raise ValueError("denominator too large for int64 residues")
     total = KahanSum()
     roots = np.exp(2j * np.pi * np.arange(denom) / denom)
-    for start in range(0, n_terms, 1 << 22):
-        stop = min(start + (1 << 22), n_terms)
-        n = np.arange(start + 1, stop + 1, dtype=np.int64)
-        residues = (n * n * numer - n * freq.numerator * stride) % denom
-        counts = np.bincount(residues, minlength=denom)
+    for start in range(0, n_terms, _BRUTE_BLOCK):
+        stop = min(start + _BRUTE_BLOCK, n_terms)
+        counts = _quadratic_residue_counts(numer, denom, shift, start, stop)
         total.add(complex(np.dot(counts, roots)))
     return total.value / n_terms
 

@@ -1,4 +1,6 @@
+import cmath
 import math
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -285,6 +287,17 @@ class TestHookedDisjointness:
         )
         assert not report.spectral_clear
         assert report.birkhoff.verdict == "stagnant"
+
+    def test_fraction_atom_is_exact(self):
+        # e(n^2/3) at 1/3: the mean over each period is (2 + e(2/3))/3
+        w = sequences.quadratic_phase_sequence(3 * 10**4, Fraction(1, 3))
+        flow = circle.rotation_flow(1.0 / 3.0)
+        atom = Fraction(1, 3)
+        report = analysis.hooked_disjointness(w, flow, fourier(-1), 0.0, [atom])
+        (key,) = report.atom_means
+        assert key is atom
+        limit = (2 + cmath.exp(4j * math.pi / 3)) / 3
+        assert abs(report.atom_means[atom] - limit) < 1e-13
 
 
 class TestHolderBound:

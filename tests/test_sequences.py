@@ -195,6 +195,23 @@ class TestRationalPhases:
         # 1 - eps rounds to 1.0 as a float; mod 1 that is 0
         assert seq.rational_phases([-eps], np.arange(4)).tolist() == [0.0] * 4
 
+    @pytest.mark.parametrize(
+        "coeffs,n_terms",
+        [
+            # the root table serves D <= N: dyadic D at N = D and N = D - 1
+            ([0, 0, Fraction(1, 64)], 64),
+            ([0, 0, Fraction(1, 64)], 63),
+            # and a non-dyadic D, whose residues are Python ints
+            ([0, 0, Fraction(5, 97)], 97),
+            ([0, 0, Fraction(5, 97)], 96),
+            ([0, 1 / 8, 3 / 16], 1000),
+        ],
+    )
+    def test_root_table_is_exp_of_phases(self, coeffs, n_terms):
+        w = seq.polynomial_phase_sequence(n_terms, coeffs)
+        phases = seq.rational_phases(coeffs, np.arange(1, n_terms + 1))
+        assert w.values.tobytes() == np.exp(2j * np.pi * phases).tobytes()
+
     @pytest.mark.parametrize("alpha", [Fraction(1, 3), Fraction(5, 7), 1e-5, -ALPHA / 2])
     def test_quadratic_sequence_is_exact(self, alpha):
         w = seq.quadratic_phase_sequence(3000, alpha)
@@ -257,6 +274,33 @@ class TestCesaroMean:
         w = seq.WeightSequence("ones", np.ones(10, dtype=complex), 2.0)
         with pytest.raises(ValueError):
             seq.cesaro_mean(w, 0.0, 11)
+
+    @pytest.mark.parametrize(
+        "freq", [0.0, 0.5, 0.75, 0.625, Fraction(1, 3), Fraction(2, 7)]
+    )
+    def test_rational_frequency_is_exact(self, freq):
+        # reference: one fsum over every term, each phase an exact residue
+        # rounded once; the float phases n*freq are off by up to ~1e-11 here
+        n_terms = 10**5
+        n = np.arange(1, n_terms + 1)
+        r, s = Fraction(freq).numerator, Fraction(freq).denominator
+        mobius = seq.mobius_sequence(n_terms)
+        quadratic = seq.quadratic_phase_sequence(n_terms, 0.125)
+        big = math.lcm(8, s)
+        references = [
+            mobius.values.real * np.exp(-2j * np.pi * ((n * r % s) / s)),
+            # e(n^2/8 - n r/s), over the common denominator
+            np.exp(2j * np.pi * ((n * n * (big // 8) - n * r * (big // s)) % big / big)),
+        ]
+        for w, terms in zip((mobius, quadratic), references):
+            exact = complex(math.fsum(terms.real), math.fsum(terms.imag)) / n_terms
+            assert abs(seq.cesaro_mean(w, freq) - exact) < 1e-13, w.name
+
+    def test_fraction_and_float_frequencies_agree(self):
+        w = seq.mobius_sequence(5000)
+        assert seq.cesaro_mean(w, Fraction(3, 4)) == seq.cesaro_mean(w, 0.75)
+        # a denominator above N takes the float phases of float(freq)
+        assert seq.cesaro_mean(w, Fraction(1, 3), 2) == seq.cesaro_mean(w, 1 / 3, 2)
 
 
 class TestZeroSetScan:
@@ -488,6 +532,22 @@ class TestQuadraticRationalSpectrum:
                     brute = seq.quadratic_rational_cesaro(numer, denom, freq, n_terms)
                     exact = atoms.get(freq, 0j)
                     assert abs(abs(brute) - abs(exact)) < 1e-3, (denom, freq)
+
+
+class TestQuadraticRationalCesaro:
+    @pytest.mark.parametrize("start", [341_589_677 - 200, 2**32 + 12_345, 2**40])
+    def test_block_residues_past_int64_squares(self, start):
+        # n^2 numer passes 2^63 from n ~ 3.1e8 when numer = 95
+        numer, denom, shift = 95, 97, 13
+        counts = seq._quadratic_residue_counts(numer, denom, shift, start, start + 500)
+        expected = np.zeros(denom, dtype=np.int64)
+        for n in range(start + 1, start + 501):
+            expected[(n * n * numer - n * shift) % denom] += 1
+        assert np.array_equal(counts, expected)
+
+    def test_rejects_overflowing_denominator(self):
+        with pytest.raises(ValueError, match="too large"):
+            seq.quadratic_rational_cesaro(2**40, 2**41 + 1, Fraction(0), 10**7)
 
 
 class TestArithmeticSubsequence:
