@@ -93,7 +93,7 @@ def weighted_birkhoff(
     checkpoints = [int(n) for n in checkpoints]
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
-    if checkpoints[0] < 1 or checkpoints[-1] > len(weights):
+    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > len(weights):
         raise ValueError("checkpoints must lie in 1..len(weights)")
     acc = KahanSum()
     sup_observed = 0.0

@@ -19,14 +19,15 @@ a float array of shape (n,) for the circle and interval flows, (n, 2)
 for the torus, and a ``padic.ResidueBlock`` (the ring plus residue
 arrays) for the p-adic flows.
 
-Eventually periodic orbits stop early.  A ``block`` that steps in a loop
-compares each new state with the one saved at the last power of two
-(Brent's cycle check).  At the first exact repeat of the full state the
-orbit is periodic from there on, so ``tile`` fills the rest of the block
-from the cycle already computed: the tiled points are the points the loop
-would produce, bit for bit.  (Floats compare with ``==``, which equates
-0.0 and -0.0; each such map sends both to the same image.)  An orbit that
-never repeats runs the loop to the end of the block.
+Eventually periodic orbits stop early.  The torus, quadratic-family and
+p-adic ``block`` kernels step their plain map with ``walk_block``, whose
+``cycle_walk`` compares each new state with the one saved at the last
+power of two (Brent's cycle check).  At the first exact repeat of the full
+state the orbit is periodic from there on, so the rest of the block is
+indexed from the cycle already computed: the tiled points are the points
+the walk would produce, bit for bit.  (Floats compare with ``==``, which
+equates 0.0 and -0.0; each such map sends both to the same image.)  An
+orbit that never repeats is walked to the end of the block.
 
 Finite reductions make repeats certain.  An observable with a ``level``
 reads only the residue mod p^level, and a flow with ``reduce`` can step
@@ -36,6 +37,7 @@ stream then steps the reduced flow.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -104,16 +106,51 @@ def parse_pair(raw: str, convert: Callable[[str], Any]) -> tuple:
     return convert(parts[0]), convert(parts[1])
 
 
-def tile(head, n: int, period: int) -> np.ndarray:
-    """``head``'s rows continued to ``n`` rows by repeating its last ``period``.
+def cycle_walk(
+    f: Callable[[Point], Point], state: Point, n_steps: int, record: Callable[[Point], Any]
+) -> int:
+    """Step ``state`` by ``f`` up to ``n_steps`` times, passing each image to ``record``.
 
-    ``head`` holds a block's first points T x .. T^t x, and T^t x equals
-    T^(t - period) x (x itself when t == period), so the orbit runs through
-    the last ``period`` points of ``head`` again and again.
+    Each new state is compared with the one saved at the last power of two
+    (Brent, BIT 20, 1980).  At the first exact repeat T^t x, which equals
+    T^(t - period) x (x itself when t == period), the walk stops and
+    returns the period; it returns 0 when no state repeated.
     """
-    start = len(head) - period
-    k = np.arange(n)
-    return head[np.where(k < start, k, start + (k - start) % period)]
+    saved, saved_k, due = state, 0, 1
+    for k in range(1, n_steps + 1):
+        state = f(state)
+        record(state)
+        if state == saved:
+            return k - saved_k
+        if k == due:
+            saved, saved_k, due = state, k, 2 * k
+    return 0
+
+
+def walk_block(f: Callable[[Point], Point], state: Point, n_steps: int, dtype) -> np.ndarray:
+    """The orbit points T x .. T^n x of ``state`` under ``f``, as ``Flow.block`` stacks them.
+
+    A state is a number, giving an (n,) array, or a list of two, giving an
+    (n, 2) array.  A float or int64 ``dtype`` records raw machine values
+    (``array``), ``object`` Python ints.  Past the first repeat the rows
+    run through the last ``period`` walked rows again and again.
+    """
+    pair = isinstance(state, list)
+    if dtype is object:
+        store = []
+        record = store.extend if pair else store.append
+    else:
+        store = array(np.dtype(dtype).char)
+        record = store.fromlist if pair else store.append
+    period = cycle_walk(f, state, n_steps, record)
+    points = np.array(store, dtype=object) if dtype is object else np.frombuffer(store, dtype)
+    if pair:
+        points = points.reshape(-1, 2)
+    if period:
+        start = len(points) - period
+        k = np.arange(n_steps)
+        points = points[np.where(k < start, k, start + (k - start) % period)]
+    return points
 
 
 def orbit(flow: Flow, start: Point, n_steps: int) -> list:

@@ -8,14 +8,13 @@ Schwarzian checks, and the odometer coding of deep attracting cycles.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial
 
-from .flows import Flow, tile
+from .flows import Flow, walk_block
 
 CASCADE_ORIGIN = -0.5  # parameter where the fixed points collide (parabolic)
 CYCLE_TOL = 1e-10
@@ -590,8 +589,8 @@ def basin_probe(t: float, x: float, n_steps: int, max_period: int = 2**10) -> Ba
 def quadratic_flow(t: float) -> Flow:
     """The quadratic family member as a metric flow on [-1, 1].
 
-    ``step`` is the map itself; ``block`` iterates it on Python floats
-    and stops at the first exact repeat (``flows.tile``).
+    ``step`` is the map itself; ``block`` walks it on Python floats with
+    ``flows.walk_block``.
     """
     tmap = QuadraticMap(t)
 
@@ -602,23 +601,8 @@ def quadratic_flow(t: float) -> Flow:
         return x
 
     def block(x: float, n_steps: int):
-        x = float(x)
-        points = array("d")
-        period = 0
-        saved, saved_k, due = x, 0, 1  # Brent: the state at the last power of two
-        for k in range(1, n_steps + 1):
-            x = tmap(x)
-            points.append(x)
-            if x == saved:
-                period = k - saved_k
-                break
-            if k == due:
-                saved, saved_k, due = x, k, 2 * k
-        points = np.frombuffer(points)
-        if period:
-            points = tile(points, n_steps, period)
-            x = float(points[-1])
-        return points, x
+        points = walk_block(tmap, float(x), n_steps, float)
+        return points, float(points[-1] if n_steps else x)
 
     return Flow(
         name=f"quadratic_family(t={t:g})",

@@ -12,10 +12,10 @@ outside input (``PadicInt(...)``, ``from_int``, ``from_digits``).  Arithmetic
 on values of that ring, polynomial evaluation and the rational-map step work
 on the plain int residues and reduce mod p^K; they build one value per
 result and only check that their operands share a ring.  A flow's
-``block`` builds no value per point: it returns a ``ResidueBlock`` of
-residue arrays, and stops at the first exact repeat of the residues
-(``flows.tile``).  Its ``reduce`` steps the same orbit mod p^level, which
-has at most p^level states, for an observable that reads no more.
+``block`` builds no value per point: it walks the plain int map with
+``flows.walk_block`` and returns a ``ResidueBlock`` of residue arrays.
+Its ``reduce`` steps the same orbit mod p^level, which has at most
+p^level states, for an observable that reads no more.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import Flow, parse_pair, tile
+from .flows import Flow, cycle_walk, parse_pair, walk_block
 
 DEFAULT_PRECISION = 32
 
@@ -252,25 +252,6 @@ def _horner(top_down: list[int], r: int, modulus: int) -> int:
     return acc % modulus
 
 
-def _poly_orbit(top_down: list[int], r: int, n_steps: int, modulus: int) -> tuple[list[int], int]:
-    """Residues P(r), P(P(r)), ... mod ``modulus``, up to ``n_steps`` of them.
-
-    The walk stops at the first exact repeat, found by comparing each
-    residue with the one at the last power of two (Brent), and returns the
-    residues so far with the period; the period is 0 when none repeated.
-    """
-    residues = []
-    saved, saved_k, due = r, 0, 1
-    for k in range(1, n_steps + 1):
-        r = _horner(top_down, r, modulus)
-        residues.append(r)
-        if r == saved:
-            return residues, k - saved_k
-        if k == due:
-            saved, saved_k, due = r, k, 2 * k
-    return residues, 0
-
-
 def random_padic_int(rng: np.random.Generator, p: int, precision: int) -> PadicInt:
     digits = rng.integers(0, p, size=precision)
     return PadicInt.from_digits([int(d) for d in digits], p)
@@ -286,13 +267,11 @@ def poly_flow(poly: PadicPoly) -> Flow:
     p, precision = poly.p, poly.precision
     modulus = p**precision
     ring = poly.coefficients[0]
+    top_down, dtype = poly._top_down, _residue_dtype(modulus)
 
     def block(x: PadicInt, n_steps: int):
         ring._check_compatible(x)
-        head, period = _poly_orbit(poly._top_down, x.residue, n_steps, modulus)
-        residues = np.array(head, dtype=_residue_dtype(modulus))
-        if period:
-            residues = tile(residues, n_steps, period)
+        residues = walk_block(lambda r: _horner(top_down, r, modulus), x.residue, n_steps, dtype)
         last = int(residues[-1]) if n_steps else x.residue
         return ResidueBlock(p, precision, residues), x._like(last)
 
@@ -470,38 +449,25 @@ def rational_flow(num: PadicPoly, den: PadicPoly) -> Flow:
         raise ValueError(f"{name} has bad reduction: its resultant is 0 mod {p}")
     dtype = _residue_dtype(modulus)
 
-    def image(x: int, y: int) -> tuple[int, int]:
+    def image(xy: list[int]) -> list[int]:
         """Residues of the image of [x : y], normalized by good reduction."""
-        return (
+        x, y = xy
+        return [
             _eval_homogeneous(nc, x, y, deg) % modulus,
             _eval_homogeneous(dc, x, y, deg) % modulus,
-        )
+        ]
 
     def step(point: ProjPoint) -> ProjPoint:
         ring._check_compatible(point.x)
-        fx, fy = image(point.x.residue, point.y.residue)
+        fx, fy = image([point.x.residue, point.y.residue])
         return ProjPoint(ring._like(fx), ring._like(fy))
 
     def block(point: ProjPoint, n_steps: int):
         ring._check_compatible(point.x)
-        x, y = point.x.residue, point.y.residue
-        xs, ys = [], []
-        period = 0
-        x0, y0, saved_k, due = x, y, 0, 1  # Brent: the state at the last power of two
-        for k in range(1, n_steps + 1):
-            x, y = image(x, y)
-            xs.append(x)
-            ys.append(y)
-            if x == x0 and y == y0:
-                period = k - saved_k
-                break
-            if k == due:
-                x0, y0, saved_k, due = x, y, k, 2 * k
-        xs, ys = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
-        if period:
-            xs, ys = tile(xs, n_steps, period), tile(ys, n_steps, period)
-            x, y = int(xs[-1]), int(ys[-1])
-        return ResidueBlock(p, precision, xs, ys), ProjPoint(ring._like(x), ring._like(y))
+        start = [point.x.residue, point.y.residue]
+        points = walk_block(image, start, n_steps, dtype)
+        x, y = (int(r) for r in points[-1]) if n_steps else start
+        return ResidueBlock(p, precision, *points.T), ProjPoint(ring._like(x), ring._like(y))
 
     def reduce(point: ProjPoint, level: int):
         ring._check_compatible(point.x)
@@ -558,23 +524,25 @@ def empirical_minimality(
     Polynomial evaluation commutes with reduction mod p^level, so the exact
     finite system x -> P(x) mod p^level is a faithful oracle: the probe
     reports whether the orbit visited every residue of the cycle that the
-    reduced system eventually enters.  The reduced orbit is stepped only up
-    to its first repeat; the visit counts of its ``n_steps + 1`` states
-    follow from the tail and the cycle.
+    reduced system eventually enters.  The reduced orbit is walked only up
+    to its first repeat (``flows.cycle_walk``); the visit counts of its
+    ``n_steps + 1`` states follow from the tail and the cycle.
     """
     poly = flow.step if isinstance(flow, Flow) else flow
     if not isinstance(poly, PadicPoly):
         raise TypeError("empirical_minimality needs a polynomial flow")
     poly.coefficients[0]._check_compatible(start)
-    if level > start.precision:
-        raise ValueError("resolution exceeds working precision")
+    if not 1 <= level <= start.precision:
+        raise ValueError(f"level must lie in 1..{start.precision}, the working precision")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     modulus = poly.p**level
-    r = start.residue % modulus
+    top_down = poly._top_down
+    states = [start.residue % modulus]
     # at most p^level states, so Brent's check meets a repeat within 3 p^level steps
-    head, period = _poly_orbit(poly._top_down, r, 3 * modulus, modulus)
-    states = [r] + head
+    period = cycle_walk(
+        lambda r: _horner(top_down, r, modulus), states[0], 3 * modulus, states.append
+    )
     tail = next(i for i in range(len(states)) if states[i] == states[i + period])
     trail = states[: tail + period]  # the tail, then the cycle, each state once
     # states 0..n_steps: the tail once each, then laps of the cycle and a remainder

@@ -451,9 +451,13 @@ def quadratic_rational_cesaro(
 
 
 def arithmetic_subsequence_mean(
-    weights: WeightSequence, modulus: int, residue: int, freq: float, n_terms: int
+    weights: WeightSequence, modulus: int, residue: int, freq: float | Fraction, n_terms: int
 ) -> complex:
-    """(1/N) sum over n <= N with n = residue (mod modulus) of c_n e^{-2 pi i n freq}."""
+    """(1/N) sum over n <= N with n = residue (mod modulus) of c_n e^{-2 pi i n freq}.
+
+    The phases n freq are reduced mod 1 exactly (``rational_phases``), for
+    a float or a ``Fraction`` frequency.
+    """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     if not 1 <= residue <= modulus:
@@ -463,7 +467,7 @@ def arithmetic_subsequence_mean(
     n = np.arange(residue, n_terms + 1, modulus, dtype=np.int64)
     if len(n) == 0:
         return 0j
-    terms = weights.values[n - 1] * np.exp((-2j * np.pi * freq) * n.astype(np.float64))
+    terms = weights.values[n - 1] * np.exp(-2j * np.pi * rational_phases([0, freq], n))
     return complex(terms.sum()) / n_terms
 
 

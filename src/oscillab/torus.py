@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .flows import Flow, parse_pair, tile
+from .flows import Flow, parse_pair, walk_block
 from .sequences import rational_phases
 
 
@@ -284,8 +283,8 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     """x -> A x + b on [0,1)^2 with the quotient metric.
 
     A point is a float array (x, y); ``step`` and ``block`` run one map on
-    Python floats, and ``block`` stacks its points as an (n, 2) array and
-    stops at the first exact repeat (``flows.tile``).
+    a list of two Python floats, and ``block`` walks it with
+    ``flows.walk_block``.
     """
     if np.shape(shift) != (2,):
         raise ValueError(f"cannot use shift {np.ravel(shift).tolist()}: expected the form x,y")
@@ -293,31 +292,17 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
     sx, sy = float(shift[0]), float(shift[1])
 
-    def affine(x: float, y: float) -> tuple[float, float]:
-        return (a * x + b * y + sx) % 1.0, (c * x + d * y + sy) % 1.0
+    def affine(xy: list[float]) -> list[float]:
+        x, y = xy
+        return [(a * x + b * y + sx) % 1.0, (c * x + d * y + sy) % 1.0]
 
     def step(xy):
-        return np.array(affine(float(xy[0]), float(xy[1])))
+        return np.array(affine([float(xy[0]), float(xy[1])]))
 
     def block(xy, n_steps: int):
-        x, y = float(xy[0]), float(xy[1])
-        points = array("d")  # raw doubles: no float object kept per coordinate
-        period = 0
-        x0, y0, saved_k, due = x, y, 0, 1  # Brent: the state at the last power of two
-        for k in range(1, n_steps + 1):
-            x, y = affine(x, y)
-            points.append(x)
-            points.append(y)
-            if x == x0 and y == y0:
-                period = k - saved_k
-                break
-            if k == due:
-                x0, y0, saved_k, due = x, y, k, 2 * k
-        points = np.frombuffer(points).reshape(-1, 2)
-        if period:
-            points = tile(points, n_steps, period)
-            x, y = points[-1]
-        return points, np.array([x, y])
+        start = [float(xy[0]), float(xy[1])]
+        points = walk_block(affine, start, n_steps, float)
+        return points, np.array(points[-1] if n_steps else start)
 
     def sample(rng):
         return rng.random(2)

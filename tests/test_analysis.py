@@ -68,6 +68,11 @@ class TestWeightedBirkhoff:
                 w, identity_flow(), CONST_ONE, 0.0, checkpoints=[50, 50]
             )
 
+    def test_empty_checkpoints_rejected(self):
+        w = sequences.mobius_sequence(100)
+        with pytest.raises(ValueError, match="checkpoints must lie in"):
+            analysis.weighted_birkhoff(w, identity_flow(), CONST_ONE, 0.0, checkpoints=[])
+
     def test_diverging_orbit_rejected(self):
         # started outside [-1, 1] the quadratic family runs off to infinity
         w = sequences.mobius_sequence(1000)

@@ -386,3 +386,76 @@ class TestBlocksMatchSteps:
         other = registry.parse_start(name, start, registry.build_flow(name, {**params, "p": "2"}))
         with pytest.raises(ValueError, match="mixed p-adic rings"):
             next(flows._observable_stream(built, observable, other, 10))
+
+
+class TestCycleWalk:
+    """``flows.cycle_walk`` and the blocks that ``flows.walk_block`` stacks from it."""
+
+    def test_stops_at_first_repeat(self):
+        # x -> x^2 mod 11 from 2: the 4-cycle 4, 5, 3, 9, met again at step 8,
+        # where the state saved at step 4 repeats
+        seen = []
+        assert flows.cycle_walk(lambda x: x * x % 11, 2, 100, seen.append) == 4
+        assert seen == [4, 5, 3, 9] * 2
+        seen = []
+        assert flows.cycle_walk(lambda x: x * x % 11, 2, 7, seen.append) == 0
+        assert len(seen) == 7
+        # states compare by value: each float image is a new object
+        assert flows.cycle_walk(lambda x: -x, 0.5, 10, [].append) == 2
+
+    @pytest.mark.parametrize(
+        "num,den,start",
+        [
+            ([1, 1, 0, 1], None, 5),
+            ([0, -1], None, 5),  # x -> -x: period 2, so the block tiles
+            ([0, 0, 1], [1], (2, 1)),
+            ([1], [0, 1], (2, 1)),  # [x : y] -> [y : x]: period 2, so the block tiles
+        ],
+        ids=["poly", "poly_period_2", "rational", "rational_period_2"],
+    )
+    def test_padic_beyond_int64_bit_identical(self, num, den, start):
+        # 3^40 > 2^62: the residues are Python ints in object arrays
+        from oscillab import padic
+
+        num = padic.PadicPoly.from_ints(num, 3, 40)
+        if den is None:
+            flow, x = padic.poly_flow(num), padic.PadicInt.from_int(start, 3, 40)
+        else:
+            flow = padic.rational_flow(num, padic.PadicPoly.from_ints(den, 3, 40))
+            x = padic.ProjPoint.from_ints(*start, 3, 40)
+        points, last = flow.block(x, 500)
+        want, want_last = stepped(flow, x, 500)
+        assert points.x.dtype == object
+        if den is None:
+            assert points.x.tolist() == [pt.residue for pt in want]
+        else:
+            assert points.x.tolist() == [pt.x.residue for pt in want]
+            assert points.y.tolist() == [pt.y.residue for pt in want]
+        assert last == want_last
+
+    def test_empty_blocks_end_at_the_start(self):
+        from oscillab import padic
+        from oscillab.torus import ModularMatrix, torus_affine_flow
+
+        torus = torus_affine_flow(ModularMatrix.from_string("1,0;1,1"), (0.41421356237309503, 0.0))
+        points, last = torus.block(np.array([0.2137, 0.718]), 0)
+        assert points.shape == (0, 2)
+        assert np.array_equal(last, [0.2137, 0.718])
+
+        points, last = quadratic_flow(0.7).block(0.3, 0)
+        assert points.shape == (0,)
+        assert last == 0.3
+
+        start = padic.PadicInt.from_int(5, 3, 32)
+        flow = padic.poly_flow(padic.PadicPoly.from_ints([1, 1, 0, 1], 3, 32))
+        points, last = flow.block(start, 0)
+        assert (points.x.shape, points.y) == ((0,), None)
+        assert last == start
+
+        start = padic.ProjPoint.from_ints(2, 1, 3, 24)
+        flow = padic.rational_flow(
+            padic.PadicPoly.from_ints([0, 0, 1], 3, 24), padic.PadicPoly.from_ints([1], 3, 24)
+        )
+        points, last = flow.block(start, 0)
+        assert (points.x.shape, points.y.shape) == ((0,), (0,))
+        assert last == start

@@ -25,6 +25,34 @@ def test_no_longdouble_in_package():
     assert named == []
 
 
+def saves_state_at_powers_of_two(loop: ast.For) -> bool:
+    """Whether ``loop`` assigns twice its counter, as Brent's first-repeat check does."""
+    counters = {node.id for node in ast.walk(loop.target) if isinstance(node, ast.Name)}
+    for node in ast.walk(loop):
+        if not isinstance(node, ast.Assign):
+            continue
+        for value in node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]:
+            if (
+                isinstance(value, ast.BinOp)
+                and isinstance(value.op, (ast.Mult, ast.LShift))
+                and {type(value.left), type(value.right)} == {ast.Name, ast.Constant}
+                and any(getattr(side, "id", None) in counters for side in (value.left, value.right))
+            ):
+                return True
+    return False
+
+
+def test_first_repeat_loop_only_in_flows():
+    # flows.cycle_walk is the one first-repeat walk; a block kernel calls it
+    walks = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.For) and saves_state_at_powers_of_two(node)
+    ]
+    assert [walk.split(":")[0] for walk in walks] == ["flows.py"], walks
+
+
 def test_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     imported = set()

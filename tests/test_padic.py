@@ -250,6 +250,12 @@ class TestEmpiricalMinimality:
         with pytest.raises(ValueError):
             padic.empirical_minimality(flow, padic.PadicInt.from_int(0, 2, 8), 10, 9)
 
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_level_below_one_rejected(self, level):
+        flow = padic.adding_machine(2, 8)
+        with pytest.raises(ValueError, match="level must lie in 1..8"):
+            padic.empirical_minimality(flow, padic.PadicInt.from_int(0, 2, 8), 10, level)
+
     @pytest.mark.parametrize("p,precision,n_steps", [(3, 8, 10), (2, 6, 10), (2, 8, -1)])
     def test_bad_start_or_length_rejected(self, p, precision, n_steps):
         # a start of another ring, or a negative length, fails loudly

@@ -581,6 +581,21 @@ class TestArithmeticSubsequence:
         value = seq.arithmetic_subsequence_mean(w, 4, 1, 0.0, 10**6)
         assert abs(value) < 0.02
 
+    @pytest.mark.parametrize(
+        "modulus,residue,freq",
+        [(4, 1, Fraction(1, 2)), (4, 3, Fraction(3, 4)), (2, 1, Fraction(1, 2)), (2, 1, 0.5)],
+    )
+    def test_rational_frequency_exact(self, modulus, residue, freq):
+        # reference: exact residue phases n freq mod 1, summed with fsum
+        n_terms = 10**5
+        w = seq.quadratic_phase_sequence(n_terms, Fraction(1, 8))
+        r, s = Fraction(freq).numerator, Fraction(freq).denominator
+        n = np.arange(residue, n_terms + 1, modulus)
+        terms = w.values[n - 1] * np.exp(-2j * np.pi * ((r * n % s) / s))
+        want = complex(math.fsum(terms.real), math.fsum(terms.imag)) / n_terms
+        got = seq.arithmetic_subsequence_mean(w, modulus, residue, freq, n_terms)
+        assert abs(got - want) < 1e-14
+
     def test_residue_out_of_range(self):
         w = seq.mobius_sequence(10)
         with pytest.raises(ValueError):
