@@ -288,11 +288,12 @@ def cmd_denjoy(args) -> int:
 def cmd_spectrum(args) -> int:
     try:
         if args.scan_sequence:
-            params = dict(
-                part.split("=", 1)
-                for part in (args.scan_params or "").split(";")
-                if part
-            )
+            params = {}
+            for part in filter(None, (args.scan_params or "").split(";")):
+                key, sep, value = part.partition("=")
+                if not sep:
+                    raise ValueError(f"--scan-params part {part!r} is not key=value")
+                params[key] = value
             weights = registry.build_sequence(
                 args.scan_sequence, params, args.n, seed=args.seed
             )

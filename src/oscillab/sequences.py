@@ -385,9 +385,11 @@ def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, comple
 
     Candidates are the frequencies b/denom, b = 0..denom-1 (every reduced
     r/s with s | denom); for each, the limit of the Cesaro mean is the
-    root-of-unity sum over one period of the residues numer k^2 + b k,
-    tested for vanishing in exact cyclotomic arithmetic.  Returns the
-    non-vanishing frequencies with their limit amplitudes.
+    root-of-unity sum over one period of the residues numer k^2 + b k.
+    It vanishes exactly when the count polynomial C is divisible by
+    Phi_denom, decided as x^denom - 1 | C * Psi_denom in one circulant
+    product for all denom candidates (``cyclotomic.root_sum_is_zero``).
+    Returns the non-vanishing frequencies with their limit amplitudes.
     """
     if denom < 1:
         raise ValueError("denominator must be >= 1")

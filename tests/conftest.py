@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,46 @@ def counterexample_report(alpha, checkpoints):
     return analysis.weighted_birkhoff(
         weights, flow, observable, start, checkpoints=checkpoints
     )
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Coefficients (ascending) of the cyclotomic polynomial of ``order``.
+
+    Computed by exact division: x^n - 1 divided by the product of the
+    cyclotomic polynomials of all proper divisors of n.
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if order == 1:
+        return (-1, 1)
+    num = [0] * (order + 1)
+    num[0] = -1
+    num[order] = 1
+    for d in range(1, order):
+        if order % d == 0:
+            num = _polydiv_exact(num, list(cyclotomic_polynomial(d)))
+    return tuple(num)
+
+
+def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
+    """Exact division of integer polynomials; raises if a remainder is left."""
+    num = list(num)
+    while den and den[-1] == 0:
+        den.pop()
+    dn = len(den) - 1
+    lead = den[-1]
+    out = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        coeff = num[i]
+        if coeff == 0:
+            continue
+        q, r = divmod(coeff, lead)
+        if r != 0:
+            raise ArithmeticError("non-exact polynomial division")
+        out[i - dn] = q
+        for j, c in enumerate(den):
+            num[i - dn + j] -= q * c
+    if any(num):
+        raise ArithmeticError("non-zero remainder in exact polynomial division")
+    return out

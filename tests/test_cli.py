@@ -601,6 +601,14 @@ class TestOtherCommands:
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(tmp_path.iterdir())
 
+    def test_scan_params_part_not_key_value_named(self, tmp_path, capsys):
+        argv = ["--out", str(tmp_path), "spectrum", "--scan-sequence", "mobius"]
+        assert cli.main([*argv, "--scan-params", "foo"]) == 2
+        assert capsys.readouterr().err == "error: --scan-params part 'foo' is not key=value\n"
+        assert cli.main([*argv, "--scan-params", "a=1;;b"]) == 2
+        assert capsys.readouterr().err == "error: --scan-params part 'b' is not key=value\n"
+        assert not any(tmp_path.iterdir())
+
     def test_normal_form_worked_example(self, capsys):
         assert cli.main(["normal-form", "--matrix=-5,6;-6,7"]) == 0
         out = capsys.readouterr().out

@@ -5,13 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import cyclotomic_polynomial
 from oscillab import sequences as seq
-from oscillab.cyclotomic import (
-    cyclotomic_polynomial,
-    reduce_root_counts,
-    root_sum_is_zero,
-    root_sum_value,
-)
+from oscillab.cyclotomic import cyclotomic_cofactor, root_sum_is_zero, root_sum_value
 
 ALPHA = math.sqrt(2.0) - 1.0
 
@@ -400,6 +396,28 @@ def long_division_remainder(counts, order):
     return rem[:deg]
 
 
+def vanishing_and_moved_rows(rng, order, n_rows, scale=1):
+    """Rows scale * G * phi_order for random G of degree < order - phi(order),
+    which vanish without being full periods, and each with one count moved
+    to another slot, which cannot vanish."""
+    phi = cyclotomic_polynomial(order)
+    vanishing, moved = [], []
+    for _ in range(n_rows):
+        cofactor = [int(g) for g in rng.integers(-3, 4, size=order + 1 - len(phi))]
+        cofactor[-1] = cofactor[-1] or 1
+        row = [0] * order
+        for i, g in enumerate(cofactor):
+            for j, c in enumerate(phi):
+                row[i + j] += scale * g * c
+        vanishing.append(row)
+        src, dst = rng.choice(order, size=2, replace=False)
+        row = list(row)
+        row[src] -= 1
+        row[dst] += 1
+        moved.append(row)
+    return vanishing, moved
+
+
 def spectrum_reference(numer, denom):
     """Candidates r/s over the divisors s of denom, one long division each."""
     atoms = {}
@@ -442,22 +460,39 @@ class TestCyclotomic:
             numeric = abs(root_sum_value(list(counts), q)) < 1e-9
             assert exact == numeric
 
+    def test_cofactor_times_phi_is_x_q_minus_1(self):
+        # 105, 165, 195, 210 and 385 have coefficients outside {-1, 0, 1}
+        for order in range(1, 421):
+            psi, phi = cyclotomic_cofactor(order), cyclotomic_polynomial(order)
+            product = [0] * (len(psi) + len(phi) - 1)
+            for i, a in enumerate(psi):
+                if a:
+                    for j, b in enumerate(phi):
+                        product[i + j] += a * b
+            assert product == [-1] + [0] * (order - 1) + [1], order
+
     def test_rows_match_long_division(self, rng):
-        for order in (1, 2, 6, 12, 15, 30, 64, 97, 105):
+        # random rows almost never vanish, so multiples of phi (vanishing,
+        # not full periods) and the same rows with one count moved are added
+        for order in (1, 2, 3, 6, 12, 15, 30, 64, 97, 105):
             counts = rng.integers(-5, 6, size=(7, order))
             counts[0] = 1  # the full period vanishes for order > 1
-            reduced = reduce_root_counts(counts, order)
-            assert reduced.shape == (7, len(cyclotomic_polynomial(order)) - 1)
-            for row, counts_row in zip(reduced, counts):
-                assert list(row) == long_division_remainder(counts_row, order)
-                assert list(row) == list(reduce_root_counts(counts_row, order))
-            assert list(root_sum_is_zero(counts, order)) == [
-                root_sum_is_zero(row, order) for row in counts
-            ]
+            vanishing, moved = [[0]], [[1]]  # phi_1 = x - 1 leaves no room for G
+            if order > 1:
+                vanishing, moved = vanishing_and_moved_rows(rng, order, 5)
+            rows = np.vstack([counts, vanishing, moved])
+            decided = root_sum_is_zero(rows, order)
+            assert decided.shape == (len(rows),)
+            expected = [True] * len(vanishing) + [False] * len(moved)
+            assert list(decided[len(counts):]) == expected
+            for verdict, row in zip(decided, rows):
+                assert verdict == (not any(long_division_remainder(row, order)))
+                assert verdict == root_sum_is_zero(row, order)
+                assert verdict == root_sum_is_zero(row.astype(object), order)
 
     @pytest.mark.parametrize("big", [2**60, 2**70])
     @pytest.mark.parametrize("order", [3, 12, 64, 97])
-    def test_huge_counts_decided_exactly(self, big, order):
+    def test_huge_counts_decided_exactly(self, big, order, rng):
         # big + 1 rounds to big in float64, so an unguarded float product
         # would call the second sum zero
         full = [big] * order
@@ -465,13 +500,24 @@ class TestCyclotomic:
         assert root_sum_is_zero(np.array(full, dtype=object), order)
         full[order // 2] += 1
         assert not root_sum_is_zero(full, order)
-        assert long_division_remainder(full, order) == list(reduce_root_counts(full, order))
+        assert not root_sum_is_zero(np.array(full, dtype=object), order)
+        vanishing, moved = vanishing_and_moved_rows(rng, order, 3, scale=big)
+        for expected, rows in ((True, vanishing), (False, moved + [full])):
+            for row in rows:
+                assert (not any(long_division_remainder(row, order))) == expected
+                assert root_sum_is_zero(np.array(row, dtype=object), order) == expected
+                if max(map(abs, row)) < 2**63:
+                    assert root_sum_is_zero(np.array(row, dtype=np.int64), order) == expected
 
     def test_rejects_wrong_shape_and_float_counts(self):
         with pytest.raises(ValueError):
-            reduce_root_counts([1, 1], 3)
+            root_sum_is_zero([1, 1], 3)
         with pytest.raises(ValueError):
-            reduce_root_counts([1.0, 1.0, 1.0], 3)
+            root_sum_is_zero(np.ones((2, 4), dtype=np.int64), 3)
+        with pytest.raises(ValueError):
+            root_sum_is_zero([1.0, 1.0, 1.0], 3)
+        with pytest.raises(ValueError):
+            root_sum_is_zero(np.ones((2, 3)), 3)
 
 
 class TestQuadraticRationalSpectrum:
@@ -492,15 +538,17 @@ class TestQuadraticRationalSpectrum:
             seq.quadratic_rational_spectrum(2, 4)
 
     def test_matches_reference_for_every_coprime_numer(self):
-        for denom in range(1, 65):
-            for numer in range(denom):
-                if math.gcd(numer, denom) != 1:
-                    continue
-                atoms = seq.quadratic_rational_spectrum(numer, denom)
-                reference = spectrum_reference(numer, denom)
-                assert set(atoms) == set(reference), (numer, denom)
-                for freq, amp in reference.items():
-                    assert abs(atoms[freq] - amp) < 1e-12, (numer, denom, freq)
+        # every coprime numer up to 64; 1 and q - 1 for q = 65..105
+        every = [(numer, denom) for denom in range(1, 65) for numer in range(denom)]
+        ends = [(numer, denom) for denom in range(65, 106) for numer in (1, denom - 1)]
+        for numer, denom in every + ends:
+            if math.gcd(numer, denom) != 1:
+                continue
+            atoms = seq.quadratic_rational_spectrum(numer, denom)
+            reference = spectrum_reference(numer, denom)
+            assert set(atoms) == set(reference), (numer, denom)
+            for freq, amp in reference.items():
+                assert abs(atoms[freq] - amp) < 1e-12, (numer, denom, freq)
 
     def test_gauss_sum_mass_and_moduli(self):
         # Gauss sums have modulus 0, sqrt(q) or sqrt(2q); a q-periodic
