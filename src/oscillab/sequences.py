@@ -12,9 +12,10 @@ sequences gather their weights from one table of the D roots of unity
 when D <= N.  A Cesaro mean at a rational frequency r/s with s <= N is
 exact in its phases too: the terms are folded by n mod a multiple of s
 (``residue_fold``), so each phase n r/s is an integer residue.
-Quadratic-phase sequences with rational parameter get their spectrum
-computed exactly via cyclotomic integer arithmetic; everything else is
-measured numerically.
+Quadratic-phase sequences with rational parameter get their spectrum in
+closed form: which Gauss sums vanish is a parity rule on integers, and
+each amplitude is a root of unity at an integer residue times one base
+sum; everything else is measured numerically.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy.fft
 import numpy.ma  # np.union1d calls np.ma.is_masked
 import numpy.random
 
-from .cyclotomic import root_sum_is_zero, root_sum_value
 
 _BLOCK = 1 << 16
 
@@ -383,13 +383,24 @@ def zero_set_scan(
 def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, complex]:
     """Exact surviving spectrum of the phases exp(2 pi i n^2 numer/denom).
 
-    Candidates are the frequencies b/denom, b = 0..denom-1 (every reduced
-    r/s with s | denom); for each, the limit of the Cesaro mean is the
-    root-of-unity sum over one period of the residues numer k^2 + b k.
-    It vanishes exactly when the count polynomial C is divisible by
-    Phi_denom, decided as x^denom - 1 | C * Psi_denom in one circulant
-    product for all denom candidates (``cyclotomic.root_sum_is_zero``).
-    Returns the non-vanishing frequencies with their limit amplitudes.
+    Candidates are the frequencies b/q, b = 0..q-1 (every reduced r/s with
+    s | q), with p = numer and q = denom; the limit of the Cesaro mean at
+    b/q is the Gauss sum A_b = (1/q) sum_k e((p k^2 + b k)/q).  Since
+    k -> k + c permutes Z/q, completing the square settles every A_b on
+    integers (Berndt, Evans and Williams, *Gauss and Jacobi Sums*, Wiley
+    1998, ch. 1).  With h = 1 when q = 2 mod 4 and h = 0 otherwise, and
+    Q(x) = p x^2 + h x:
+
+    - q odd: every b survives, c = b (2p)^-1 mod q;
+    - q = 0 mod 4: odd b vanish (k -> k + q/2 flips the sign of every
+      term), and b = 2b' survives with c = b' p^-1 mod q;
+    - q = 2 mod 4: even b vanish (by CRT the sum has the factor 1 - 1
+      mod 2), and b = 1 + 2b' survives with c = b' p^-1 mod q;
+
+    and then A_b = e(-Q(c)/q) A_h.  The base sum A_h is valued from one
+    count of the residues Q(k) mod q, so every phase is an integer residue
+    and no sum is tested for zero in floating point.  Returns the
+    surviving frequencies with their limit amplitudes.
     """
     if denom < 1:
         raise ValueError("denominator must be >= 1")
@@ -397,17 +408,24 @@ def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, comple
         raise ValueError("require 0 <= numer < denom")
     if math.gcd(numer, denom) != 1:
         raise ValueError("numer and denom must be coprime")
+    if denom * denom + denom >= 2**63:
+        raise ValueError("denominator too large for int64 residues")
+    h = int(denom % 4 == 2)
+
+    def square(x):  # Q(x) mod q, every intermediate below q^2 + q
+        return (x * x % denom * numer + h * x) % denom
+
     k = np.arange(denom, dtype=np.int64)
-    b = k[:, None]
-    # slot b*denom + (numer k^2 + b k mod denom), built in place (one q x q array)
-    slots = b * k
-    slots += numer * (k * k % denom)
-    slots %= denom
-    slots += b * denom
-    counts = np.bincount(slots.ravel(), minlength=denom * denom).reshape(denom, denom)
-    alive = np.flatnonzero(~root_sum_is_zero(counts, denom))
-    amplitudes = root_sum_value(counts[alive], denom) / denom
-    return {Fraction(int(r), denom): complex(a) for r, a in zip(alive, amplitudes)}
+    roots = np.exp(2j * np.pi * k / denom)
+    base = np.bincount(square(k), minlength=denom) @ roots / denom
+    if denom % 2:
+        b = k
+        c = k * pow(2 * numer, -1, denom) % denom
+    else:
+        b = h + 2 * k[: denom // 2]
+        c = k[: denom // 2] * pow(numer, -1, denom) % denom
+    amplitudes = roots[-square(c) % denom] * base
+    return {Fraction(int(r), denom): complex(a) for r, a in zip(b, amplitudes)}
 
 
 _BRUTE_BLOCK = 1 << 22
@@ -436,6 +454,7 @@ def quadratic_rational_cesaro(
     root-of-unity sum.  Raises if denom is so large that n^2 numer, with n
     below denom plus one block, would overflow int64.
     """
+    _check_n_terms(n_terms)
     if freq.denominator > denom or denom % freq.denominator != 0:
         raise ValueError("freq must have denominator dividing denom")
     numer %= denom

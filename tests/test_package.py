@@ -25,6 +25,14 @@ def test_no_longdouble_in_package():
     assert named == []
 
 
+def test_readme_layout_lists_every_module():
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    block = readme.split("```\nsrc/oscillab/\n", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    modules = [p.name for p in PACKAGE.glob("*.py") if p.stem not in ("__init__", "__main__")]
+    assert sorted(listed) == sorted(modules)
+
+
 def saves_state_at_powers_of_two(loop: ast.For) -> bool:
     """Whether ``loop`` assigns twice its counter, as Brent's first-repeat check does."""
     counters = {node.id for node in ast.walk(loop.target) if isinstance(node, ast.Name)}

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from conftest import cyclotomic_polynomial
 from oscillab import sequences as seq
-from oscillab.cyclotomic import cyclotomic_cofactor, root_sum_is_zero, root_sum_value
 
 ALPHA = math.sqrt(2.0) - 1.0
 
@@ -396,28 +396,6 @@ def long_division_remainder(counts, order):
     return rem[:deg]
 
 
-def vanishing_and_moved_rows(rng, order, n_rows, scale=1):
-    """Rows scale * G * phi_order for random G of degree < order - phi(order),
-    which vanish without being full periods, and each with one count moved
-    to another slot, which cannot vanish."""
-    phi = cyclotomic_polynomial(order)
-    vanishing, moved = [], []
-    for _ in range(n_rows):
-        cofactor = [int(g) for g in rng.integers(-3, 4, size=order + 1 - len(phi))]
-        cofactor[-1] = cofactor[-1] or 1
-        row = [0] * order
-        for i, g in enumerate(cofactor):
-            for j, c in enumerate(phi):
-                row[i + j] += scale * g * c
-        vanishing.append(row)
-        src, dst = rng.choice(order, size=2, replace=False)
-        row = list(row)
-        row[src] -= 1
-        row[dst] += 1
-        moved.append(row)
-    return vanishing, moved
-
-
 def spectrum_reference(numer, denom):
     """Candidates r/s over the divisors s of denom, one long division each."""
     atoms = {}
@@ -447,77 +425,6 @@ class TestCyclotomic:
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-    def test_full_period_sums_vanish(self):
-        for q in (2, 3, 5, 8, 12):
-            assert root_sum_is_zero([1] * q, q)
-
-    def test_zero_test_matches_float(self, rng):
-        for _ in range(200):
-            q = int(rng.integers(2, 13))
-            counts = rng.integers(0, 4, size=q)
-            exact = root_sum_is_zero(list(counts), q)
-            numeric = abs(root_sum_value(list(counts), q)) < 1e-9
-            assert exact == numeric
-
-    def test_cofactor_times_phi_is_x_q_minus_1(self):
-        # 105, 165, 195, 210 and 385 have coefficients outside {-1, 0, 1}
-        for order in range(1, 421):
-            psi, phi = cyclotomic_cofactor(order), cyclotomic_polynomial(order)
-            product = [0] * (len(psi) + len(phi) - 1)
-            for i, a in enumerate(psi):
-                if a:
-                    for j, b in enumerate(phi):
-                        product[i + j] += a * b
-            assert product == [-1] + [0] * (order - 1) + [1], order
-
-    def test_rows_match_long_division(self, rng):
-        # random rows almost never vanish, so multiples of phi (vanishing,
-        # not full periods) and the same rows with one count moved are added
-        for order in (1, 2, 3, 6, 12, 15, 30, 64, 97, 105):
-            counts = rng.integers(-5, 6, size=(7, order))
-            counts[0] = 1  # the full period vanishes for order > 1
-            vanishing, moved = [[0]], [[1]]  # phi_1 = x - 1 leaves no room for G
-            if order > 1:
-                vanishing, moved = vanishing_and_moved_rows(rng, order, 5)
-            rows = np.vstack([counts, vanishing, moved])
-            decided = root_sum_is_zero(rows, order)
-            assert decided.shape == (len(rows),)
-            expected = [True] * len(vanishing) + [False] * len(moved)
-            assert list(decided[len(counts):]) == expected
-            for verdict, row in zip(decided, rows):
-                assert verdict == (not any(long_division_remainder(row, order)))
-                assert verdict == root_sum_is_zero(row, order)
-                assert verdict == root_sum_is_zero(row.astype(object), order)
-
-    @pytest.mark.parametrize("big", [2**60, 2**70])
-    @pytest.mark.parametrize("order", [3, 12, 64, 97])
-    def test_huge_counts_decided_exactly(self, big, order, rng):
-        # big + 1 rounds to big in float64, so an unguarded float product
-        # would call the second sum zero
-        full = [big] * order
-        assert root_sum_is_zero(full, order)
-        assert root_sum_is_zero(np.array(full, dtype=object), order)
-        full[order // 2] += 1
-        assert not root_sum_is_zero(full, order)
-        assert not root_sum_is_zero(np.array(full, dtype=object), order)
-        vanishing, moved = vanishing_and_moved_rows(rng, order, 3, scale=big)
-        for expected, rows in ((True, vanishing), (False, moved + [full])):
-            for row in rows:
-                assert (not any(long_division_remainder(row, order))) == expected
-                assert root_sum_is_zero(np.array(row, dtype=object), order) == expected
-                if max(map(abs, row)) < 2**63:
-                    assert root_sum_is_zero(np.array(row, dtype=np.int64), order) == expected
-
-    def test_rejects_wrong_shape_and_float_counts(self):
-        with pytest.raises(ValueError):
-            root_sum_is_zero([1, 1], 3)
-        with pytest.raises(ValueError):
-            root_sum_is_zero(np.ones((2, 4), dtype=np.int64), 3)
-        with pytest.raises(ValueError):
-            root_sum_is_zero([1.0, 1.0, 1.0], 3)
-        with pytest.raises(ValueError):
-            root_sum_is_zero(np.ones((2, 3)), 3)
 
 
 class TestQuadraticRationalSpectrum:
@@ -549,6 +456,54 @@ class TestQuadraticRationalSpectrum:
             assert set(atoms) == set(reference), (numer, denom)
             for freq, amp in reference.items():
                 assert abs(atoms[freq] - amp) < 1e-12, (numer, denom, freq)
+
+    def test_survivors_are_the_rows_phi_does_not_divide(self):
+        # every coprime p/q with q <= 128: the q count rows of each p, built
+        # by one bincount per q, long-divided all at once by phi_q in int64
+        for denom in range(1, 129):
+            numers = np.array([p for p in range(denom) if math.gcd(p, denom) == 1])
+            k = np.arange(denom, dtype=np.int64)
+            residues = (numers[:, None, None] * (k * k % denom) + k[:, None] * k) % denom
+            slots = np.arange(len(numers) * denom).reshape(-1, denom, 1) * denom + residues
+            counts = np.bincount(slots.ravel(), minlength=slots.size).reshape(-1, denom)
+            phi = np.array(cyclotomic_polynomial(denom), dtype=np.int64)
+            deg = len(phi) - 1
+            peak = int(counts.max())
+            for i in range(denom - 1, deg - 1, -1):
+                counts[:, i - deg : i + 1] -= counts[:, i, None] * phi
+                peak = max(peak, int(np.abs(counts[:, i - deg : i]).max(initial=0)))
+            # no step can wrap: each term is at most peak * (1 + max|phi|)
+            assert peak * (1 + int(np.abs(phi).max())) < 2**62, denom
+            alive = counts[:, :deg].any(axis=1).reshape(len(numers), denom)
+            for numer, row in zip(numers, alive):
+                atoms = seq.quadratic_rational_spectrum(int(numer), denom)
+                assert set(atoms) == {Fraction(int(b), denom) for b in np.flatnonzero(row)}
+
+    @pytest.mark.parametrize("denom", [65536, 65537, 65538])
+    def test_large_denominator_in_linear_memory(self, denom):
+        # a q x q count array would take 32 GiB here
+        atoms = seq.quadratic_rational_spectrum(1, denom)
+        assert len(atoms) == (denom if denom % 2 else denom // 2)
+        assert abs(sum(abs(a) ** 2 for a in atoms.values()) - 1.0) <= 1e-9
+        for amp in atoms.values():
+            assert min(abs(abs(amp) ** 2 * denom - m) for m in (1, 2)) <= 1e-9
+        keys = sorted(atoms)
+        k = np.arange(denom, dtype=np.int64)
+        for freq in (keys[0], keys[len(keys) // 3], keys[-1]):
+            b = freq.numerator * (denom // freq.denominator)
+            terms = np.exp(2j * np.pi * ((k * k + b * k) % denom) / denom)
+            direct = complex(math.fsum(terms.real), math.fsum(terms.imag)) / denom
+            assert abs(atoms[freq] - direct) <= 1e-12, freq
+
+    def test_rejects_denominator_past_int64_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large"):
+                seq.quadratic_rational_spectrum(1, 3_037_000_501)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_gauss_sum_mass_and_moduli(self):
         # Gauss sums have modulus 0, sqrt(q) or sqrt(2q); a q-periodic
@@ -592,6 +547,11 @@ class TestQuadraticRationalCesaro:
         for n in range(start + 1, start + 501):
             expected[(n * n * numer - n * shift) % denom] += 1
         assert np.array_equal(counts, expected)
+
+    @pytest.mark.parametrize("n_terms", [0, -5])
+    def test_rejects_fewer_than_one_term(self, n_terms):
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            seq.quadratic_rational_cesaro(1, 3, Fraction(0), n_terms)
 
     def test_rejects_overflowing_denominator(self):
         with pytest.raises(ValueError, match="too large"):
