@@ -32,6 +32,8 @@ from .sequences import (
 class RegistryError(KeyError):
     """Unknown registry name or bad parameter set."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 @dataclass(frozen=True)
 class RegistryEntry:

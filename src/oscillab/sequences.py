@@ -174,8 +174,12 @@ def _phase_residues(coeffs, n) -> tuple[np.ndarray, int]:
     so the sum is an integer numerator over the common denominator D.
     When D divides 2^64, Horner runs in wrapping uint64, which also wraps
     negative n exactly, and the residues are uint64; otherwise it runs in
-    Python ints and the residues are Python ints.
+    Python ints and the residues are Python ints.  A non-finite float
+    coefficient raises ``ValueError``.
     """
+    for c in coeffs:
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"phase coefficient {c} is not finite")
     fracs = [Fraction(c) for c in coeffs]
     denom = math.lcm(*(f.denominator for f in fracs))
     numers = [f.numerator * (denom // f.denominator) for f in fracs]
@@ -428,47 +432,37 @@ def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, comple
     return {Fraction(int(r), denom): complex(a) for r, a in zip(b, amplitudes)}
 
 
-_BRUTE_BLOCK = 1 << 22
-
-
-def _quadratic_residue_counts(
-    numer: int, denom: int, shift: int, start: int, stop: int
-) -> np.ndarray:
-    """How often n^2 numer - n shift is each residue mod denom, n = start+1..stop.
-
-    n is taken less a multiple of denom, which leaves every residue as it
-    is and keeps n below denom + (stop - start) in int64.
-    """
-    base = start - start % denom
-    n = np.arange(start + 1 - base, stop + 1 - base, dtype=np.int64)
-    return np.bincount((n * n * numer - n * shift) % denom, minlength=denom)
-
-
 def quadratic_rational_cesaro(
-    numer: int, denom: int, freq: Fraction, n_terms: int
+    numer: int, denom: int, freq: float | Fraction, n_terms: int
 ) -> complex:
     """Direct average of exp(2 pi i (n^2 numer/denom - n freq)), exact phases.
 
     Brute-force companion to ``quadratic_rational_spectrum``: phases are
     reduced with integer arithmetic so the only float work is the final
-    root-of-unity sum.  Raises if denom is so large that n^2 numer, with n
-    below denom plus one block, would overflow int64.
+    root-of-unity sum.  ``freq`` is a float or a ``Fraction``, read exactly
+    as the fraction it denotes; its denominator must divide denom.  The
+    residue n^2 numer - n freq denom mod denom has period denom in n, so
+    N = L denom + r terms are L copies of the residue counts of n =
+    1..denom plus the counts of n = 1..r: the work is O(min(N, denom)).
+    Raises if denom is so large that n^2 numer, with n up to min(N, denom),
+    would overflow int64.
     """
     _check_n_terms(n_terms)
+    freq = freq if isinstance(freq, Fraction) else Fraction(float(freq))
     if freq.denominator > denom or denom % freq.denominator != 0:
         raise ValueError("freq must have denominator dividing denom")
     numer %= denom
     shift = freq.numerator * (denom // freq.denominator) % denom
-    n_max = min(n_terms, denom + _BRUTE_BLOCK)
+    n_max = min(n_terms, denom)
     if n_max * n_max * numer + n_max * shift >= 1 << 63:
         raise ValueError("denominator too large for int64 residues")
-    total = KahanSum()
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    residues = (n * n * numer - n * shift) % denom
+    periods, rest = divmod(n_terms, denom)
+    counts = np.bincount(residues, minlength=denom) * periods
+    counts += np.bincount(residues[:rest], minlength=denom)
     roots = np.exp(2j * np.pi * np.arange(denom) / denom)
-    for start in range(0, n_terms, _BRUTE_BLOCK):
-        stop = min(start + _BRUTE_BLOCK, n_terms)
-        counts = _quadratic_residue_counts(numer, denom, shift, start, stop)
-        total.add(complex(np.dot(counts, roots)))
-    return total.value / n_terms
+    return complex(counts @ roots) / n_terms
 
 
 def arithmetic_subsequence_mean(

@@ -438,6 +438,17 @@ class TestRunCommand:
             "error: cannot use shift [0.4, 0.0, 0.0]: expected the form x,y"
         )
 
+    def test_registry_error_named_in_manifest_without_quotes(self, tmp_path):
+        text = open(config_path("resonant-rotation.cfg")).read()
+        cfg = tmp_path / "no-rho.cfg"
+        cfg.write_text(text.replace("flow.rho = 0.41421356237309503\n", ""))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(cfg)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["experiments"]["resonant-rotation"] == (
+            "error: flow 'rotation' missing parameters ['rho']"
+        )
+
     def test_seed_override_changes_stochastic_run(self, tmp_path):
         base, other = tmp_path / "base", tmp_path / "other"
         cfg = config_path("subnormal-quadratic-family.cfg")
@@ -599,6 +610,29 @@ class TestOtherCommands:
     def test_spectrum_bad_input_exits_two(self, extra, tmp_path, capsys):
         assert cli.main(["--out", str(tmp_path), "spectrum", *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_scan_sequence_named_without_quotes(self, tmp_path, capsys):
+        argv = ["--out", str(tmp_path), "spectrum", "--scan-sequence", "foo"]
+        assert cli.main(argv) == 2
+        known = ", ".join(sorted(registry.SEQUENCES))
+        assert capsys.readouterr().err == f"error: unknown sequence 'foo'; known: {known}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "name, params, bad",
+        [
+            ("quadratic_phase", "alpha=inf", "inf"),
+            ("quadratic_phase", "alpha=1e400", "inf"),
+            ("quadratic_phase", "alpha=nan", "nan"),
+            ("polynomial_phase", "coeffs=0,inf", "inf"),
+            ("polynomial_phase", "coeffs=0,-inf", "-inf"),
+        ],
+    )
+    def test_non_finite_phase_coefficient_exits_two(self, name, params, bad, tmp_path, capsys):
+        argv = ["--out", str(tmp_path), "spectrum", "--scan-sequence", name]
+        assert cli.main([*argv, "--scan-params", params]) == 2
+        assert capsys.readouterr().err == f"error: phase coefficient {bad} is not finite\n"
         assert not any(tmp_path.iterdir())
 
     def test_scan_params_part_not_key_value_named(self, tmp_path, capsys):

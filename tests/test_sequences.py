@@ -534,19 +534,58 @@ class TestQuadraticRationalSpectrum:
                     freq = Fraction(r, s)
                     brute = seq.quadratic_rational_cesaro(numer, denom, freq, n_terms)
                     exact = atoms.get(freq, 0j)
-                    assert abs(abs(brute) - abs(exact)) < 1e-3, (denom, freq)
+                    # N covers whole periods, so the mean is the atom itself
+                    assert abs(brute - exact) <= 1e-12, (denom, freq)
+
+
+def _reference_cesaro_sum(numer, denom, freq, ns):
+    """sum over n in ns of e((n^2 numer - n freq denom)/denom): Python-int residues, fsum."""
+    shift = int(freq * denom)
+    terms = [
+        cmath.exp(2j * math.pi * ((n * n * numer - n * shift) % denom) / denom) for n in ns
+    ]
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+REFERENCE_CASES = [
+    (95, 97, Fraction(13, 97)),
+    (1, 12, Fraction(1, 4)),
+    (3, 8, Fraction(0)),
+    (0, 1, Fraction(0)),
+]
 
 
 class TestQuadraticRationalCesaro:
-    @pytest.mark.parametrize("start", [341_589_677 - 200, 2**32 + 12_345, 2**40])
-    def test_block_residues_past_int64_squares(self, start):
-        # n^2 numer passes 2^63 from n ~ 3.1e8 when numer = 95
-        numer, denom, shift = 95, 97, 13
-        counts = seq._quadratic_residue_counts(numer, denom, shift, start, start + 500)
-        expected = np.zeros(denom, dtype=np.int64)
-        for n in range(start + 1, start + 501):
-            expected[(n * n * numer - n * shift) % denom] += 1
-        assert np.array_equal(counts, expected)
+    @pytest.mark.parametrize("numer, denom, freq", REFERENCE_CASES)
+    def test_matches_pure_python_reference(self, numer, denom, freq):
+        lengths = {1, denom - 1, denom, denom + 1, 3 * denom + 2, 1000} - {0}
+        for n_terms in sorted(lengths):
+            brute = seq.quadratic_rational_cesaro(numer, denom, freq, n_terms)
+            reference = _reference_cesaro_sum(numer, denom, freq, range(1, n_terms + 1)) / n_terms
+            assert abs(brute - reference) <= 1e-12, (numer, denom, freq, n_terms)
+
+    def test_matches_reference_past_int64_squares(self):
+        # n^2 numer passes 2^63 from n ~ 3.1e8 when numer = 95; the tail
+        # n = L q + 1..N is summed at its own (large) n
+        numer, denom, freq = 95, 97, Fraction(13, 97)
+        n_terms = 2**40 + 12_345
+        periods, rest = divmod(n_terms, denom)
+        whole = _reference_cesaro_sum(numer, denom, freq, range(1, denom + 1))
+        tail = _reference_cesaro_sum(numer, denom, freq, range(periods * denom + 1, n_terms + 1))
+        reference = (periods * whole + tail) / n_terms
+        brute = seq.quadratic_rational_cesaro(numer, denom, freq, n_terms)
+        assert abs(brute - reference) <= 1e-12
+
+    def test_float_freq_read_as_its_fraction(self):
+        assert seq.quadratic_rational_cesaro(1, 12, 0.25, 1000) == (
+            seq.quadratic_rational_cesaro(1, 12, Fraction(1, 4), 1000)
+        )
+        assert seq.quadratic_rational_cesaro(3, 8, 0, 100) == (
+            seq.quadratic_rational_cesaro(3, 8, Fraction(0), 100)
+        )
+        # 1/3 as a float has denominator 2^54
+        with pytest.raises(ValueError, match="denominator dividing denom"):
+            seq.quadratic_rational_cesaro(1, 4, 1 / 3, 100)
 
     @pytest.mark.parametrize("n_terms", [0, -5])
     def test_rejects_fewer_than_one_term(self, n_terms):
