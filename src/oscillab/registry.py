@@ -115,6 +115,8 @@ def _flow_padic_rational(p: int, precision: int, num, den) -> Flow:
 
 def _flow_shear_fiber(t: int, y: float) -> Flow:
     """The shear (x, y) -> (x + t y, y) on its invariant fiber: rotation by t y."""
+    if not math.isfinite(y):
+        raise ValueError(f"shear_fiber parameter y = {y} is not finite")
     # t y as one exact constant term, so any integer t is reduced exactly
     (angle,) = rational_phases([t * Fraction(y)], [0])
     return replace(circle.rotation_flow(float(angle)), name=f"shear_fiber(t={t}, y={y:g})")

@@ -11,7 +11,9 @@ each once (the one such reduction in the package), and the phase
 sequences gather their weights from one table of the D roots of unity
 when D <= N.  A Cesaro mean at a rational frequency r/s with s <= N is
 exact in its phases too: the terms are folded by n mod a multiple of s
-(``residue_fold``), so each phase n r/s is an integer residue.
+(``residue_fold``, one column sum in order of n), so each phase n r/s is
+an integer residue.  Weights and their growth bound are built _BLOCK
+terms at a time, so a build holds its result plus a few small chunks.
 Quadratic-phase sequences with rational parameter get their spectrum in
 closed form: which Gauss sums vanish is a parity rule on integers, and
 each amplitude is a root of unity at an integer residue times one base
@@ -30,7 +32,23 @@ import numpy.ma  # np.union1d calls np.ma.is_masked
 import numpy.random
 
 
-_BLOCK = 1 << 16
+# terms per chunk: a complex chunk is 64 KiB, below glibc's 128 KiB mmap
+# threshold, so chunk scratch is reused from the heap, not faulted in
+_BLOCK = 1 << 12
+
+
+def _blocks(n_terms: int):
+    """(start, stop) of each chunk of _BLOCK indices in 0..n_terms."""
+    return ((start, min(start + _BLOCK, n_terms)) for start in range(0, n_terms, _BLOCK))
+
+
+def _fill_exp_phases(out: np.ndarray, phases_of) -> np.ndarray:
+    """out[k] = exp(2 pi i phases_of(start, stop)[k - start]), chunk by chunk."""
+    for start, stop in _blocks(len(out)):
+        chunk = out[start:stop]
+        np.multiply(2j * np.pi, phases_of(start, stop), out=chunk)
+        np.exp(chunk, out=chunk)
+    return out
 
 
 class KahanSum:
@@ -54,10 +72,26 @@ class KahanSum:
 
 
 def prefix_growth_bound(values: np.ndarray, growth_exponent: float) -> float:
-    """sup over prefixes N of ((1/N) sum_{n<=N} |c_n|^exponent)^(1/exponent)."""
-    mags = np.abs(values) ** growth_exponent
-    prefix = np.cumsum(mags) / np.arange(1, len(values) + 1)
-    return float(np.max(prefix) ** (1.0 / growth_exponent))
+    """sup over prefixes N of ((1/N) sum_{n<=N} |c_n|^exponent)^(1/exponent).
+
+    Runs chunk by chunk, and raises ``ValueError`` at a non-finite value.
+    The running sum enters each chunk's cumsum as its first addend, so
+    every prefix sum is the one a single cumsum over all values adds.
+    """
+    total = best = 0.0
+    for start, stop in _blocks(len(values)):
+        chunk = values[start:stop]
+        prefix = np.abs(chunk) ** growth_exponent
+        prefix[0] += total
+        np.cumsum(prefix, out=prefix)
+        total = prefix[-1]
+        # a non-finite value makes the running sum inf or nan; an overflow
+        # of finite ones makes it inf too, hence the exact check
+        if not math.isfinite(total) and not np.isfinite(chunk).all():
+            raise ValueError("weight values must be finite")
+        prefix /= np.arange(start + 1, stop + 1)
+        best = max(best, prefix.max())
+    return float(best ** (1.0 / growth_exponent))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +99,8 @@ class WeightSequence:
     """Complex weights c_1..c_N plus their averaged-growth metadata.
 
     ``growth_bound`` is recomputed from the stored values on construction,
-    so it is always the exact prefix supremum for ``growth_exponent``.
+    so it is always the exact prefix supremum for ``growth_exponent``; the
+    same pass refuses non-finite values.
     """
 
     name: str
@@ -77,8 +112,6 @@ class WeightSequence:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.ndim != 1 or len(values) < 1:
             raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("weight values must be finite")
         if not self.growth_exponent > 1.0:
             raise ValueError("growth_exponent must be > 1")
         object.__setattr__(self, "values", values)
@@ -167,15 +200,13 @@ def liouville_sequence(n_terms: int) -> WeightSequence:
 # ----------------------------------------------------------------------
 # phase sequences
 
-def _phase_residues(coeffs, n) -> tuple[np.ndarray, int]:
-    """(D sum_k coeffs[k] n^k mod D, D) for an integer array ``n``.
+def _phase_numerators(coeffs) -> tuple[list, int]:
+    """P's coefficients as numerators over their common denominator D.
 
-    Each coefficient is read as a ``Fraction`` (exact for a float m/2^e),
-    so the sum is an integer numerator over the common denominator D.
-    When D divides 2^64, Horner runs in wrapping uint64, which also wraps
-    negative n exactly, and the residues are uint64; otherwise it runs in
-    Python ints and the residues are Python ints.  A non-finite float
-    coefficient raises ``ValueError``.
+    Each coefficient is read as a ``Fraction`` (exact for a float m/2^e).
+    When D divides 2^64 the numerators are uint64, reduced mod 2^64;
+    otherwise they are Python ints.  A non-finite float coefficient raises
+    ``ValueError``.
     """
     for c in coeffs:
         if isinstance(c, float) and not math.isfinite(c):
@@ -183,22 +214,31 @@ def _phase_residues(coeffs, n) -> tuple[np.ndarray, int]:
     fracs = [Fraction(c) for c in coeffs]
     denom = math.lcm(*(f.denominator for f in fracs))
     numers = [f.numerator * (denom // f.denominator) for f in fracs]
+    if (1 << 64) % denom == 0:
+        numers = [np.uint64(c % (1 << 64)) for c in numers]
+    return numers, denom
+
+
+def _phase_residues(numers: list, denom: int, n) -> np.ndarray:
+    """D P(n) mod D for an integer array ``n``, from ``_phase_numerators``.
+
+    When D divides 2^64, Horner runs in wrapping uint64, which also wraps
+    negative n exactly, and the residues are uint64; otherwise it runs in
+    Python ints and the residues are Python ints.
+    """
     n = np.asarray(n, dtype=np.int64)
     dyadic = (1 << 64) % denom == 0
-    if dyadic:
-        x = n.view(np.uint64)
-        numers = [np.uint64(c % (1 << 64)) for c in numers]
-    else:
-        x = n.astype(object)
+    x = n.view(np.uint64) if dyadic else n.astype(object)
     acc = np.zeros(x.shape, dtype=x.dtype)
     for c in reversed(numers):
         acc *= x
-        acc += c
+        if c:
+            acc += c
     if dyadic:
         acc &= np.uint64(denom - 1)
     else:
         acc %= denom
-    return acc, denom
+    return acc
 
 
 def _round_phases(residues: np.ndarray, denom: int) -> np.ndarray:
@@ -220,23 +260,34 @@ def rational_phases(coeffs, n) -> np.ndarray:
     reduced as an integer residue over the common denominator D and
     rounded once, on any platform and for any n in int64.
     """
-    return _round_phases(*_phase_residues(coeffs, n))
+    numers, denom = _phase_numerators(coeffs)
+    return _round_phases(_phase_residues(numers, denom, n), denom)
 
 
 def _phase_weights(name: str, coeffs, n_terms: int) -> WeightSequence:
     """exp(2 pi i P(n)) for n = 1..n_terms, P's coefficients ascending.
 
-    When P's denominator D is at most n_terms, the D roots of unity are
-    computed once and gathered by residue.  Each root is exp of its phase
-    rounded as ``rational_phases`` rounds it, so the weights are the same
-    bits as exp of every phase, which is what a larger D computes.
+    The weights are written chunk by chunk into one array.  When P's
+    denominator D is at most n_terms, the D roots of unity are computed
+    once and gathered by residue.  Each root is exp of its phase rounded
+    as ``rational_phases`` rounds it, so the weights are the same bits as
+    exp of every phase, which is what a larger D computes.
     """
-    residues, denom = _phase_residues(coeffs, np.arange(1, n_terms + 1))
+    numers, denom = _phase_numerators(coeffs)
+
+    def residues(start, stop):
+        return _phase_residues(numers, denom, np.arange(start + 1, stop + 1))
+
+    values = np.empty(n_terms, dtype=np.complex128)
     if denom <= n_terms:
-        roots = np.exp(2j * np.pi * (np.arange(denom) / denom))
-        values = roots[residues.astype(np.intp)]
+        roots = np.empty(denom, dtype=np.complex128)
+        _fill_exp_phases(roots, lambda a, b: np.arange(a, b) / denom)
+        for start, stop in _blocks(n_terms):
+            # every residue is in 0..D-1: "clip" skips take's checked copy
+            index = residues(start, stop).astype(np.intp)
+            np.take(roots, index, out=values[start:stop], mode="clip")
     else:
-        values = np.exp(2j * np.pi * _round_phases(residues, denom))
+        _fill_exp_phases(values, lambda a, b: _round_phases(residues(a, b), denom))
     return WeightSequence(name, values, 2.0)
 
 
@@ -255,9 +306,13 @@ def nlogn_phase_sequence(n_terms: int, c: float) -> WeightSequence:
     """exp(2 pi i c n log n)."""
     _check_n_terms(n_terms)
     c = float(c)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    phases = np.mod(c * n * np.log(n), 1.0)
-    return WeightSequence(f"n_log_n(c={c:g})", np.exp(2j * np.pi * phases), 2.0)
+
+    def phases(start, stop):
+        n = np.arange(start + 1, stop + 1, dtype=np.float64)
+        return np.mod(c * n * np.log(n), 1.0)
+
+    values = _fill_exp_phases(np.empty(n_terms, dtype=np.complex128), phases)
+    return WeightSequence(f"n_log_n(c={c:g})", values, 2.0)
 
 
 def polynomial_phase_sequence(n_terms: int, coeffs) -> WeightSequence:
@@ -271,10 +326,11 @@ def subnormal_sequence(tau: float, n_terms: int, seed: int) -> WeightSequence:
     """Random weights n^tau * xi_n with fair-coin signs xi_n from ``seed``."""
     if not 0.0 < tau < 0.5:
         raise ValueError("tau must lie in (0, 1/2)")
-    rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=n_terms) * 2 - 1
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    values = (n**tau * signs).astype(np.complex128)
+    coins = np.random.default_rng(seed).integers(0, 2, size=n_terms)
+    values = np.empty(n_terms, dtype=np.complex128)
+    for start, stop in _blocks(n_terms):
+        n = np.arange(start + 1, stop + 1, dtype=np.float64)
+        values[start:stop] = n**tau * (coins[start:stop] * 2 - 1)
     return WeightSequence(f"subnormal(tau={tau:g}, seed={seed})", values, 2.0)
 
 
@@ -289,10 +345,12 @@ def cesaro_mean(
     ``freq`` is a float or a ``Fraction``, read exactly as the fraction
     r/s it denotes.  When s <= N, the phases n r/s are exact integer
     residues: the terms are folded by n mod a multiple of s
-    (``residue_fold``), the folds of each class k mod s are added, and the
-    s sums meet the s roots exp(-2 pi i (r k mod s)/s).  A larger s (a
+    (``residue_fold``, one column sum in order of n), the folds of each
+    class k mod s are added, and the s sums meet the s roots
+    exp(-2 pi i (r k mod s)/s).  A larger s (a
     float irrational, or 1/3 as a float, whose denominator is 2^54) takes
-    the float phases n freq, summed block by block with compensation.
+    the float phases n freq, summed _BLOCK terms at a time with
+    compensation.
     """
     n_total = len(weights)
     if n_terms is None:
@@ -311,8 +369,7 @@ def cesaro_mean(
         return complex(folds @ np.exp(-2j * np.pi * (residues / s))) / n_terms
     freq = float(freq)
     acc = KahanSum()
-    for start in range(0, n_terms, _BLOCK):
-        stop = min(start + _BLOCK, n_terms)
+    for start, stop in _blocks(n_terms):
         n = np.arange(start + 1, stop + 1, dtype=np.float64)
         block = weights.values[start:stop] * np.exp((-2j * np.pi * freq) * n)
         acc.add(complex(block.sum()))
@@ -330,16 +387,18 @@ def residue_fold(values: np.ndarray, m: int) -> np.ndarray:
     k j/m), an exact integer residue, so a sum of the c_n against any
     frequency j/m is a sum over the m folds: ``cesaro_mean`` at r/s takes
     one dot product with s roots, and ``zero_set_scan`` one FFT for every
-    j/m at once.  Each fold is summed in order of n, block by block.
+    j/m at once.  The folds are one column sum of the (len // m, m) view
+    of the values in order of n (numpy sums pairwise when m = 1), plus the
+    last len % m values; column j holds n = j + 1 (mod m), so the sums are
+    rolled by one.  The result is complex; for contiguous values nothing
+    longer than m is allocated.
     """
-    fold_re = np.zeros(m)
-    fold_im = np.zeros(m)
-    for start in range(0, len(values), _BLOCK):
-        block = values[start : start + _BLOCK]
-        residues = np.arange(start + 1, start + 1 + len(block)) % m
-        fold_re += np.bincount(residues, weights=block.real, minlength=m)
-        fold_im += np.bincount(residues, weights=block.imag, minlength=m)
-    return fold_re + 1j * fold_im
+    if m < 1:
+        raise ValueError(f"fold modulus m must be >= 1, got {m}")
+    rows = len(values) // m
+    folds = values[: rows * m].reshape(rows, m).sum(axis=0, dtype=np.complex128)
+    folds[: len(values) - rows * m] += values[rows * m :]
+    return np.roll(folds, 1)
 
 
 def zero_set_scan(
@@ -352,9 +411,10 @@ def zero_set_scan(
     The uniform grid j/grid_size is augmented with all rationals of
     denominator <= 8, since surviving spectra sit at low-denominator
     rationals.  Every grid point is k/grid_size or k/840, so the means come
-    from two residue folds of c_n, by n mod grid_size and n mod 840, each
-    followed by one FFT: the phases n k/m are exact integer residues, and
-    the whole scan costs O(N + G log G) for N terms and grid size G.
+    from two residue folds of c_n, by n mod grid_size and n mod 840 (each
+    one column sum in order of n), each followed by one FFT: the phases
+    n k/m are exact integer residues, and the whole scan costs
+    O(N + G log G) for N terms and grid size G.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")

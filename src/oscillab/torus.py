@@ -288,6 +288,8 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     """
     if np.shape(shift) != (2,):
         raise ValueError(f"cannot use shift {np.ravel(shift).tolist()}: expected the form x,y")
+    if not np.all(np.isfinite(shift)):
+        raise ValueError(f"cannot use shift {list(map(float, shift))}: coordinates must be finite")
     shift = torus_reduce(shift)
     a, b, c, d = matrix.a, matrix.b, matrix.c, matrix.d
     sx, sy = float(shift[0]), float(shift[1])

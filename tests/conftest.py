@@ -84,3 +84,10 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     if any(num):
         raise ArithmeticError("non-zero remainder in exact polynomial division")
     return out
+
+
+def reference_growth_bound(values, growth_exponent):
+    """The prefix-supremum growth bound as one cumsum over all values."""
+    mags = np.abs(values) ** growth_exponent
+    prefix = np.cumsum(mags) / np.arange(1, len(values) + 1)
+    return float(np.max(prefix) ** (1.0 / growth_exponent))

@@ -135,6 +135,14 @@ class TestRegistry:
         with pytest.raises(ValueError, match=re.escape(f"shift {named}: expected the form x,y")):
             registry.build_flow("torus_affine", params)
 
+    @pytest.mark.parametrize(
+        "raw, named", [("inf,0", "[inf, 0.0]"), ("0,nan", "[0.0, nan]"), ("-inf,inf", "[-inf, inf]")]
+    )
+    def test_torus_affine_shift_must_be_finite(self, raw, named):
+        params = {"matrix": "1,0;1,1", "shift": raw}
+        with pytest.raises(ValueError, match=re.escape(f"shift {named}: coordinates must be finite")):
+            registry.build_flow("torus_affine", params)
+
     # each bundled config's start, as its flow's parser reads it
     @pytest.mark.parametrize(
         "config, want",

@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cyclotomic_polynomial
+from conftest import cyclotomic_polynomial, reference_growth_bound
 from oscillab import sequences as seq
 
 ALPHA = math.sqrt(2.0) - 1.0
+CHUNK = seq._BLOCK
 
 
 def brute_mobius(n):
@@ -129,6 +130,32 @@ class TestWeightSequence:
             for t in (0.0, 0.3, ALPHA):
                 assert abs(seq.cesaro_mean(w, t)) <= w.growth_bound + 1e-9
 
+    @pytest.mark.parametrize("n_terms", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK - 1, 3 * CHUNK + 1])
+    @pytest.mark.parametrize("exponent", [2.0, 1.5, 3.0])
+    def test_chunked_bound_is_the_one_cumsum_bound(self, rng, n_terms, exponent):
+        # growing magnitudes put the prefix maximum at N, in the last chunk
+        ramp = np.arange(1, n_terms + 1) * (1.0 + 0.1 * rng.random(n_terms))
+        values = ramp * np.exp(2j * np.pi * rng.random(n_terms))
+        prefix = np.cumsum(np.abs(values) ** exponent) / np.arange(1, n_terms + 1)
+        assert np.argmax(prefix) == n_terms - 1
+        want = reference_growth_bound(values, exponent)
+        assert seq.prefix_growth_bound(values, exponent) == want
+        assert seq.WeightSequence("ramp", values, exponent).growth_bound == want
+
+    @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, 2 * CHUNK + 5])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_rejects_non_finite_in_any_chunk(self, at, bad):
+        values = np.ones(3 * CHUNK, dtype=complex)
+        values[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            seq.WeightSequence("bad", values, 2.0)
+
+    def test_overflowing_finite_values_have_an_infinite_bound(self):
+        values = np.ones(2 * CHUNK, dtype=complex)
+        values[3] = 1e200
+        with np.errstate(over="ignore"):
+            assert seq.WeightSequence("huge", values, 2.0).growth_bound == math.inf
+
 
 class TestPhaseSequences:
     def test_quadratic_zero_alpha(self):
@@ -214,6 +241,43 @@ class TestRationalPhases:
         phases = [exact_phase([0, 0, alpha], n) for n in range(1, 3001)]
         assert np.array_equal(w.values, np.exp(2j * np.pi * np.array(phases)))
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [0, 0, Fraction(1, 64)],  # dyadic D <= N: the root table
+            [0, 0, 0.25],
+            [0.1, ALPHA, -0.0131, 0.07],  # dyadic D > N: exp of every phase
+            [0, 0, Fraction(5, 97)],  # non-dyadic D <= N: Python-int residues
+            [0, 0, Fraction(5, 100_003)],  # non-dyadic D > N
+        ],
+    )
+    @pytest.mark.parametrize("n_terms", [CHUNK - 1, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 7])
+    def test_chunked_weights_are_exp_of_phases(self, coeffs, n_terms):
+        w = seq.polynomial_phase_sequence(n_terms, coeffs)
+        phases = seq.rational_phases(coeffs, np.arange(1, n_terms + 1))
+        assert w.values.tobytes() == np.exp(2j * np.pi * phases).tobytes()
+        assert w.growth_bound == reference_growth_bound(w.values, 2.0)
+
+    def test_chunked_nlogn_and_subnormal_match_one_shot(self):
+        n_terms = 2 * CHUNK + 3
+        n = np.arange(1, n_terms + 1, dtype=np.float64)
+        nlogn = np.exp(2j * np.pi * np.mod(0.7 * n * np.log(n), 1.0))
+        assert seq.nlogn_phase_sequence(n_terms, 0.7).values.tobytes() == nlogn.tobytes()
+        signs = np.random.default_rng(5).integers(0, 2, size=n_terms) * 2 - 1
+        subnormal = (n**0.3 * signs).astype(np.complex128)
+        got = seq.subnormal_sequence(0.3, n_terms, seed=5).values
+        assert got.tobytes() == subnormal.tobytes()
+
+    def test_build_holds_its_result_plus_chunks(self):
+        seq.quadratic_phase_sequence(CHUNK, 0.25)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            w = seq.quadratic_phase_sequence(2**17, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.values.nbytes + (512 << 10)
+
 
 class TestSubnormal:
     def test_magnitudes_exact(self):
@@ -297,6 +361,57 @@ class TestCesaroMean:
         assert seq.cesaro_mean(w, Fraction(3, 4)) == seq.cesaro_mean(w, 0.75)
         # a denominator above N takes the float phases of float(freq)
         assert seq.cesaro_mean(w, Fraction(1, 3), 2) == seq.cesaro_mean(w, 1 / 3, 2)
+
+
+def fsum_folds(values, m):
+    """F_k = the sum of values[n - 1] over n = k mod m, by one fsum per class."""
+    classes = [values[(k - 1) % m :: m] for k in range(m)]
+    return np.array([complex(math.fsum(c.real), math.fsum(c.imag)) for c in classes])
+
+
+class TestResidueFold:
+    @pytest.mark.parametrize(
+        "n_terms, m",
+        [
+            (1000, 7),  # m does not divide N
+            (1001, 7),  # it does
+            (5, 9),  # m > N
+            (1, 1),
+            (777, 1),
+            (3 * CHUNK + 5, 512),  # N across several chunks
+            (3 * CHUNK + 5, 840),
+            (3 * CHUNK + 5, 2),
+        ],
+    )
+    def test_matches_fsum_per_class(self, rng, n_terms, m):
+        values = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+        folds = seq.residue_fold(values, m)
+        assert folds.shape == (m,)
+        assert folds.dtype == np.complex128
+        tol = 1e-13 * np.sum(np.abs(values))
+        assert np.max(np.abs(folds - fsum_folds(values, m))) <= tol
+
+    def test_real_values_give_complex_folds(self):
+        folds = seq.residue_fold(np.arange(1.0, 11.0), 4)
+        assert folds.dtype == np.complex128
+        assert folds.tolist() == [4 + 8 + 0j, 1 + 5 + 9 + 0j, 2 + 6 + 10 + 0j, 3 + 7 + 0j]
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_modulus_below_one(self, m):
+        with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+            seq.residue_fold(np.ones(10, dtype=complex), m)
+
+    def test_fold_and_mean_allocate_no_copy_of_the_weights(self):
+        w = seq.quadratic_phase_sequence(2**17, 0.25)
+        seq.cesaro_mean(w, 0.25)  # warm numpy's caches
+        for call in (lambda: seq.residue_fold(w.values, 512), lambda: seq.cesaro_mean(w, 0.25)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 256 << 10
 
 
 class TestZeroSetScan:

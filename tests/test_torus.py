@@ -192,6 +192,11 @@ class TestShearFiber:
     def test_named_after_the_shear(self):
         assert shear_fiber(1, ALPHA).name == "shear_fiber(t=1, y=0.414214)"
 
+    @pytest.mark.parametrize("y", ["inf", "-inf", "nan"])
+    def test_non_finite_height_rejected(self, y):
+        with pytest.raises(ValueError, match=f"parameter y = {y} is not finite"):
+            shear_fiber(1, y)
+
     def test_period_two_fiber(self):
         flow = shear_fiber(2, 0.25)
         x = flow.step(flow.step(0.1))
