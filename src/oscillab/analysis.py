@@ -84,9 +84,10 @@ def weighted_birkhoff(
     """Stream (1/N) sum c_n f(T^n x) and classify its decay.
 
     The verdict fits the slope of log |S_N| against log N over the last
-    half of the checkpoints: clearly negative slope with a small final
-    level reads 'decaying', a flat tail reads 'stagnant', anything else is
-    'inconclusive'.
+    half of the checkpoints and compares the final |S_N| with the floor
+    DECAY_FINAL_LEVEL * growth_bound * sup |f| on the orbit: a clearly
+    negative slope below the floor reads 'decaying', a flat tail at or
+    above it reads 'stagnant', anything else is 'inconclusive'.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(len(weights))
@@ -116,12 +117,11 @@ def weighted_birkhoff(
         lo += len(block)
     slope = _fit_tail_slope(recorded)
     final_mag = abs(recorded[-1][1])
-    if slope < DECAY_SLOPE and final_mag < DECAY_FINAL_LEVEL * weights.growth_bound * max(
-        sup_observed, 1e-300
-    ):
+    floor = DECAY_FINAL_LEVEL * weights.growth_bound * max(sup_observed, 1e-300)
+    if slope < DECAY_SLOPE and final_mag < floor:
         verdict = "decaying"
         limit = None
-    elif slope > STAGNANT_SLOPE:
+    elif slope > STAGNANT_SLOPE and final_mag >= floor:
         verdict = "stagnant"
         limit = recorded[-1][1]
     else:

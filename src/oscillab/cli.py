@@ -4,7 +4,9 @@ Subcommands: ``run`` (execute experiments from a config file), ``list``
 (registry table), ``cascade``, ``denjoy``, ``spectrum``, ``coding``,
 ``normal-form``.
 Reports are JSON plus a CSV mirror, written atomically; identical config
-and seed reproduce byte-identical outputs.
+and seed reproduce byte-identical outputs.  ``main`` reports every
+subcommand's bad input on stderr, as ``error: ...`` or ``config error: ...``,
+with exit status 2.
 """
 
 from __future__ import annotations
@@ -161,25 +163,21 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_output(out_dir: str, name: str | None, text: str) -> int:
+def _write_output(out_dir: str, name: str | None, text: str) -> None:
     """Write ``text`` to the file ``name`` inside ``out_dir``, or to stdout.
 
-    A name that would leave ``out_dir`` is an error (exit status 2);
-    ``out_dir`` is created if needed.
+    A name that would leave ``out_dir`` raises ``ValueError``; ``out_dir``
+    is created if needed.
     """
     if not name:
         sys.stdout.write(text)
-        return 0
+        return
     if not _is_file_name(name):
-        print(
-            f"error: --out-file {name!r} must not be '.', '..' "
-            f"or contain a path separator",
-            file=sys.stderr,
+        raise ValueError(
+            f"--out-file {name!r} must not be '.', '..' or contain a path separator"
         )
-        return 2
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, name), text)
-    return 0
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -203,14 +201,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def cmd_run(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = args.out
-    try:
-        experiments = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    experiments = parse_config(args.config)
     os.makedirs(out_dir, exist_ok=True)
     if args.seed is not None:
         experiments = [
@@ -254,11 +247,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    try:
-        result = interval.cascade(args.depth)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = interval.cascade(args.depth)
     params = result.parameters
     ratios = result.ratios()
     lines = ["n,t_n,ratio"]
@@ -266,63 +255,48 @@ def cmd_cascade(args) -> int:
     for i, t_n in enumerate(params, start=1):
         ratio = f"{ratios[i - 1]:.17g}" if i - 1 < len(ratios) else ""
         lines.append(f"{i},{t_n:.17g},{ratio}")
-    return _write_output(args.out, args.out_file, "\n".join(lines) + "\n")
+    _write_output(args.out, args.out_file, "\n".join(lines) + "\n")
+    return 0
 
 
 def cmd_denjoy(args) -> int:
-    try:
-        denjoy = circle.build_denjoy(args.rho, args.trunc)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    denjoy = circle.build_denjoy(args.rho, args.trunc)
     name = args.out_file or "denjoy_gap_table.csv"
-    status = _write_output(args.out, name, circle.gap_table_csv(denjoy))
-    if status == 0:
-        print(
-            f"gap table written to {os.path.join(args.out, name)} (tail mass "
-            f"{denjoy.tail_mass:.3g}, rotation number target {args.rho:.12g})"
-        )
-    return status
+    _write_output(args.out, name, circle.gap_table_csv(denjoy))
+    print(
+        f"gap table written to {os.path.join(args.out, name)} (tail mass "
+        f"{denjoy.tail_mass:.3g}, rotation number target {args.rho:.12g})"
+    )
+    return 0
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        if args.scan_sequence:
-            params = {}
-            for part in filter(None, (args.scan_params or "").split(";")):
-                key, sep, value = part.partition("=")
-                if not sep:
-                    raise ValueError(f"--scan-params part {part!r} is not key=value")
-                params[key] = value
-            weights = registry.build_sequence(
-                args.scan_sequence, params, args.n, seed=args.seed
+    if args.scan_sequence:
+        params = {}
+        for part in filter(None, (args.scan_params or "").split(";")):
+            key, sep, value = part.partition("=")
+            if not sep:
+                raise ValueError(f"--scan-params part {part!r} is not key=value")
+            params[key] = value
+        weights = registry.build_sequence(args.scan_sequence, params, args.n, seed=args.seed)
+        report = sequences.zero_set_scan(weights, grid_size=args.grid, n_terms=args.n)
+        text = sequences.spectrum_csv(report)
+    else:
+        atoms = sequences.quadratic_rational_spectrum(args.p, args.q)
+        lines = ["r,s,re_amp,im_amp,abs_amp"]
+        for frac in sorted(atoms):
+            amp = atoms[frac]
+            lines.append(
+                f"{frac.numerator},{frac.denominator},{amp.real:.17g},"
+                f"{amp.imag:.17g},{abs(amp):.17g}"
             )
-            report = sequences.zero_set_scan(
-                weights, grid_size=args.grid, n_terms=args.n
-            )
-            text = sequences.spectrum_csv(report)
-        else:
-            atoms = sequences.quadratic_rational_spectrum(args.p, args.q)
-            lines = ["r,s,re_amp,im_amp,abs_amp"]
-            for frac in sorted(atoms):
-                amp = atoms[frac]
-                lines.append(
-                    f"{frac.numerator},{frac.denominator},{amp.real:.17g},"
-                    f"{amp.imag:.17g},{abs(amp):.17g}"
-                )
-            text = "\n".join(lines) + "\n"
-    except (ValueError, registry.RegistryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _write_output(args.out, args.out_file, text)
+        text = "\n".join(lines) + "\n"
+    _write_output(args.out, args.out_file, text)
+    return 0
 
 
 def cmd_coding(args) -> int:
-    try:
-        report = interval.attractor_coding(args.t, args.depth)
-    except (ValueError, interval.CycleNotFound, interval.CodingAmbiguous) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = interval.attractor_coding(args.t, args.depth)
     lines = ["word,image_word"]
     for word in sorted(report.word_map):
         image = report.word_map[word]
@@ -330,16 +304,13 @@ def cmd_coding(args) -> int:
             "".join(map(str, word)) + "," + "".join(map(str, image))
         )
     lines.append(f"# adding_machine = {report.is_adding_machine}")
-    return _write_output(args.out, args.out_file, "\n".join(lines) + "\n")
+    _write_output(args.out, args.out_file, "\n".join(lines) + "\n")
+    return 0
 
 
 def cmd_normal_form(args) -> int:
-    try:
-        matrix = torus.ModularMatrix.from_string(args.matrix)
-        result = torus.normal_form(matrix)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    matrix = torus.ModularMatrix.from_string(args.matrix)
+    result = torus.normal_form(matrix)
     print(f"matrix  = {matrix}")
     print(f"basis P = {result.basis}")
     print(f"t       = {result.t}")
@@ -409,10 +380,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input is reported on stderr with status 2."""
     args = build_parser().parse_args(argv)
     if args.out is None:
         args.out = os.environ.get(OUTPUT_ENV_VAR, ".")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # a ValueError, so it is caught first
+        print(f"config error: {exc}", file=sys.stderr)
+    except (
+        ValueError,
+        ArithmeticError,
+        registry.RegistryError,
+        interval.CycleNotFound,
+        interval.CodingAmbiguous,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 A flow bundles a step map, a metric and, optionally, a sampler and a
 start-point parser over an opaque state type; each state space's module
 builds its flows, and ``parse_pair`` reads the ``x,y`` start of the
-two-coordinate ones.  Flows are stateless, and only the orbit streams of
-this module step them: ``orbit`` lists points, the observable stream
-yields f(T^k x) in numpy blocks, and ``orbit_distance_trace`` is the pair
-stream d(T^k x, T^k z).  Averages of an observable along arbitrarily long runs
+two-coordinate ones.  Flows are stateless.  The orbit streams of this
+module step them: ``orbit`` lists points, the observable stream yields
+f(T^k x) in numpy blocks, and ``orbit_distance_trace`` is the pair stream
+d(T^k x, T^k z).  Outside them, ``interval.basin_probe`` calls a flow's
+``block`` itself, and the interval cycle finders step their maps directly.
+Averages of an observable along arbitrarily long runs
 still need only O(block) memory; a distance trace holds one float per
 step.
 

@@ -326,11 +326,13 @@ def subnormal_sequence(tau: float, n_terms: int, seed: int) -> WeightSequence:
     """Random weights n^tau * xi_n with fair-coin signs xi_n from ``seed``."""
     if not 0.0 < tau < 0.5:
         raise ValueError("tau must lie in (0, 1/2)")
-    coins = np.random.default_rng(seed).integers(0, 2, size=n_terms)
+    rng = np.random.default_rng(seed)
     values = np.empty(n_terms, dtype=np.complex128)
     for start, stop in _blocks(n_terms):
+        # chunked draws continue one stream: the same coins as one draw of N
+        coins = rng.integers(0, 2, size=stop - start)
         n = np.arange(start + 1, stop + 1, dtype=np.float64)
-        values[start:stop] = n**tau * (coins[start:stop] * 2 - 1)
+        values[start:stop] = n**tau * (coins * 2 - 1)
     return WeightSequence(f"subnormal(tau={tau:g}, seed={seed})", values, 2.0)
 
 
@@ -348,8 +350,9 @@ def cesaro_mean(
     (``residue_fold``, one column sum in order of n), the folds of each
     class k mod s are added, and the s sums meet the s roots
     exp(-2 pi i (r k mod s)/s).  A larger s (a
-    float irrational, or 1/3 as a float, whose denominator is 2^54) takes
-    the float phases n freq, summed _BLOCK terms at a time with
+    float irrational, or 1/3 as a float, whose denominator is 2^54) reads
+    ``float(freq)``; its phases n freq are reduced mod 1 exactly
+    (``rational_phases``) and summed _BLOCK terms at a time with
     compensation.
     """
     n_total = len(weights)
@@ -367,11 +370,11 @@ def cesaro_mean(
         folds = residue_fold(weights.values[:n_terms], width).reshape(-1, s).sum(axis=0)
         residues = (exact.numerator % s) * np.arange(s) % s
         return complex(folds @ np.exp(-2j * np.pi * (residues / s))) / n_terms
-    freq = float(freq)
+    coeffs = [0, float(freq)]
     acc = KahanSum()
     for start, stop in _blocks(n_terms):
-        n = np.arange(start + 1, stop + 1, dtype=np.float64)
-        block = weights.values[start:stop] * np.exp((-2j * np.pi * freq) * n)
+        phases = rational_phases(coeffs, np.arange(start + 1, stop + 1))
+        block = weights.values[start:stop] * np.exp(-2j * np.pi * phases)
         acc.add(complex(block.sum()))
     return acc.value / n_terms
 
@@ -555,20 +558,21 @@ def _validate_character(chi: np.ndarray) -> int:
     q = len(chi)
     if q < 1:
         raise ValueError("character table must be non-empty")
-    for n in range(q):
-        coprime = math.gcd(n if n else q, q) == 1
-        mag = abs(chi[n % q])
-        if coprime and abs(mag - 1.0) > 1e-12:
-            raise ValueError(f"character must be unimodular on units (n={n})")
-        if not coprime and mag > 1e-12:
-            raise ValueError(f"character must vanish off units (n={n})")
+    n = np.arange(q)
+    units = np.gcd(n, q) == 1
+    mags = np.abs(chi)
+    bad = np.where(units, np.abs(mags - 1.0) > 1e-12, mags > 1e-12)
+    if bad.any():
+        first = int(np.argmax(bad))
+        rule = "be unimodular on units" if units[first] else "vanish off units"
+        raise ValueError(f"character must {rule} (n={first})")
     if abs(chi[1 % q] - 1.0) > 1e-12:
         raise ValueError("character must satisfy chi(1) = 1")
-    if q <= 512:
-        for m in range(q):
-            for n in range(q):
-                if abs(chi[(m * n) % q] - chi[m] * chi[n]) > 1e-9:
-                    raise ValueError("character table is not multiplicative")
+    # a row m off the units is within 2e-12 of 0 throughout, so only unit
+    # rows can break chi(mn) = chi(m) chi(n); one row at a time is O(q) memory
+    for m in np.flatnonzero(units):
+        if (np.abs(chi[m * n % q] - chi[m] * chi) > 1e-9).any():
+            raise ValueError("character table is not multiplicative")
     return q
 
 

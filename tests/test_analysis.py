@@ -51,6 +51,18 @@ class TestWeightedBirkhoff:
         assert report.verdict == "decaying"
         assert abs(report.final_value()) < 0.05
 
+    @pytest.mark.parametrize(
+        "n_terms, verdict",
+        [(200, "decaying"), (500, "inconclusive"), (700, "inconclusive"),
+         (1000, "inconclusive"), (1500, "decaying")],
+    )
+    def test_stagnant_only_at_or_above_the_floor(self, n_terms, verdict):
+        # at N = 500..1000 the tail rises, but |S_N| ends at 0.035-0.041,
+        # below the floor DECAY_FINAL_LEVEL * growth_bound * sup |f| = 0.05
+        w = sequences.mobius_sequence(n_terms)
+        report = analysis.weighted_birkhoff(w, circle.rotation_flow(ALPHA), fourier(1), 0.0)
+        assert report.verdict == verdict
+
     def test_checkpoints_match_recomputation(self):
         w = sequences.mobius_sequence(3000)
         flow = circle.rotation_flow(ALPHA)

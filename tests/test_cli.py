@@ -499,6 +499,48 @@ class TestOtherCommands:
         t1 = float(lines[2].split(",")[1])
         assert abs(t1 - 0.5) < 1e-9
 
+    def test_cascade_at_its_deepest_level(self, tmp_path):
+        argv = ["--out", str(tmp_path), "cascade", "--depth", "12", "--out-file", "c.csv"]
+        assert cli.main(argv) == 0
+        assert len((tmp_path / "c.csv").read_text().splitlines()) == 14
+
+    def test_cycle_not_found_reported_as_error(self, monkeypatch, capsys):
+        def fail(depth):
+            raise interval.CycleNotFound("x")
+
+        monkeypatch.setattr(interval, "cascade", fail)
+        assert cli.main(["cascade", "--depth", "3"]) == 2
+        assert capsys.readouterr().err == "error: x\n"
+
+    @pytest.mark.parametrize(
+        "exc, prefix",
+        [
+            (cli.ConfigError("x"), "config error"),
+            (ValueError("x"), "error"),
+            (ZeroDivisionError("x"), "error"),
+            (registry.RegistryError("x"), "error"),
+            (interval.CycleNotFound("x"), "error"),
+            (interval.CodingAmbiguous("x"), "error"),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else value,
+    )
+    def test_main_reports_every_subcommand_failure(self, exc, prefix, monkeypatch, capsys):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_list", fail)
+        assert cli.main(["list"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{prefix}: x\n")
+
+    def test_main_lets_other_failures_propagate(self, monkeypatch):
+        def fail(args):
+            raise RuntimeError("x")
+
+        monkeypatch.setattr(cli, "cmd_list", fail)
+        with pytest.raises(RuntimeError):
+            cli.main(["list"])
+
     def test_cascade_creates_missing_out_dir(self, tmp_path):
         out = tmp_path / "missing" / "dir"
         argv = ["--out", str(out), "cascade", "--depth", "2", "--out-file", "x.csv"]

@@ -139,6 +139,13 @@ class TestCascade:
         with pytest.raises(ValueError):
             interval.cascade(0)
 
+    def test_reaches_its_deepest_accepted_level(self):
+        # the halves of the genuine 2048-cycle are only ~2e-8 apart
+        result = interval.cascade(12)
+        assert len(result) == 12
+        assert np.all(np.diff(result.parameters) > 0)
+        assert result.ratios()[-1] == pytest.approx(4.6692016, abs=1e-4)
+
 
 def _independent_flip_c(period, c_start, c_floor):
     """Flip parameter of z^2 + c found without the package's cycle machinery.
@@ -334,6 +341,11 @@ class TestAttractorCoding:
     @pytest.mark.parametrize("depth", [3, 4, 5, 6])
     def test_deep_codings(self, depth):
         report = interval.attractor_coding(self._window_parameter(depth), depth)
+        assert report.is_adding_machine
+
+    def test_depth_eleven_coding(self):
+        # the period-2048 window, seeded by the cascade's last level
+        report = interval.attractor_coding(self._window_parameter(11), 11)
         assert report.is_adding_machine
 
     def test_stable_under_halved_tolerance(self):

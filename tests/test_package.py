@@ -61,6 +61,19 @@ def test_first_repeat_loop_only_in_flows():
     assert [walk.split(":")[0] for walk in walks] == ["flows.py"], walks
 
 
+def test_cli_reports_failures_only_in_main():
+    # cli.main is the one error boundary; cmd_run's one try records each
+    # failing experiment in the manifest and runs the rest
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    tries = {
+        node.name: sum(isinstance(inner, ast.Try) for inner in ast.walk(node))
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    }
+    assert tries.pop("cmd_run") <= 1
+    assert tries and not any(tries.values()), tries
+
+
 def test_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     imported = set()

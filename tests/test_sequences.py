@@ -294,6 +294,25 @@ class TestSubnormal:
         with pytest.raises(ValueError):
             seq.subnormal_sequence(0.5, 10, seed=1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 20240601])
+    @pytest.mark.parametrize("n_terms", [1, 4095, 4096, 4097, 20000, 100001])
+    def test_chunked_coins_are_one_draw(self, seed, n_terms):
+        n = np.arange(1, n_terms + 1, dtype=np.float64)
+        signs = np.random.default_rng(seed).integers(0, 2, size=n_terms) * 2 - 1
+        one_draw = (n**0.3 * signs).astype(np.complex128)
+        got = seq.subnormal_sequence(0.3, n_terms, seed=seed).values
+        assert got.tobytes() == one_draw.tobytes()
+
+    def test_build_holds_its_result_plus_chunks(self):
+        seq.subnormal_sequence(0.3, CHUNK, seed=1)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            w = seq.subnormal_sequence(0.3, 2**17, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.values.nbytes + (512 << 10)
+
     def test_salem_zygmund_envelope(self):
         n_terms = 10**5
         w = seq.subnormal_sequence(0.2, n_terms, seed=3)
@@ -355,6 +374,17 @@ class TestCesaroMean:
         for w, terms in zip((mobius, quadratic), references):
             exact = complex(math.fsum(terms.real), math.fsum(terms.imag)) / n_terms
             assert abs(seq.cesaro_mean(w, freq) - exact) < 1e-13, w.name
+
+    @pytest.mark.parametrize("freq", [math.sqrt(2) - 1, 0.123456789, 1 / 3])
+    def test_float_frequency_phases_are_exact(self, freq):
+        # a denominator above N: every phase n freq is reduced mod 1 exactly,
+        # where exp(-2 pi i freq n) in floats was off by up to 4.4e-14 here
+        n_terms = 2**18
+        mobius = seq.mobius_sequence(n_terms)
+        phases = seq.rational_phases([0, freq], np.arange(1, n_terms + 1))
+        terms = mobius.values.real * np.exp(-2j * np.pi * phases)
+        exact = complex(math.fsum(terms.real), math.fsum(terms.imag)) / n_terms
+        assert abs(seq.cesaro_mean(mobius, freq) - exact) < 1e-16
 
     def test_fraction_and_float_frequencies_agree(self):
         w = seq.mobius_sequence(5000)
@@ -792,6 +822,27 @@ class TestDaboussiDelange:
         f = np.ones(100)
         with pytest.raises(ValueError):
             seq.daboussi_delange_diagnostic(f, np.array([1.0, 0.5, 0.5]), 0.0, 100)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([1.0, 1.0, -1.0], r"vanish off units \(n=0\)"),
+            ([0.0, 1.0, 0.5], r"be unimodular on units \(n=2\)"),
+            # mod 6 both n = 2 and n = 5 break a rule; the first is named
+            ([0.0, 1.0, 1.0, 0.0, 0.0, 0.5], r"vanish off units \(n=2\)"),
+        ],
+    )
+    def test_names_the_first_bad_residue(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            seq.daboussi_delange_diagnostic(np.ones(10), np.array(table), 0.0, 10)
+
+    @pytest.mark.parametrize("q", [512, 600])
+    def test_rejects_non_multiplicative_table_at_any_modulus(self, q):
+        # the principal character with chi(7) = -1: chi(77) = 1, not -1 * 1
+        table = (np.gcd(np.arange(q), q) == 1).astype(complex)
+        table[7] = -1.0
+        with pytest.raises(ValueError, match="not multiplicative"):
+            seq.daboussi_delange_diagnostic(np.ones(100), table, 0.0, 100)
 
     def test_nontrivial_character_runs(self):
         # character mod 5 sending a generator 2 -> i
