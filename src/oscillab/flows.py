@@ -16,10 +16,12 @@ The observable stream has a block kernel: when the flow has ``block`` and
 the observable ``eval_block``, each block of points comes from one
 ``block`` call and its values from one ``eval_block`` call; otherwise it
 steps and evaluates one point at a time.  Every registered flow and
-observable has both.  A block stacks its points along a leading axis:
-a float array of shape (n,) for the circle and interval flows, (n, 2)
-for the torus, and a ``padic.ResidueBlock`` (the ring plus residue
-arrays) for the p-adic flows.
+observable has both.  Either way the blocks are the 4096-term chunks
+(``sequences._BLOCK``) in which the weight builders fill c_n: the stream
+and the weights share one chunk size.  A block stacks its points along a
+leading axis: a float array of shape (n,) for the circle and interval
+flows, (n, 2) for the torus, and a ``padic.ResidueBlock`` (the ring plus
+residue arrays) for the p-adic flows.
 
 Eventually periodic orbits stop early.  The torus, quadratic-family and
 p-adic ``block`` kernels step their plain map with ``walk_block``, whose
@@ -45,10 +47,9 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-Point = Any
+from .sequences import _BLOCK, _blocks
 
-# observable values per block of the observable stream
-_BLOCK = 1 << 15
+Point = Any
 
 
 @dataclass(frozen=True)
@@ -170,29 +171,27 @@ def orbit(flow: Flow, start: Point, n_steps: int) -> list:
 def _observable_stream(
     flow: Flow, observable: Observable, start: Point, n_terms: int
 ) -> Iterator[np.ndarray]:
-    """f(T^k x) for k = 1..n_terms, as complex blocks of at most _BLOCK values."""
+    """f(T^k x) for k = 1..n_terms, in the weight builders' 4096-term chunks (``_blocks``)."""
     x = start
     if flow.reduce is not None and observable.level is not None:
         flow, x = flow.reduce(x, observable.level)
-    if flow.block is not None and observable.eval_block is not None:
-        for lo in range(0, n_terms, _BLOCK):
-            size = min(_BLOCK, n_terms - lo)
-            points, x = flow.block(x, size)
-            values = np.asarray(observable.eval_block(points), dtype=complex)
-            if values.shape != (size,):
-                raise ValueError(
-                    f"{observable.name} gave values of shape {values.shape} "
-                    f"for {size} points of {flow.name}"
-                )
-            yield values
-        return
+    kernel = flow.block is not None and observable.eval_block is not None
     step, evaluate = flow.step, observable.eval
-    for lo in range(0, n_terms, _BLOCK):
-        block = np.empty(min(_BLOCK, n_terms - lo), dtype=complex)
-        for i in range(len(block)):
-            x = step(x)
-            block[i] = evaluate(x)
-        yield block
+    for lo, hi in _blocks(n_terms):
+        if kernel:
+            points, x = flow.block(x, hi - lo)
+            values = np.asarray(observable.eval_block(points), dtype=complex)
+        else:
+            values = np.empty(hi - lo, dtype=complex)
+            for i in range(hi - lo):
+                x = step(x)
+                values[i] = evaluate(x)
+        if values.shape != (hi - lo,):
+            raise ValueError(
+                f"{observable.name} gave values of shape {values.shape} "
+                f"for {hi - lo} points of {flow.name}"
+            )
+        yield values
 
 
 def orbit_distance_trace(flow: Flow, x: Point, z: Point, n_steps: int) -> np.ndarray:

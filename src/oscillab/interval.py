@@ -207,15 +207,14 @@ def find_cycle(t: float, period: int) -> Cycle:
         raise ValueError("period must be a power of two, at most 2^14")
     tmap = QuadraticMap(t)
     point, mult = _attracting_cycle_from_critical(tmap, period)
-    pts = _orbit_points(tmap, point, period)
-    order = np.sort(pts)
+    # one walk of two periods: walk[period + k] is the return map at walk[k]
+    walk = _orbit_points(tmap, point, 2 * period)
+    order = np.sort(walk[:period])
     if period > 1 and np.min(np.diff(order)) < 1e-9:
         raise CycleNotFound("cycle points collapse; period is not genuine")
     # the return-map residual at every cycle point stays within tolerance
-    for p in pts:
-        val, _ = _return_value_and_deriv(tmap, p, period)
-        if abs(val - p) > CYCLE_TOL:
-            raise CycleNotFound("cycle fails the periodicity tolerance")
+    if np.any(np.abs(walk[period:] - walk[:period]) > CYCLE_TOL):
+        raise CycleNotFound("cycle fails the periodicity tolerance")
     return Cycle(period=period, points=order, multiplier=mult)
 
 

@@ -561,17 +561,18 @@ def _validate_character(chi: np.ndarray) -> int:
     n = np.arange(q)
     units = np.gcd(n, q) == 1
     mags = np.abs(chi)
-    bad = np.where(units, np.abs(mags - 1.0) > 1e-12, mags > 1e-12)
+    # "not <=" so that a NaN entry is refused too
+    bad = np.where(units, ~(np.abs(mags - 1.0) <= 1e-12), ~(mags <= 1e-12))
     if bad.any():
         first = int(np.argmax(bad))
         rule = "be unimodular on units" if units[first] else "vanish off units"
         raise ValueError(f"character must {rule} (n={first})")
-    if abs(chi[1 % q] - 1.0) > 1e-12:
+    if not abs(chi[1 % q] - 1.0) <= 1e-12:
         raise ValueError("character must satisfy chi(1) = 1")
     # a row m off the units is within 2e-12 of 0 throughout, so only unit
     # rows can break chi(mn) = chi(m) chi(n); one row at a time is O(q) memory
     for m in np.flatnonzero(units):
-        if (np.abs(chi[m * n % q] - chi[m] * chi) > 1e-9).any():
+        if not (np.abs(chi[m * n % q] - chi[m] * chi) <= 1e-9).all():
             raise ValueError("character table is not multiplicative")
     return q
 

@@ -442,6 +442,36 @@ class TestStreamsMatchPerStepLoops:
             assert abs(got - want) <= 1e-12
         assert report.sup_observed == sup
 
+    @pytest.mark.parametrize("kernel", [False, True], ids=["per_point", "block"])
+    @pytest.mark.parametrize(
+        "flow,start",
+        [
+            (circle.rotation_flow(ALPHA), 0.1),
+            (interval.quadratic_flow(0.7), 0.3),
+        ],
+        ids=["rotation", "quadratic_family"],
+    )
+    def test_checkpoints_straddling_shared_chunks(self, flow, start, kernel, rng):
+        # the stream's blocks are the weight builders' chunks
+        block = sequences._BLOCK
+        n_terms = 2 * block + 1001
+        weights = sequences.WeightSequence(
+            "gauss", rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms), 2.0
+        )
+        checkpoints = [1, block - 1, block, block + 1, 2 * block, 2 * block + 1, n_terms]
+        observable = Observable(
+            "f",
+            lambda x: complex(np.exp(2j * np.pi * x)) + x,
+            eval_block=(lambda xs: np.exp(2j * np.pi * xs) + xs) if kernel else None,
+        )
+        report = analysis.weighted_birkhoff(weights, flow, observable, start, checkpoints)
+        expected, sup = per_step_birkhoff(weights, flow, observable, start, checkpoints)
+        assert block == 4096
+        assert [n for n, _ in report.checkpoints] == checkpoints
+        for (_, got), (_, want) in zip(report.checkpoints, expected):
+            assert abs(got - want) <= 1e-12
+        assert report.sup_observed == pytest.approx(sup, rel=1e-12)
+
     def test_bad_density_counts_exact(self):
         # a shear pulls fibers apart and wraps them round: the bad set is
         # a union of long stretches, so the counts move at every checkpoint

@@ -387,6 +387,22 @@ class TestBlocksMatchSteps:
         with pytest.raises(ValueError, match="mixed p-adic rings"):
             next(flows._observable_stream(built, observable, other, 10))
 
+    @pytest.mark.parametrize("n_terms", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["block", "per_point"])
+    def test_stream_yields_the_weight_chunks(self, n_terms, kernel):
+        from oscillab import sequences
+
+        flow = rotation_flow(0.3)
+        observable = flows.Observable(
+            "f",
+            lambda x: complex(x),
+            eval_block=(lambda xs: xs + 0j) if kernel else None,
+        )
+        sizes = [len(b) for b in flows._observable_stream(flow, observable, 0.1, n_terms)]
+        assert flows._BLOCK is sequences._BLOCK
+        assert max(sizes) <= sequences._BLOCK
+        assert sizes == [hi - lo for lo, hi in sequences._blocks(n_terms)]
+
 
 class TestCycleWalk:
     """``flows.cycle_walk`` and the blocks that ``flows.walk_block`` stacks from it."""

@@ -86,6 +86,21 @@ class TestFindCycle:
             multipliers.append(mult)
         assert max(multipliers) - min(multipliers) < 1e-6
 
+    def test_walks_the_cycle_once(self, monkeypatch):
+        # checking the return map at each of P points by its own walk makes P^2 calls
+        calls = []
+        step = interval.QuadraticMap.__call__
+
+        def counted(tmap, x):
+            calls.append(x)
+            return step(tmap, x)
+
+        monkeypatch.setattr(interval.QuadraticMap, "__call__", counted)
+        period = 256
+        cycle = interval.find_cycle(0.7849692986055946, period)  # inside the 256 window
+        assert cycle.period == period and abs(cycle.multiplier) < 1.0
+        assert len(calls) < 100 * period
+
 
 class TestPolyMapValidation:
     def test_rejects_bad_endpoints(self):

@@ -61,6 +61,19 @@ def test_first_repeat_loop_only_in_flows():
     assert [walk.split(":")[0] for walk in walks] == ["flows.py"], walks
 
 
+def test_one_block_size_in_package():
+    # the observable stream and the weight builders share sequences' chunk
+    assigned = [
+        path.name
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "_BLOCK"
+    ]
+    assert assigned == ["sequences.py"]
+
+
 def test_cli_reports_failures_only_in_main():
     # cli.main is the one error boundary; cmd_run's one try records each
     # failing experiment in the manifest and runs the rest

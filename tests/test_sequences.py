@@ -836,6 +836,11 @@ class TestDaboussiDelange:
         with pytest.raises(ValueError, match=message):
             seq.daboussi_delange_diagnostic(np.ones(10), np.array(table), 0.0, 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_table(self, bad):
+        with pytest.raises(ValueError, match=r"be unimodular on units \(n=2\)"):
+            seq.daboussi_delange_diagnostic(np.ones(100), [0, 1, bad], 0.0, 100)
+
     @pytest.mark.parametrize("q", [512, 600])
     def test_rejects_non_multiplicative_table_at_any_modulus(self, q):
         # the principal character with chi(7) = -1: chi(77) = 1, not -1 * 1

@@ -10,6 +10,18 @@ from oscillab.flows import isometry_defect, orbit
 ALPHA = math.sqrt(2.0) - 1.0
 
 
+def nine_translate_dist(u, v) -> float:
+    """Reference: the quotient distance as a minimum over 9 integer translates."""
+    delta = torus.torus_reduce(u) - torus.torus_reduce(v)
+    best = math.inf
+    for nx in (-1.0, 0.0, 1.0):
+        for ny in (-1.0, 0.0, 1.0):
+            dx = delta[0] - nx
+            dy = delta[1] - ny
+            best = min(best, dx * dx + dy * dy)
+    return math.sqrt(best)
+
+
 class TestModularMatrix:
     def test_determinant_validation(self):
         with pytest.raises(ValueError):
@@ -38,6 +50,26 @@ class TestTorusMetric:
         batch = torus.torus_norm_batch(pts)
         for i in range(50):
             assert batch[i] == pytest.approx(torus.torus_dist(pts[:, i], (0.0, 0.0)))
+
+    def test_dist_equals_nine_translate_minimum(self, rng):
+        # random, scaled and near-seam pairs, compared bit for bit
+        seam = rng.random((2, 500)) * 1e-9
+        pairs = [
+            *zip(rng.random((1000, 2)), rng.random((1000, 2))),
+            *zip(rng.normal(0.0, 10.0, (1000, 2)), rng.normal(0.0, 10.0, (1000, 2))),
+            *zip((1.0 - seam).T, (seam * rng.choice([-1.0, 1.0], seam.shape)).T),
+            ((0.25, 0.75), (0.75, 0.25)),
+        ]
+        for u, v in pairs:
+            assert torus.torus_dist(u, v) == nine_translate_dist(u, v)
+
+    def test_norm_batch_equals_nine_translate_minimum(self, rng):
+        pts = np.concatenate(
+            [rng.random((2, 2000)), 1.0 - rng.random((2, 200)) * 1e-10, np.full((2, 1), 0.5)],
+            axis=1,
+        )
+        want = [nine_translate_dist(pts[:, i], (0.0, 0.0)) for i in range(pts.shape[1])]
+        assert np.array_equal(torus.torus_norm_batch(pts), want)
 
 
 class TestEntropyClassification:
