@@ -6,7 +6,9 @@ Subcommands: ``run`` (execute experiments from a config file), ``list``
 Reports are JSON plus a CSV mirror, written atomically; identical config
 and seed reproduce byte-identical outputs.  ``main`` reports every
 subcommand's bad input on stderr, as ``error: ...`` or ``config error: ...``,
-with exit status 2.
+with exit status 2.  One parser, built on the first ``main`` call, serves
+every later call in the process.  ``run --jobs 1`` runs each experiment in
+the calling thread; ``--jobs N`` runs them on N threads.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -204,6 +207,8 @@ def cmd_run(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = args.out
     experiments = parse_config(args.config)
+    with open(args.config, "rb") as fh:  # the bytes that run, before any edit
+        digest = hashlib.sha256(fh.read()).hexdigest()
     os.makedirs(out_dir, exist_ok=True)
     if args.seed is not None:
         experiments = [
@@ -215,19 +220,21 @@ def cmd_run(args) -> int:
     started = time.time()
     statuses = {}
     failed = False
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [pool.submit(run_experiment, cfg, out_dir) for cfg in experiments]
-        for cfg, future in zip(experiments, futures):  # report in config order
-            try:
-                result = future.result()
-                statuses[cfg.name] = result["verdict"]
-                print(f"{cfg.name}: {result['verdict']}")
-            except Exception as exc:  # surfaced per experiment
-                statuses[cfg.name] = f"error: {exc}"
-                print(f"{cfg.name}: error: {exc}", file=sys.stderr)
-                failed = True
-    with open(args.config, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    if args.jobs == 1:  # each experiment runs in this thread when its turn comes
+        outcomes = [functools.partial(run_experiment, cfg, out_dir) for cfg in experiments]
+    else:
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs)
+        outcomes = [pool.submit(run_experiment, cfg, out_dir).result for cfg in experiments]
+        pool.shutdown(wait=False)  # the loop below waits for every result
+    for cfg, outcome in zip(experiments, outcomes):  # report in config order
+        try:
+            result = outcome()
+            statuses[cfg.name] = result["verdict"]
+            print(f"{cfg.name}: {result['verdict']}")
+        except Exception as exc:  # surfaced per experiment
+            statuses[cfg.name] = f"error: {exc}"
+            print(f"{cfg.name}: error: {exc}", file=sys.stderr)
+            failed = True
     manifest = {
         "config_sha256": digest,
         "version": __version__,
@@ -319,7 +326,9 @@ def cmd_normal_form(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; ``main`` runs subcommand ``a-b`` as ``cmd_a_b``."""
     parser = argparse.ArgumentParser(
         prog="oscillab",
         description="oscillating-sequence and flow disjointness experiments",
@@ -335,21 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--seed", type=int, default=None, help="override config seeds")
-    p_run.set_defaults(func=cmd_run)
 
-    p_list = sub.add_parser("list", help="list registered sequences/flows/observables")
-    p_list.set_defaults(func=cmd_list)
+    sub.add_parser("list", help="list registered sequences/flows/observables")
 
     p_cascade = sub.add_parser("cascade", help="period-doubling cascade parameters")
     p_cascade.add_argument("--depth", type=int, default=8)
     p_cascade.add_argument("--out-file", default=None)
-    p_cascade.set_defaults(func=cmd_cascade)
 
     p_denjoy = sub.add_parser("denjoy", help="build and persist a Denjoy gap table")
     p_denjoy.add_argument("--rho", type=float, default=math.sqrt(2) - 1)
     p_denjoy.add_argument("--trunc", type=int, default=4000)
     p_denjoy.add_argument("--out-file", default=None)
-    p_denjoy.set_defaults(func=cmd_denjoy)
 
     p_spec = sub.add_parser(
         "spectrum", help="exact quadratic-phase spectrum or a Cesaro grid scan"
@@ -362,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--grid", type=int, default=512)
     p_spec.add_argument("--seed", type=int, default=None)
     p_spec.add_argument("--out-file", default=None)
-    p_spec.set_defaults(func=cmd_spectrum)
 
     p_coding = sub.add_parser(
         "coding", help="odometer word table of an attracting power-of-two cycle"
@@ -370,11 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_coding.add_argument("--t", type=float, required=True)
     p_coding.add_argument("--depth", type=int, required=True)
     p_coding.add_argument("--out-file", default=None)
-    p_coding.set_defaults(func=cmd_coding)
 
     p_nf = sub.add_parser("normal-form", help="shear normal form of a modular matrix")
     p_nf.add_argument("--matrix", required=True, help="format 'a,b;c,d'")
-    p_nf.set_defaults(func=cmd_normal_form)
 
     return parser
 
@@ -384,8 +386,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.out is None:
         args.out = os.environ.get(OUTPUT_ENV_VAR, ".")
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:  # a ValueError, so it is caught first
         print(f"config error: {exc}", file=sys.stderr)
     except (

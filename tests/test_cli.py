@@ -1,6 +1,9 @@
+import concurrent.futures
+import hashlib
 import json
 import math
 import re
+import threading
 from fractions import Fraction
 from importlib import resources
 
@@ -456,6 +459,64 @@ class TestRunCommand:
         assert manifest["experiments"]["resonant-rotation"] == (
             "error: flow 'rotation' missing parameters ['rho']"
         )
+
+    def test_manifest_hashes_the_bytes_that_ran(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "edited.cfg"
+        cfg.write_text(open(config_path("resonant-rotation.cfg")).read())
+        ran = cfg.read_bytes()
+        run_experiment = cli.run_experiment
+
+        def edit_then_run(experiment, out_dir):
+            cfg.write_bytes(ran + b"# edited during the run\n")
+            return run_experiment(experiment, out_dir)
+
+        monkeypatch.setattr(cli, "run_experiment", edit_then_run)
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(cfg)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(ran).hexdigest()
+
+    def test_jobs_one_runs_in_the_calling_thread(self, tmp_path, monkeypatch):
+        multi = tmp_path / "multi.cfg"
+        multi.write_text(
+            "\n".join(
+                open(config_path(name)).read()
+                for name in ("mobius-rotation.cfg", "resonant-rotation.cfg")
+            )
+        )
+        threads = []
+        run_experiment = cli.run_experiment
+
+        def record_thread(experiment, out_dir):
+            threads.append(threading.current_thread())
+            return run_experiment(experiment, out_dir)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("--jobs 1 opened a thread pool")
+
+        monkeypatch.setattr(cli, "run_experiment", record_thread)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert cli.main(["--out", str(tmp_path / "out"), "run", str(multi)]) == 0
+        assert threads == [threading.main_thread()] * 2
+
+    def test_no_state_carries_between_calls(self, tmp_path, monkeypatch):
+        cfg = config_path("subnormal-quadratic-family.cfg")
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert cli.main(["--out", str(fresh), "run", cfg]) == 0
+        argv = ["--out", str(reused), "run", cfg, "--seed", "7", "--jobs", "2"]
+        assert cli.main(argv) == 0
+        name = "subnormal-quadratic-family"
+        assert (reused / f"{name}.json").read_bytes() != (fresh / f"{name}.json").read_bytes()
+
+        def no_pool(*args, **kwargs):  # --jobs is back to 1
+            raise AssertionError("a plain run opened a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert cli.main(["--out", str(reused), "run", cfg]) == 0
+        for suffix in (".json", ".csv"):
+            assert (reused / f"{name}{suffix}").read_bytes() == (
+                fresh / f"{name}{suffix}"
+            ).read_bytes()
 
     def test_seed_override_changes_stochastic_run(self, tmp_path):
         base, other = tmp_path / "base", tmp_path / "other"

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oscillab
+from oscillab import cli
 
 PACKAGE = Path(oscillab.__file__).parent
 
@@ -87,6 +89,14 @@ def test_cli_reports_failures_only_in_main():
     assert tries and not any(tries.values()), tries
 
 
+def test_subcommands_name_their_cmd_functions():
+    # cli.main runs subcommand a-b as cmd_a_b, looked up by name at call time
+    actions = cli.build_parser()._actions
+    (subparsers,) = (action for action in actions if isinstance(action, argparse._SubParsersAction))
+    commands = sorted("cmd_" + name.replace("-", "_") for name in subparsers.choices)
+    assert commands == sorted(name for name in vars(cli) if name.startswith("cmd_"))
+
+
 def test_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     imported = set()
@@ -141,3 +151,28 @@ print(sorted(m for m in sys.modules if m.startswith("numpy.") and m not in loade
 def test_calls_import_no_numpy_submodule(tmp_path):
     # a numpy submodule first reached inside a call would be timed with it
     assert run_fresh(LATE_NUMPY_IMPORTS, str(tmp_path)) == "[]"
+
+
+PARSER_BUILDS = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+
+def count(parser, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(parser, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = count
+from oscillab import cli
+
+at_import = len(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(5):
+        assert cli.main(["list"]) == 0
+print(at_import, built.count("oscillab"), len(built) == len(set(built)))
+"""
+
+
+def test_main_builds_the_parser_once_per_process():
+    # none at import, which is set-up time, and then one shared by every call
+    assert run_fresh(PARSER_BUILDS) == "0 1 True"
