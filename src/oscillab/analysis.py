@@ -191,6 +191,8 @@ def mls_bad_density(
     flow: Flow, x, y, eps: float, n_steps: int, burn_in_fraction: float = 0.1
 ) -> DensityEstimate:
     """Density of times with d(T^n x, T^n y) >= eps, tracked along prefixes."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     bad = np.cumsum(orbit_distance_trace(flow, x, y, n_steps) >= eps)
     recorded = [(n, int(bad[n - 1])) for n in default_checkpoints(n_steps)]
     burn_in = burn_in_fraction * n_steps
@@ -202,6 +204,8 @@ def mls_bad_density(
 
 def mean_attraction_test(flow: Flow, x, z, n_steps: int) -> float:
     """(1/N) sum_{n<=N} d(T^n x, T^n z)."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     return float(orbit_distance_trace(flow, x, z, n_steps).sum()) / n_steps
 
 
@@ -255,8 +259,8 @@ def autocorrelation_spectrum(
     measure.  The orbit is streamed in blocks; only a lag window of
     observable values is carried across blocks.
     """
-    if n_terms <= n_lags:
-        raise ValueError("need n_terms > n_lags")
+    if not 0 <= n_lags < n_terms:
+        raise ValueError(f"n_lags must lie in 0..n_terms - 1, got {n_lags} for n_terms {n_terms}")
     accs = [KahanSum() for _ in range(n_lags + 1)]
     carry = np.empty(0, dtype=complex)
     produced = 0  # observable values emitted so far; value index n runs 1..N+K
@@ -356,6 +360,8 @@ def holder_defect(
     The bound is growth_bound * ((1/N) sum |f(T^n x) - f(T^n y)|^q)^(1/q)
     with q conjugate to the growth exponent.
     """
+    if not 1 <= n_terms <= len(weights):
+        raise ValueError(f"n_terms must lie in 1..{len(weights)}, got {n_terms}")
     q = weights.growth_exponent / (weights.growth_exponent - 1.0)
     acc_x = KahanSum()
     acc_y = KahanSum()

@@ -3,25 +3,20 @@
 A flow bundles a step map, a metric and, optionally, a sampler and a
 start-point parser over an opaque state type; each state space's module
 builds its flows, and ``parse_pair`` reads the ``x,y`` start of the
-two-coordinate ones.  Flows are stateless.  The orbit streams of this
-module step them: ``orbit`` lists points, the observable stream yields
-f(T^k x) in numpy blocks, and ``orbit_distance_trace`` is the pair stream
-d(T^k x, T^k z).  Outside them, ``interval.basin_probe`` calls a flow's
-``block`` itself, and the interval cycle finders step their maps directly.
-Averages of an observable along arbitrarily long runs
-still need only O(block) memory; a distance trace holds one float per
-step.
+two-coordinate ones.  Flows are stateless.  ``Flow.block`` is a flow's one
+orbit, read through ``_points`` (which steps a flow without ``block``) by
+``orbit``, by the observable stream of f(T^k x), which evaluates a block
+with ``eval_block`` or else row by row, and by the pair stream
+``orbit_distance_trace`` of d(T^k x, T^k z).  Outside them,
+``interval.basin_probe`` calls a flow's ``block`` itself, and the interval
+cycle finders step their maps directly.  Averages need only O(block)
+memory; a distance trace holds one float per step.
 
-The observable stream has a block kernel: when the flow has ``block`` and
-the observable ``eval_block``, each block of points comes from one
-``block`` call and its values from one ``eval_block`` call; otherwise it
-steps and evaluates one point at a time.  Every registered flow and
-observable has both.  Either way the blocks are the 4096-term chunks
-(``sequences._BLOCK``) in which the weight builders fill c_n: the stream
-and the weights share one chunk size.  A block stacks its points along a
-leading axis: a float array of shape (n,) for the circle and interval
-flows, (n, 2) for the torus, and a ``padic.ResidueBlock`` (the ring plus
-residue arrays) for the p-adic flows.
+The observable stream's blocks are the 4096-term chunks
+(``sequences._BLOCK``) in which the weight builders fill c_n.  A block
+stacks its points along a leading axis: a float array of shape (n,) for
+the circle and interval flows, (n, 2) for the torus, and a
+``padic.ResidueBlock`` (the ring plus residue arrays) for the p-adic flows.
 
 Eventually periodic orbits stop early.  The torus, quadratic-family and
 p-adic ``block`` kernels step their plain map with ``walk_block``, whose
@@ -61,7 +56,8 @@ class Flow:
     its config text (``registry.parse_start``).  ``block(x, n)`` returns
     ``(points, last)``: the next ``n`` orbit points T x .. T^n x stacked
     along a leading axis (see the module docstring), and T^n x as a point;
-    a block that meets an exact repeat of the state tiles the cycle.
+    a block that meets an exact repeat of the state tiles the cycle.  Every
+    orbit reader reads ``block``, or without it applies ``step`` per point.
 
     ``reduce(x, level)`` returns ``(flow, x)``: the flow that steps the
     orbit mod p^level, and x there, when ``level`` is below this flow's
@@ -156,36 +152,34 @@ def walk_block(f: Callable[[Point], Point], state: Point, n_steps: int, dtype) -
     return points
 
 
-def orbit(flow: Flow, start: Point, n_steps: int) -> list:
-    """The first ``n_steps + 1`` orbit points, ``start`` first."""
+def _points(flow: Flow, x: Point, n_steps: int) -> tuple[Any, Point]:
+    """``flow.block(x, n_steps)``; a flow without ``block`` is stepped into a list."""
     if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    points = [start]
-    x = start
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    if flow.block is not None:
+        return flow.block(x, n_steps)
+    points = []
     for _ in range(n_steps):
         x = flow.step(x)
         points.append(x)
-    return points
+    return points, x
+
+
+def orbit(flow: Flow, start: Point, n_steps: int) -> list:
+    """The first ``n_steps + 1`` orbit points, ``start`` first."""
+    return [start, *_points(flow, start, n_steps)[0]]
 
 
 def _observable_stream(
-    flow: Flow, observable: Observable, start: Point, n_terms: int
+    flow: Flow, observable: Observable, x: Point, n_terms: int
 ) -> Iterator[np.ndarray]:
     """f(T^k x) for k = 1..n_terms, in the weight builders' 4096-term chunks (``_blocks``)."""
-    x = start
     if flow.reduce is not None and observable.level is not None:
         flow, x = flow.reduce(x, observable.level)
-    kernel = flow.block is not None and observable.eval_block is not None
-    step, evaluate = flow.step, observable.eval
+    evaluate = observable.eval_block or (lambda points: list(map(observable.eval, points)))
     for lo, hi in _blocks(n_terms):
-        if kernel:
-            points, x = flow.block(x, hi - lo)
-            values = np.asarray(observable.eval_block(points), dtype=complex)
-        else:
-            values = np.empty(hi - lo, dtype=complex)
-            for i in range(hi - lo):
-                x = step(x)
-                values[i] = evaluate(x)
+        points, x = _points(flow, x, hi - lo)
+        values = np.asarray(evaluate(points), dtype=complex)
         if values.shape != (hi - lo,):
             raise ValueError(
                 f"{observable.name} gave values of shape {values.shape} "
@@ -196,14 +190,8 @@ def _observable_stream(
 
 def orbit_distance_trace(flow: Flow, x: Point, z: Point, n_steps: int) -> np.ndarray:
     """Distances d(T^n x, T^n z) for n = 1..n_steps along synchronized orbits."""
-    step, dist = flow.step, flow.dist
-    out = np.empty(n_steps)
-    u, v = x, z
-    for n in range(n_steps):
-        u = step(u)
-        v = step(v)
-        out[n] = dist(u, v)
-    return out
+    us, vs = _points(flow, x, n_steps)[0], _points(flow, z, n_steps)[0]
+    return np.fromiter(map(flow.dist, us, vs), dtype=float, count=n_steps)
 
 
 def circle_distance(a: float, b: float) -> float:
@@ -240,9 +228,7 @@ def isometry_defect(
     return worst
 
 
-def lipschitz_one_defect(
-    flow: Flow, rng: np.random.Generator, n_pairs: int = 1000
-) -> float:
+def lipschitz_one_defect(flow: Flow, rng: np.random.Generator, n_pairs: int = 1000) -> float:
     """Worst d(Tx, Ty) - d(x, y) over sampled pairs (<= 0 for 1-Lipschitz maps)."""
     if flow.sample is None:
         raise ValueError(f"flow {flow.name} has no sampler")

@@ -192,6 +192,13 @@ class ResidueBlock:
     x: np.ndarray
     y: np.ndarray | None = None
 
+    def __iter__(self):
+        """The points in turn: ``PadicInt``s, or ``ProjPoint``s when ``y`` is set."""
+        like = PadicInt(self.p, self.precision, 0)._like
+        if self.y is None:
+            return map(like, self.x.tolist())
+        return map(lambda x, y: ProjPoint(like(x), like(y)), self.x.tolist(), self.y.tolist())
+
 
 def _residue_dtype(modulus: int):
     return np.int64 if modulus <= 2**62 else object

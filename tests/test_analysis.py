@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import counterexample_report
-from oscillab import analysis, circle, cli, interval, registry, sequences, torus
+from oscillab import analysis, circle, cli, flows, interval, registry, sequences, torus
 from oscillab.flows import Flow, Observable, isometry_defect
 
 ALPHA = math.sqrt(2.0) - 1.0
@@ -184,6 +184,37 @@ class TestStabilityProbes:
         z_other = np.array([0.3, 0.45])
         drifting = analysis.mean_attraction_test(flow, x, z_other, 500)
         assert drifting >= abs(0.45 - 0.2) - 1e-9
+
+
+ROTATION = circle.rotation_flow(ALPHA)
+MOBIUS_64 = sequences.mobius_sequence(64)
+
+
+@pytest.mark.parametrize(
+    "call,argument",
+    [
+        (lambda: analysis.mean_attraction_test(ROTATION, 0.1, 0.2, n_steps=0), "n_steps"),
+        (lambda: analysis.mls_bad_density(ROTATION, 0.1, 0.2, 0.05, n_steps=0), "n_steps"),
+        (lambda: analysis.holder_defect(MOBIUS_64, ROTATION, fourier(1), 0.1, 0.2, 0), "n_terms"),
+        (lambda: analysis.holder_defect(MOBIUS_64, ROTATION, fourier(1), 0.1, 0.2, 65), "n_terms"),
+        (
+            lambda: analysis.autocorrelation_spectrum(ROTATION, fourier(1), 0.1, -1, 100),
+            "n_lags",
+        ),
+        (lambda: flows.orbit_distance_trace(ROTATION, 0.1, 0.2, n_steps=-1), "n_steps"),
+    ],
+    ids=[
+        "mean_attraction_no_steps",
+        "mls_no_steps",
+        "holder_no_terms",
+        "holder_terms_past_weights",
+        "autocorrelation_negative_lags",
+        "distance_trace_negative_steps",
+    ],
+)
+def test_bad_probe_input_fails_loudly(call, argument):
+    with pytest.raises(ValueError, match=argument):
+        call()
 
 
 class TestShadowPeriodic:
@@ -374,6 +405,11 @@ def per_step_distances(flow, x, z, n_steps):
     return out
 
 
+def block_distances(flow, x, z, n_steps):
+    """Reference: ``flow.dist`` over the rows of the two orbits' ``Flow.block``."""
+    return [flow.dist(u, v) for u, v in zip(flow.block(x, n_steps)[0], flow.block(z, n_steps)[0])]
+
+
 def bundled_experiments():
     configs = resources.files("oscillab").joinpath("configs")
     return [
@@ -495,14 +531,41 @@ class TestStreamsMatchPerStepLoops:
     )
     def test_isometry_defect_exact(self, flow):
         got = isometry_defect(flow, np.random.default_rng(3), n_pairs=20, n_steps=300)
+        # the rotation's block is its closed form, more exact than accumulated
+        # steps; the quadratic and torus blocks walk ``step`` bit for bit
+        rotation = flow.name.startswith("rotation")
+        distances = block_distances if rotation else per_step_distances
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(20):
             x, y = flow.sample(rng), flow.sample(rng)
             base = flow.dist(x, y)
-            for d in per_step_distances(flow, x, y, 300):
+            for d in distances(flow, x, y, 300):
                 worst = max(worst, abs(d - base))
         assert got == worst
+
+    @pytest.mark.parametrize(
+        "flow",
+        [circle.rotation_flow(ALPHA), circle.build_denjoy(ALPHA, 4000).as_flow()],
+        ids=["rotation", "denjoy"],
+    )
+    def test_distance_trace_near_per_step(self, flow):
+        # the closed-form and gap-table blocks are not stepped: they stay
+        # within the rounding that accumulated steps pick up
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            x, z = flow.sample(rng), flow.sample(rng)
+            got = flows.orbit_distance_trace(flow, x, z, 2000)
+            assert np.max(np.abs(got - per_step_distances(flow, x, z, 2000))) <= 1e-12
+
+    def test_orbit_and_probes_read_the_block(self):
+        flow, x, z, n = circle.rotation_flow(ALPHA), 0.1, 0.35, 4096
+        rows_x, rows_z = flow.block(x, n)[0], flow.block(z, n)[0]
+        orbit = flows.orbit(flow, x, n)
+        assert orbit[0] == x
+        assert np.array(orbit[1:]).tobytes() == rows_x.tobytes()
+        distances = np.array([flow.dist(u, v) for u, v in zip(rows_x, rows_z)])
+        assert analysis.mean_attraction_test(flow, x, z, n) == distances.sum() / n
 
     def test_mean_attraction_and_equicontinuity(self, rng):
         flow = torus.torus_affine_flow(torus.ModularMatrix(1, 1, 0, 1))

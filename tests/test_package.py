@@ -76,6 +76,20 @@ def test_one_block_size_in_package():
     assert assigned == ["sequences.py"]
 
 
+def test_one_flow_stepping_loop():
+    # Flow.block is a flow's one orbit: only flows._points steps a flow
+    # built without one
+    loads = [
+        (path.name, getattr(statement, "name", None))
+        for path in (PACKAGE / "flows.py", PACKAGE / "analysis.py")
+        for statement in ast.parse(path.read_text()).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr == "step"
+        and isinstance(node.ctx, ast.Load)
+    ]
+    assert loads == [("flows.py", "_points")]
+
+
 def test_cli_reports_failures_only_in_main():
     # cli.main is the one error boundary; cmd_run's one try records each
     # failing experiment in the manifest and runs the rest

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oscillab import cli, padic, registry
-from oscillab.flows import isometry_defect, lipschitz_one_defect, orbit
+from oscillab.flows import isometry_defect, lipschitz_one_defect, orbit, orbit_distance_trace
 
 primes = st.sampled_from([2, 3, 5])
 small_ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -204,6 +204,20 @@ class TestRationalFlow:
         with pytest.raises(ValueError):
             self._build([0, 3], [1])
 
+    def test_distance_trace_is_the_spherical_metric(self, rng):
+        # z -> (1 + z^2)/z has good reduction mod 3 and moves points between
+        # the chart y = 1 and the chart at infinity
+        flow = self._build([1, 0, 1], [0, 1])
+        for _ in range(20):
+            u, v = flow.sample(rng), flow.sample(rng)
+            got = orbit_distance_trace(flow, u, v, 200)
+            want = []
+            for _ in range(200):
+                u, v = flow.step(u), flow.step(v)
+                want.append(padic.spherical_dist(u, v).value)
+            assert got.tolist() == want
+        assert lipschitz_one_defect(flow, rng, n_pairs=500) <= 0.0
+
     def test_common_power_of_p_divided_out(self):
         # 3z / 3 is the identity once the common 3 is divided out
         flow = self._build([0, 3], [3])
@@ -355,6 +369,39 @@ def bundled_padic_experiments():
 
 
 class TestResidueFastPaths:
+    @pytest.mark.parametrize("ring", [(3, 16), (3, 40)], ids=["int64", "object"])
+    def test_block_rows_are_the_stepped_points(self, ring):
+        p, precision = ring
+        poly = padic.poly_flow(padic.PadicPoly.from_ints([1, 1, 0, 1], p, precision))
+        inversion = padic.rational_flow(
+            padic.PadicPoly.from_ints([1], p, precision),
+            padic.PadicPoly.from_ints([0, 1], p, precision),
+        )
+        for flow, x in [
+            (poly, padic.PadicInt.from_int(5, p, precision)),
+            (inversion, padic.ProjPoint.from_ints(3, 1, p, precision)),
+        ]:
+            want = []
+            point = x
+            for _ in range(50):
+                point = flow.step(point)
+                want.append(point)
+            assert list(flow.block(x, 50)[0]) == want
+
+    @pytest.mark.parametrize("level", [1, 2, 5])
+    def test_projective_phase_block_matches_its_points(self, level):
+        # z -> 1/z swaps [3 : 1] and [1 : 3]; the second has y = 0 mod p, so
+        # the per-point phase takes its chart at infinity
+        flow = padic.rational_flow(
+            padic.PadicPoly.from_ints([1], 3, 24), padic.PadicPoly.from_ints([0, 1], 3, 24)
+        )
+        observable = registry.build_observable("projective_phase", {"level": str(level)})
+        start = padic.ProjPoint.from_ints(3, 1, 3, 24)
+        points = orbit(flow, start, 16)[1:]
+        assert {pt.y.residue % 3 == 0 for pt in points} == {True, False}
+        want = [observable.eval(pt) for pt in points]
+        assert observable.eval_block(flow.block(start, 16)[0]).tolist() == want
+
     @pytest.mark.parametrize(
         "cfg", bundled_padic_experiments(), ids=lambda cfg: cfg.name
     )
