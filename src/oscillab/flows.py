@@ -10,7 +10,7 @@ with ``eval_block`` or else row by row, and by the pair stream
 ``orbit_distance_trace`` of d(T^k x, T^k z).  Outside them,
 ``interval.basin_probe`` calls a flow's ``block`` itself, and the interval
 cycle finders step their maps directly.  Averages need only O(block)
-memory; a distance trace holds one float per step.
+memory; a distance trace holds both orbits whole, as blocks and as rows.
 
 The observable stream's blocks are the 4096-term chunks
 (``sequences._BLOCK``) in which the weight builders fill c_n.  A block
@@ -171,9 +171,10 @@ def orbit(flow: Flow, start: Point, n_steps: int) -> list:
 
 
 def _observable_stream(
-    flow: Flow, observable: Observable, x: Point, n_terms: int
+    flow: Flow, observable: Observable, start: Point, n_terms: int
 ) -> Iterator[np.ndarray]:
     """f(T^k x) for k = 1..n_terms, in the weight builders' 4096-term chunks (``_blocks``)."""
+    x = start
     if flow.reduce is not None and observable.level is not None:
         flow, x = flow.reduce(x, observable.level)
     evaluate = observable.eval_block or (lambda points: list(map(observable.eval, points)))
@@ -191,6 +192,8 @@ def _observable_stream(
 def orbit_distance_trace(flow: Flow, x: Point, z: Point, n_steps: int) -> np.ndarray:
     """Distances d(T^n x, T^n z) for n = 1..n_steps along synchronized orbits."""
     us, vs = _points(flow, x, n_steps)[0], _points(flow, z, n_steps)[0]
+    if isinstance(us, np.ndarray) and us.ndim == 1:
+        us, vs = us.tolist(), vs.tolist()  # floats: dist runs faster on them than on numpy scalars
     return np.fromiter(map(flow.dist, us, vs), dtype=float, count=n_steps)
 
 
@@ -228,7 +231,9 @@ def isometry_defect(
     return worst
 
 
-def lipschitz_one_defect(flow: Flow, rng: np.random.Generator, n_pairs: int = 1000) -> float:
+def lipschitz_one_defect(
+    flow: Flow, rng: np.random.Generator, n_pairs: int = 1000
+) -> float:
     """Worst d(Tx, Ty) - d(x, y) over sampled pairs (<= 0 for 1-Lipschitz maps)."""
     if flow.sample is None:
         raise ValueError(f"flow {flow.name} has no sampler")

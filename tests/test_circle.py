@@ -6,6 +6,7 @@ import pytest
 
 from oscillab import circle
 from oscillab.flows import circle_distance, isometry_defect, orbit
+from oscillab.sequences import rational_phases
 
 RHO = math.sqrt(2.0) - 1.0
 
@@ -46,6 +47,20 @@ class TestRotationFlow:
     def test_angle_validation(self):
         with pytest.raises(ValueError):
             circle.rotation_flow(1.5)
+
+    @pytest.mark.parametrize("rho", [RHO, 0.5, 1.0 - 2.0**-53, 2.0**-70])
+    def test_few_point_block_is_the_closed_form(self, rho, rng):
+        # up to 8 points the block reduces in Python ints; rational_phases is the reference
+        flow = circle.rotation_flow(rho)
+        starts = [*rng.random(50).tolist(), 0.0, -0.3, 3.7, 1e-30, -1e-300, 5e-324, 1.0 - 2.0**-53]
+        for x in starts:
+            phases = rational_phases([x, rho], np.arange(10))
+            for n in range(10):
+                points, last = flow.block(x, n)
+                assert points.tobytes() == phases[1 : n + 1].tobytes(), (x, n)
+                assert type(last) is float and np.float64(last).tobytes() == phases[n].tobytes()
+        with pytest.raises(ValueError, match="not finite"):
+            flow.block(math.inf, 1)
 
 
 class TestDenjoyConstruction:
