@@ -139,7 +139,7 @@ def _return_value_and_deriv(tmap, x: float, period: int) -> tuple[float, float]:
     return val, der
 
 
-def _newton_polish(tmap, x0: float, period: int, tol: float = 1e-14) -> tuple[float, float]:
+def _newton_polish(tmap, x0: float, period: int) -> tuple[float, float]:
     """Refine a periodic point of the return map; returns (point, multiplier)."""
     x = x0
     for _ in range(80):
@@ -152,18 +152,15 @@ def _newton_polish(tmap, x0: float, period: int, tol: float = 1e-14) -> tuple[fl
         x -= step
         if not -1.0 <= x <= 1.0:
             raise CycleNotFound("Newton iterate left the interval")
-        if abs(step) < tol:
+        if abs(step) < 1e-14:
             val, der = _return_value_and_deriv(tmap, x, period)
             return x, der
     raise CycleNotFound("Newton did not converge")
 
 
 def _orbit_points(tmap, x: float, period: int) -> np.ndarray:
-    pts = np.empty(period)
-    for k in range(period):
-        pts[k] = x
-        x = tmap(x)
-    return pts
+    """x, T x, .., T^(period - 1) x, walked by ``flows.walk_block``."""
+    return np.concatenate(([x], walk_block(tmap, float(x), period - 1, float)))
 
 
 def _genuine_period(tmap, x: float, period: int) -> bool:
@@ -180,16 +177,14 @@ def _genuine_period(tmap, x: float, period: int) -> bool:
     return abs(val - x) > CYCLE_TOL
 
 
-def _attracting_cycle_from_critical(
-    tmap, period: int, max_blocks: int = 40000
-) -> tuple[float, float]:
+def _attracting_cycle_from_critical(tmap, period: int) -> tuple[float, float]:
     """Iterate the critical orbit until it settles on a period-cycle, then polish."""
     x = tmap(0.0)
     warm = 256 + 8 * period
     for _ in range(warm):
         x = tmap(x)
     prev = x
-    for _ in range(max_blocks):
+    for _ in range(40000):
         for _ in range(period):
             x = tmap(x)
         if abs(x - prev) < 1e-11:

@@ -4,7 +4,10 @@ Generators for the arithmetic and phase sequences used throughout the
 package (Mobius, Liouville, quadratic, n log n and polynomial phases,
 random subnormal weights; one plain function each, which the registry
 holds directly), together with the Cesaro-mean machinery that locates
-where a sequence's averaged Fourier mass survives.  Polynomial phases
+where a sequence's averaged Fourier mass survives.  ``mobius`` holds the
+one sieve of the arithmetic weights: Liouville's lambda is mu convolved
+with the indicator of the squares, lambda(n) = sum over d^2 | n of
+mu(n/d^2), so ``liouville`` adds slices of ``mobius``.  Polynomial phases
 P(n) mod 1 are kept as exact integer residues over the common denominator
 D of P's coefficients until a float is needed: ``rational_phases`` rounds
 each once (the one such reduction in the package), and the phase
@@ -169,24 +172,16 @@ def mobius(n_max: int) -> np.ndarray:
 
 
 def liouville(n_max: int) -> np.ndarray:
-    """Liouville function (-1)^Omega(n) for n = 1..n_max.
+    """Liouville function (-1)^Omega(n) for n = 1..n_max, from ``mobius``'s sieve.
 
-    Only the primes up to sqrt(n_max) are sieved, with multiplicity: what
-    is left of n after its small prime powers is 1 or one larger prime.
+    lambda is mu convolved with the indicator of the squares (its Dirichlet
+    series is zeta(2s)/zeta(s)): lambda(n) = sum over d^2 | n of mu(n/d^2).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    omega = np.zeros(n_max + 1, dtype=np.int64)
-    small = np.ones(n_max + 1, dtype=np.int64)  # the part of n made of sieved primes
-    for p in _prime_sieve(math.isqrt(n_max)):
-        p = int(p)
-        pk = p
-        while pk <= n_max:
-            omega[pk::pk] += 1
-            small[pk::pk] *= p
-            pk *= p
-    omega += small < np.arange(n_max + 1)
-    return np.where(omega[1:] % 2 == 0, 1, -1).astype(np.int64)
+    lam = mobius(n_max)
+    mu = lam[: n_max // 4].copy()  # mu(m) for every m = n/d^2 with d >= 2
+    for d in range(2, math.isqrt(n_max) + 1):
+        lam[d * d - 1 :: d * d] += mu[: n_max // (d * d)]
+    return lam
 
 
 def mobius_sequence(n_terms: int) -> WeightSequence:

@@ -302,10 +302,11 @@ class TestAutocorrelation:
 
     def test_lag_window_carried_across_block_join(self):
         flow = circle.rotation_flow(0.3)
-        n_terms = (1 << 15) + 9
-        gamma = analysis.autocorrelation_spectrum(flow, fourier(1), 0.1, 12, n_terms)
-        direct = per_step_autocorrelation(flow, fourier(1), 0.1, 12, n_terms)
-        assert np.max(np.abs(gamma - direct)) < 1e-12
+        # at a whole number of blocks the last block serves only the longer lags
+        for n_terms in ((1 << 15) + 9, 4096):
+            gamma = analysis.autocorrelation_spectrum(flow, fourier(1), 0.1, 12, n_terms)
+            direct = per_step_autocorrelation(flow, fourier(1), 0.1, 12, n_terms)
+            assert np.max(np.abs(gamma - direct)) < 1e-12
 
 
 class TestHookedDisjointness:
@@ -326,6 +327,15 @@ class TestHookedDisjointness:
         report = analysis.hooked_disjointness(w, flow, fourier(1), 0.0, atoms)
         assert report.spectral_clear
         assert report.verdict == "supported"
+
+    def test_resonant_atom_with_decaying_average_is_mixed(self):
+        # e(n/4) has its atom at 1/4, but its average along the 0.3-rotation decays
+        w = sequences.polynomial_phase_sequence(20000, [0, 0.25])
+        flow = circle.rotation_flow(0.3)
+        report = analysis.hooked_disjointness(w, flow, fourier(1), 0.0, [0.25])
+        assert not report.spectral_clear
+        assert report.birkhoff.verdict == "decaying"
+        assert report.verdict == "mixed"
 
     def test_rational_quadratic_resonance(self):
         w = sequences.quadratic_phase_sequence(3 * 10**4, 1.0 / 3.0)

@@ -90,6 +90,18 @@ def test_one_flow_stepping_loop():
     assert loads == [("flows.py", "_points")]
 
 
+def test_one_sieve_for_the_arithmetic_weights():
+    # liouville is mobius convolved with the squares; only mobius sieves
+    # (the character diagnostic needs the primes themselves)
+    callers = sorted(
+        statement.name
+        for statement in ast.parse((PACKAGE / "sequences.py").read_text()).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_prime_sieve"
+    )
+    assert callers == ["daboussi_delange_diagnostic", "mobius"]
+
+
 def test_cli_reports_failures_only_in_main():
     # cli.main is the one error boundary; cmd_run's one try records each
     # failing experiment in the manifest and runs the rest

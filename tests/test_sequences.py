@@ -92,11 +92,13 @@ class TestArithmeticSequences:
         for n in range(1, 201):
             assert ell[n - 1] == (-1) ** brute_omega(n)
 
-    # the sieves run over the primes up to sqrt(N): N at and around prime squares
+    # mobius sieves the primes up to sqrt(N), and liouville adds mu at every
+    # square d^2 <= N: N at and around prime and composite squares
     @pytest.mark.parametrize(
         "n_max",
         [1, 2, 3, 4, 20_000]
-        + [p * p + d for p in (2, 3, 5, 7, 11, 101, 139) for d in (-1, 0, 1)],
+        + [p * p + d for p in (2, 3, 5, 7, 11, 101, 139) for d in (-1, 0, 1)]
+        + [q * q + d for q in (4, 6, 8, 9, 10, 12, 100, 141) for d in (-1, 0, 1)],
     )
     def test_sieves_against_factorization(self, n_max, factorized):
         mobius, liouville = factorized

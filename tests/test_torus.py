@@ -115,6 +115,9 @@ class TestDiagBound:
             torus.ModularMatrix(0, 1, -1, 0),  # order 4
             torus.ModularMatrix(0, 1, -1, 1),  # order 6
             torus.ModularMatrix(0, 1, 1, 0),  # det -1 involution
+            torus.ModularMatrix(1, 0, 1, -1),  # b = 0: eigenvectors from c
+            torus.ModularMatrix(-1, 0, 3, 1),
+            torus.ModularMatrix(1, 0, 0, -1),  # diagonal
         ],
     )
     def test_orbit_certificate(self, matrix, rng):
@@ -184,6 +187,7 @@ class TestConjugacyEquivalence:
     def test_square_ratio(self):
         assert torus.conjugacy_equivalent(8, 2)
         assert not torus.conjugacy_equivalent(2, 8)  # 1/4 is not an integer square
+        assert not torus.conjugacy_equivalent(-4, 1)  # a negative ratio is no square
 
     def test_zero_pairs_only_with_zero(self):
         assert torus.conjugacy_equivalent(0, 0)
