@@ -9,11 +9,9 @@ orbit, read through ``_points`` (which steps a flow without ``block``) by
 with ``eval_block`` or else row by row, and by the pair stream
 ``orbit_distance_trace`` of d(T^k x, T^k z).  Outside them,
 ``interval.basin_probe`` calls a flow's ``block`` itself, and the interval
-cycle finders walk their cycle orbits with ``walk_block`` and step their
-map directly only for derivatives (``_return_value_and_deriv``) or a
-settle test (``_attracting_cycle_from_critical``).  Averages need only
-O(block) memory; a distance trace holds both orbits whole, as blocks and
-as rows.
+cycle finders walk their cycle orbits with ``walk_block``.  Averages need
+only O(block) memory; a distance trace holds both orbits whole, as blocks
+and as rows.
 
 The observable stream's blocks are the 4096-term chunks
 (``sequences._BLOCK``) in which the weight builders fill c_n.  A block

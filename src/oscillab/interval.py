@@ -159,7 +159,6 @@ def _newton_polish(tmap, x0: float, period: int) -> tuple[float, float]:
 
 
 def _orbit_points(tmap, x: float, period: int) -> np.ndarray:
-    """x, T x, .., T^(period - 1) x, walked by ``flows.walk_block``."""
     return np.concatenate(([x], walk_block(tmap, float(x), period - 1, float)))
 
 
