@@ -26,6 +26,7 @@ from .sequences import KahanSum, WeightSequence, cesaro_mean
 DECAY_SLOPE = -0.1
 STAGNANT_SLOPE = -0.02
 DECAY_FINAL_LEVEL = 0.05
+ATOM_LEVEL = 0.05  # a Cesaro mean below this at every candidate atom is clear
 
 
 def default_checkpoints(n_max: int) -> list[int]:
@@ -187,18 +188,13 @@ class DensityEstimate:
     upper_density: float
 
 
-def mls_bad_density(
-    flow: Flow, x, y, eps: float, n_steps: int, burn_in_fraction: float = 0.1
-) -> DensityEstimate:
+def mls_bad_density(flow: Flow, x, y, eps: float, n_steps: int) -> DensityEstimate:
     """Density of times with d(T^n x, T^n y) >= eps, tracked along prefixes."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     bad = np.cumsum(orbit_distance_trace(flow, x, y, n_steps) >= eps)
     recorded = [(n, int(bad[n - 1])) for n in default_checkpoints(n_steps)]
-    burn_in = burn_in_fraction * n_steps
-    rates = [c / n for n, c in recorded if n >= burn_in] or [
-        recorded[-1][1] / recorded[-1][0]
-    ]
+    rates = [c / n for n, c in recorded if n >= 0.1 * n_steps]  # includes n_steps itself
     return DensityEstimate(bad_counts=tuple(recorded), upper_density=max(rates))
 
 
@@ -209,22 +205,20 @@ def mean_attraction_test(flow: Flow, x, z, n_steps: int) -> float:
     return float(orbit_distance_trace(flow, x, z, n_steps).sum()) / n_steps
 
 
-def shadow_periodic(
-    flow: Flow, x, eps: float, horizon: int, max_period: int = 64
-):
+def shadow_periodic(flow: Flow, x, eps: float, horizon: int):
     """Find (tau, phase) so the orbit eps-shadows a periodic cycle from tau on.
 
-    The candidate cycle is read off the orbit tail; the shadowing claim is
+    The candidate cycle (period <= 64, and <= horizon/4 so that it can pass
+    the drift check) is read off the orbit tail; the shadowing claim is
     verified at every time up to the horizon.  Returns None when no
-    periodic cycle shadows the orbit at this eps (e.g. irrational
-    rotations).
+    periodic cycle shadows the orbit at this eps (e.g. irrational rotations).
     """
     points = orbit(flow, x, horizon)
     period = None
-    for p in range(1, max_period + 1):
+    for p in range(1, min(64, horizon // 4) + 1):
         tail_ok = all(
             flow.dist(points[-1 - m], points[-1 - m - p]) < eps / 4.0
-            for m in range(min(2 * p, horizon - p))
+            for m in range(2 * p)
         )
         if tail_ok:
             period = p
@@ -317,7 +311,6 @@ def hooked_disjointness(
     observable: Observable,
     start,
     support_atoms,
-    atom_level: float = 0.05,
     checkpoints=None,
 ) -> HookedReport:
     """Check the sequence's Cesaro means at candidate spectral atoms, then average.
@@ -328,7 +321,7 @@ def hooked_disjointness(
     atom goes to ``cesaro_mean`` as given, so a ``Fraction`` r/s is exact.
     """
     atom_means = {t: cesaro_mean(weights, t) for t in support_atoms}
-    spectral_clear = all(abs(v) < atom_level for v in atom_means.values())
+    spectral_clear = all(abs(v) < ATOM_LEVEL for v in atom_means.values())
     report = weighted_birkhoff(weights, flow, observable, start, checkpoints)
     if spectral_clear and report.verdict == "decaying":
         verdict = "supported"

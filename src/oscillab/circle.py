@@ -379,6 +379,8 @@ def non_equicontinuity_witness(
 
 def rotation_number(step, start: float, n_steps: int) -> float:
     """Average lift displacement of an orientation-preserving circle map."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     _check_cyclic_monotone(step)
     x = start % 1.0
     total = KahanSum()

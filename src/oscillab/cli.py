@@ -52,26 +52,6 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] | None
     seed: int | None
 
-    def to_config_text(self) -> str:
-        """Serialize back to the [experiment ...] section format, losslessly."""
-        lines = [f"[experiment {self.name}]"]
-        lines.append(f"sequence = {self.sequence}")
-        for key in sorted(self.sequence_params):
-            lines.append(f"sequence.{key} = {self.sequence_params[key]}")
-        lines.append(f"n = {self.n_terms}")
-        lines.append(f"flow = {self.flow}")
-        for key in sorted(self.flow_params):
-            lines.append(f"flow.{key} = {self.flow_params[key]}")
-        lines.append(f"observable = {self.observable}")
-        for key in sorted(self.observable_params):
-            lines.append(f"observable.{key} = {self.observable_params[key]}")
-        lines.append(f"start = {self.start}")
-        if self.checkpoints is not None:
-            lines.append("checkpoints = " + ",".join(str(n) for n in self.checkpoints))
-        if self.seed is not None:
-            lines.append(f"seed = {self.seed}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_section(cls, name: str, section) -> "ExperimentConfig":
         def grouped(prefix: str) -> dict:
@@ -81,10 +61,12 @@ class ExperimentConfig:
                 if key.startswith(prefix + ".")
             }
 
+        if "n" not in section:
+            raise ConfigError(f"[{name}] missing n")
         try:
             n_terms = section.getint("n")
-            if n_terms is None:
-                raise ConfigError(f"[{name}] missing n")
+            if n_terms < 1:
+                raise ValueError(f"n must be >= 1, got {n_terms}")
             checkpoints = None
             if section.get("checkpoints"):
                 checkpoints = tuple(

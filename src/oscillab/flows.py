@@ -208,6 +208,8 @@ def check_metric_axioms(flow: Flow, rng: np.random.Generator, n_triples: int = 1
     """Sample triples and measure worst symmetry / triangle-inequality defect."""
     if flow.sample is None:
         raise ValueError(f"flow {flow.name} has no sampler")
+    if n_triples < 1:
+        raise ValueError(f"n_triples must be >= 1, got {n_triples}")
     sym = 0.0
     tri = 0.0
     for _ in range(n_triples):
@@ -218,28 +220,26 @@ def check_metric_axioms(flow: Flow, rng: np.random.Generator, n_triples: int = 1
     return sym, tri
 
 
+def _distance_excess(flow: Flow, rng, n_pairs: int, n_steps: int) -> Iterator[np.ndarray]:
+    """d(T^n x, T^n y) - d(x, y) for n = 1..n_steps, for each of ``n_pairs`` sampled pairs."""
+    if flow.sample is None:
+        raise ValueError(f"flow {flow.name} has no sampler")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    for _ in range(n_pairs):
+        x, y = flow.sample(rng), flow.sample(rng)
+        yield orbit_distance_trace(flow, x, y, n_steps) - flow.dist(x, y)
+
+
 def isometry_defect(
     flow: Flow, rng: np.random.Generator, n_pairs: int = 100, n_steps: int = 100
 ) -> float:
     """Worst |d(T^n x, T^n y) - d(x, y)| over sampled pairs and n <= n_steps."""
-    if flow.sample is None:
-        raise ValueError(f"flow {flow.name} has no sampler")
-    worst = 0.0
-    for _ in range(n_pairs):
-        x, y = flow.sample(rng), flow.sample(rng)
-        trace = orbit_distance_trace(flow, x, y, n_steps)
-        worst = max(worst, float(np.max(np.abs(trace - flow.dist(x, y)), initial=0.0)))
-    return worst
+    return max(float(np.max(np.abs(e))) for e in _distance_excess(flow, rng, n_pairs, n_steps))
 
 
-def lipschitz_one_defect(
-    flow: Flow, rng: np.random.Generator, n_pairs: int = 1000
-) -> float:
+def lipschitz_one_defect(flow: Flow, rng: np.random.Generator, n_pairs: int = 1000) -> float:
     """Worst d(Tx, Ty) - d(x, y) over sampled pairs (<= 0 for 1-Lipschitz maps)."""
-    if flow.sample is None:
-        raise ValueError(f"flow {flow.name} has no sampler")
-    worst = -np.inf
-    for _ in range(n_pairs):
-        x, y = flow.sample(rng), flow.sample(rng)
-        worst = max(worst, orbit_distance_trace(flow, x, y, 1)[0] - flow.dist(x, y))
-    return worst
+    return max(e[0] for e in _distance_excess(flow, rng, n_pairs, 1))

@@ -18,7 +18,6 @@ from .flows import Flow, walk_block
 
 CASCADE_ORIGIN = -0.5  # parameter where the fixed points collide (parabolic)
 CYCLE_TOL = 1e-10
-MULTIPLIER_TOL = 1e-7
 NESTING_TOL = 1e-9
 MAX_POLY_DEGREE = 32
 
@@ -90,9 +89,6 @@ class PolyMap:
 
     def __call__(self, x):
         return self._eval(self.coefficients, x)
-
-    def deriv(self, x):
-        return self._eval(np.polynomial.polynomial.polyder(self.coefficients), x)
 
     @property
     def degree(self) -> int:
@@ -421,9 +417,9 @@ def renormalize(map_like):
     return RenormalizedMap(map_like, beta)
 
 
-def sup_defect(map_a, map_b, grid_size: int = 1024) -> float:
-    """Sup-norm distance between two maps on a uniform grid."""
-    xs = np.linspace(-1.0, 1.0, grid_size)
+def sup_defect(map_a, map_b) -> float:
+    """Sup-norm distance between two maps on a uniform grid of 1024 points."""
+    xs = np.linspace(-1.0, 1.0, 1024)
     va = np.asarray([map_a(x) for x in xs], dtype=float)
     vb = np.asarray([map_b(x) for x in xs], dtype=float)
     return float(np.max(np.abs(va - vb)))
@@ -551,8 +547,8 @@ class BasinProbe:
     cesaro_trace: float
 
 
-def basin_probe(t: float, x: float, n_steps: int, max_period: int = 2**10) -> BasinProbe:
-    """Identify the attracting cycle of the orbit of x and its mean distance.
+def basin_probe(t: float, x: float, n_steps: int) -> BasinProbe:
+    """Identify the attracting cycle, of period at most 2^10, of the orbit of x.
 
     The Cesaro trace is (1/N) sum d(T^n x, T^n z) with z the cycle point
     whose phase minimizes the trace.
@@ -562,9 +558,7 @@ def basin_probe(t: float, x: float, n_steps: int, max_period: int = 2**10) -> Ba
     burn = min(n_steps, 20000)
     y = float(orbit[burn - 1]) if burn else x
     period = None
-    for candidate in (2**k for k in range(15)):
-        if candidate > max_period:
-            break
+    for candidate in (2**k for k in range(11)):
         val, _ = _return_value_and_deriv(tmap, y, candidate)
         if abs(val - y) < 1e-9 and _genuine_period(tmap, y, candidate):
             period = candidate

@@ -30,8 +30,6 @@ from .flows import Flow, cycle_walk, parse_pair, walk_block
 
 DEFAULT_PRECISION = 32
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
-
 
 def _valuation(n: int, p: int, precision: int) -> int:
     """Index of the first nonzero base-p digit of ``n``; ``precision`` when n == 0."""
@@ -45,8 +43,6 @@ def _valuation(n: int, p: int, precision: int) -> int:
 
 
 def _check_prime(p: int) -> None:
-    if p in _SMALL_PRIMES:
-        return
     if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
 
@@ -65,12 +61,6 @@ class PadicNorm:
 
     def as_fraction(self) -> Fraction:
         return Fraction(1, self.p**self.valuation)
-
-    def __le__(self, other: "PadicNorm") -> bool:
-        return self.valuation >= other.valuation
-
-    def __lt__(self, other: "PadicNorm") -> bool:
-        return self.valuation > other.valuation
 
     def __str__(self) -> str:
         if self.below_precision:

@@ -319,6 +319,7 @@ def polynomial_phase_sequence(n_terms: int, coeffs) -> WeightSequence:
 
 def subnormal_sequence(tau: float, n_terms: int, seed: int) -> WeightSequence:
     """Random weights n^tau * xi_n with fair-coin signs xi_n from ``seed``."""
+    _check_n_terms(n_terms)
     if not 0.0 < tau < 0.5:
         raise ValueError("tau must lie in (0, 1/2)")
     rng = np.random.default_rng(seed)
@@ -598,15 +599,6 @@ def daboussi_delange_diagnostic(
 
 # ----------------------------------------------------------------------
 # export
-
-def write_sequence(weights: WeightSequence, path) -> None:
-    """One complex value per line, headed by the generator name."""
-    with open(path, "w") as fh:
-        fh.write(f"# {weights.name}  n={len(weights)}  "
-                 f"growth_exponent={weights.growth_exponent:.17g}\n")
-        for v in weights.values:
-            fh.write(f"{v.real:.17g} {v.imag:.17g}\n")
-
 
 def spectrum_csv(report: SpectrumReport) -> str:
     """CSV text with columns t, re_sigma, im_sigma, abs_sigma, N."""

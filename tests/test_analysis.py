@@ -188,6 +188,7 @@ class TestStabilityProbes:
 
 ROTATION = circle.rotation_flow(ALPHA)
 MOBIUS_64 = sequences.mobius_sequence(64)
+RNG = np.random.default_rng(0)
 
 
 @pytest.mark.parametrize(
@@ -202,6 +203,11 @@ MOBIUS_64 = sequences.mobius_sequence(64)
             "n_lags",
         ),
         (lambda: flows.orbit_distance_trace(ROTATION, 0.1, 0.2, n_steps=-1), "n_steps"),
+        # no sample is no evidence: a vacuous -inf or 0.0 would read as a pass
+        (lambda: flows.lipschitz_one_defect(ROTATION, RNG, 0), "n_pairs"),
+        (lambda: flows.isometry_defect(ROTATION, RNG, n_pairs=0), "n_pairs"),
+        (lambda: flows.isometry_defect(ROTATION, RNG, n_steps=0), "n_steps"),
+        (lambda: flows.check_metric_axioms(ROTATION, RNG, n_triples=0), "n_triples"),
     ],
     ids=[
         "mean_attraction_no_steps",
@@ -210,6 +216,10 @@ MOBIUS_64 = sequences.mobius_sequence(64)
         "holder_terms_past_weights",
         "autocorrelation_negative_lags",
         "distance_trace_negative_steps",
+        "lipschitz_no_pairs",
+        "isometry_no_pairs",
+        "isometry_no_steps",
+        "metric_axioms_no_triples",
     ],
 )
 def test_bad_probe_input_fails_loudly(call, argument):
@@ -229,6 +239,11 @@ class TestShadowPeriodic:
         assert result is not None
         tau, phase = result
         assert tau < 200
+
+    def test_drift_check_refuses_a_tail_period(self):
+        # the tail reads period 4, but the orbit is still eps-far from it too late
+        flow = interval.quadratic_flow(0.7)
+        assert analysis.shadow_periodic(flow, 0.3, 0.05, 20) is None
 
     def test_irrational_rotation_has_no_periodic_shadow(self):
         flow = circle.rotation_flow(ALPHA)

@@ -293,3 +293,42 @@ class TestPersistence:
         path.write_text("n,x\n0,0.5\n")
         with pytest.raises(ValueError):
             circle.load_denjoy(path)
+
+
+DENJOY_1000 = circle.build_denjoy(RHO, 1000)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: circle.DenjoyMap(rotation=1.5, truncation=1000), ValueError, r"in \(0, 1\)"),
+        (lambda: DENJOY_1000.endpoint(0, "middle"), ValueError, "'left' or 'right'"),
+        (
+            lambda: circle.symbolic_lambda_orbit(DENJOY_1000, (0, "middle"), 5),
+            ValueError,
+            "'left' or 'right'",
+        ),
+        (
+            lambda: circle.close_endpoint_pairs(DENJOY_1000, 0.05, 1, horizon=1000),
+            circle.TruncationError,
+            "horizon exceeds",
+        ),
+        (
+            lambda: circle.non_equicontinuity_witness(DENJOY_1000, 1e-30),
+            circle.TruncationError,
+            "no stored gap shorter",
+        ),
+        (lambda: circle.rotation_number(lambda x: x + RHO, 0.1, 0), ValueError, "n_steps"),
+    ],
+    ids=[
+        "rotation_outside_unit_interval",
+        "endpoint_side",
+        "symbolic_orbit_side",
+        "horizon_at_truncation",
+        "delta_below_every_gap",
+        "rotation_number_no_steps",
+    ],
+)
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -143,7 +143,7 @@ class TestCascade:
             )
             for t_step in np.linspace(t_seed, full[level], 8)[1:]:
                 point, mult = interval._tracked_cycle(float(t_step), point, period)
-            assert mult == pytest.approx(-1.0, abs=interval.MULTIPLIER_TOL)
+            assert mult == pytest.approx(-1.0, abs=1e-7)
 
     def test_ratios_approach_universal_constant(self):
         ratios = interval.cascade(8).ratios()
@@ -412,3 +412,16 @@ class TestBasinProbe:
         traces = basin_traces_loop(t, x, n_steps, probe.cycle)
         assert abs(probe.cesaro_trace - traces[probe.phase]) <= 1e-12
         assert traces[probe.phase] <= traces.min() + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: interval.as_poly_map(lambda x: x), TypeError, "cannot view function"),
+        (lambda: interval.attractor_coding(0.7, 0), ValueError, "depth must be >= 1"),
+    ],
+    ids=["poly_map_of_a_lambda", "coding_depth_zero"],
+)
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

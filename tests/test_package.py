@@ -1,5 +1,6 @@
 import argparse
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oscillab
-from oscillab import cli
+from oscillab import analysis, cli, interval
 
 PACKAGE = Path(oscillab.__file__).parent
 
@@ -100,6 +101,24 @@ def test_one_sieve_for_the_arithmetic_weights():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_prime_sieve"
     )
     assert callers == ["daboussi_delange_diagnostic", "mobius"]
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        (analysis.mls_bad_density, ["flow", "x", "y", "eps", "n_steps"]),
+        (analysis.shadow_periodic, ["flow", "x", "eps", "horizon"]),
+        (interval.basin_probe, ["t", "x", "n_steps"]),
+        (interval.sup_defect, ["map_a", "map_b"]),
+        (
+            analysis.hooked_disjointness,
+            ["weights", "flow", "observable", "start", "support_atoms", "checkpoints"],
+        ),
+    ],
+)
+def test_probes_take_no_setting_that_no_caller_sets(function, parameters):
+    # a value that every caller leaves at its default is a constant
+    assert list(inspect.signature(function).parameters) == parameters
 
 
 def test_cli_reports_failures_only_in_main():

@@ -504,3 +504,56 @@ class TestResidueFastPaths:
             assert 0 <= r.residue < modulus
             assert r == padic.PadicInt(p, precision, r.residue)
         assert poly(a).residue == horner_reference([m, -n, m * n, 7], p, precision, a.residue)
+
+
+def square_map(p=3, precision=8):
+    """x^2 as a rational map on the projective line."""
+    return padic.rational_flow(
+        padic.PadicPoly.from_ints([0, 0, 1], p, precision), padic.PadicPoly.from_ints([1], p, precision)
+    )
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (
+            lambda: padic.PadicPoly((padic.PadicInt(3, 8, 1), padic.PadicInt(3, 9, 1))),
+            ValueError,
+            "mixed p-adic rings",
+        ),
+        (
+            lambda: padic.rational_flow(
+                padic.PadicPoly.from_ints([0, 0, 1], 3, 8), padic.PadicPoly.from_ints([1], 5, 8)
+            ),
+            ValueError,
+            "different rings",
+        ),
+        (
+            lambda: padic.ProjPoint(padic.PadicInt(3, 8, 3), padic.PadicInt(3, 8, 6)),
+            ValueError,
+            "must be normalized",
+        ),
+        (
+            lambda: padic.empirical_minimality(square_map(), padic.PadicInt(3, 8, 1), 10, 2),
+            TypeError,
+            "needs a polynomial flow",
+        ),
+        (lambda: padic.PadicInt.from_digits([], 3), ValueError, "at least one digit"),
+        (lambda: padic.PadicInt.from_digits([0, 3], 3), ValueError, r"must lie in \[0, p\)"),
+        (lambda: padic.PadicInt.from_int(3, 3).unit_inverse(), ZeroDivisionError, "not a unit"),
+        (lambda: padic.PadicInt.from_int(4, 2).shift_down(3), ValueError, "not divisible by p"),
+    ],
+    ids=[
+        "poly_mixed_rings",
+        "rational_flow_mixed_rings",
+        "projpoint_not_normalized",
+        "minimality_needs_polynomial",
+        "no_digits",
+        "digit_out_of_range",
+        "inverse_of_non_unit",
+        "shift_past_valuation",
+    ],
+)
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -864,17 +864,6 @@ class TestDaboussiDelange:
 
 
 class TestExport:
-    def test_sequence_round_trip_text(self, tmp_path):
-        w = seq.subnormal_sequence(0.25, 50, seed=5)
-        path = tmp_path / "seq.txt"
-        seq.write_sequence(w, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# subnormal")
-        values = np.array(
-            [complex(float(a), float(b)) for a, b in (ln.split() for ln in lines[1:])]
-        )
-        assert np.allclose(values, w.values, rtol=0, atol=0)
-
     def test_spectrum_csv_columns(self, tmp_path):
         w = seq.mobius_sequence(500)
         report = seq.zero_set_scan(w, grid_size=8)
@@ -882,3 +871,45 @@ class TestExport:
         path.write_text(seq.spectrum_csv(report))
         header = path.read_text().splitlines()[0]
         assert header == "t,re_sigma,im_sigma,abs_sigma,N"
+
+
+MOBIUS_100 = seq.mobius_sequence(100)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: seq.quadratic_rational_spectrum(0, 0), "denominator must be >= 1"),
+        (lambda: seq.quadratic_rational_spectrum(5, 4), "0 <= numer < denom"),
+        (lambda: seq._validate_character([]), "non-empty"),
+        (lambda: seq._validate_character([0, 1j]), r"chi\(1\) = 1"),
+        (lambda: seq.daboussi_delange_diagnostic(np.full(10, 2.0), [1], 0.0, 10), r"\|f\(n\)\| <= 1"),
+        (lambda: seq.daboussi_delange_diagnostic(np.ones(10), [1], 0.0, 11), "cutoff exceeds"),
+        (lambda: seq.arithmetic_subsequence_mean(MOBIUS_100, 1, 1, 0.5, 10), "modulus must be >= 2"),
+        (lambda: seq.arithmetic_subsequence_mean(MOBIUS_100, 2, 1, 0.5, 101), "n_terms out of range"),
+        (lambda: seq.WeightSequence("empty", np.array([]), 2.0), "non-empty 1-d array"),
+        (lambda: seq.subnormal_sequence(0.3, 0, seed=1), "n_terms must be >= 1"),
+        (lambda: seq.subnormal_sequence(0.3, -5, seed=1), "n_terms must be >= 1"),
+    ],
+    ids=[
+        "spectrum_denominator_zero",
+        "spectrum_numerator_past_denominator",
+        "character_empty",
+        "character_chi_of_one",
+        "diagnostic_f_too_large",
+        "diagnostic_cutoff_past_f",
+        "subsequence_modulus_one",
+        "subsequence_terms_past_weights",
+        "weights_empty",
+        "subnormal_no_terms",
+        "subnormal_negative_terms",
+    ],
+)
+def test_bad_input_raises(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_arithmetic_subsequence_past_the_prefix_is_zero():
+    # no n <= 10 is 40 mod 50, so the mean has no terms
+    assert seq.arithmetic_subsequence_mean(MOBIUS_100, 50, 40, 0.1, 10) == 0j

@@ -271,3 +271,17 @@ class TestCounterexample:
         n = np.arange(1, 101, dtype=np.longdouble)
         expected = np.exp(-1j * np.pi * (n * n * np.longdouble(ALPHA) % 2.0).astype(float))
         assert np.max(np.abs(w.values - expected)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: torus.ModularMatrix(1.0, 0, 0, 1), TypeError, "integers"),
+        (lambda: torus.normal_form(torus.ModularMatrix(0, 1, 1, 0)), ValueError, "determinant \\+1"),
+        (lambda: torus.counterexample_prefix_means(ALPHA, [0, 5]), ValueError, ">= 1"),
+    ],
+    ids=["float_entry", "normal_form_of_a_flip", "checkpoint_zero"],
+)
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
