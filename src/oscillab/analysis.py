@@ -75,6 +75,16 @@ class DisjointnessReport:
         }
 
 
+def checked_checkpoints(checkpoints, n_terms: int) -> list[int]:
+    """``checkpoints`` as ints; refused unless non-empty, strictly increasing and in 1..n_terms."""
+    checkpoints = [int(n) for n in checkpoints]
+    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_terms:
+        raise ValueError(f"checkpoints must lie in 1..N, N = {n_terms}")
+    return checkpoints
+
+
 def weighted_birkhoff(
     weights: WeightSequence,
     flow: Flow,
@@ -92,11 +102,7 @@ def weighted_birkhoff(
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(len(weights))
-    checkpoints = [int(n) for n in checkpoints]
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > len(weights):
-        raise ValueError("checkpoints must lie in 1..len(weights)")
+    checkpoints = checked_checkpoints(checkpoints, len(weights))
     acc = KahanSum()
     sup_observed = 0.0
     recorded: list[tuple[int, complex]] = []

@@ -24,10 +24,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__, circle, interval, registry, sequences, torus
-from .analysis import weighted_birkhoff
+from .analysis import checked_checkpoints, weighted_birkhoff
 
 OUTPUT_ENV_VAR = "OSCILLAB_OUT"
 
@@ -69,10 +69,11 @@ class ExperimentConfig:
                 raise ValueError(f"n must be >= 1, got {n_terms}")
             checkpoints = None
             if section.get("checkpoints"):
-                checkpoints = tuple(
-                    int(part) for part in section["checkpoints"].split(",")
-                )
+                parts = section["checkpoints"].split(",")
+                checkpoints = tuple(checked_checkpoints(parts, n_terms))
             seed = section.getint("seed") if section.get("seed") else None
+            if seed is not None and seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
             return cls(
                 name=name,
                 sequence=section["sequence"],
@@ -187,18 +188,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
 def cmd_run(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     out_dir = args.out
     experiments = parse_config(args.config)
     with open(args.config, "rb") as fh:  # the bytes that run, before any edit
         digest = hashlib.sha256(fh.read()).hexdigest()
     os.makedirs(out_dir, exist_ok=True)
     if args.seed is not None:
-        experiments = [
-            ExperimentConfig(
-                **{**cfg.__dict__, "seed": args.seed}
-            )
-            for cfg in experiments
-        ]
+        experiments = [replace(cfg, seed=args.seed) for cfg in experiments]
     started = time.time()
     statuses = {}
     failed = False

@@ -49,6 +49,8 @@ class QuadraticMap:
     def deriv(self, x: float) -> float:
         return -2.0 * (1.0 + self.t) * x
 
+    degree = 2
+
     @property
     def coefficients(self) -> np.ndarray:
         return np.array([self.t, 0.0, -(1.0 + self.t)])
@@ -104,14 +106,6 @@ class RenormalizedMap:
 
     def __call__(self, x):
         return -self.base(self.base(-self.beta * x)) / self.beta
-
-
-def as_poly_map(map_like) -> PolyMap:
-    if isinstance(map_like, PolyMap):
-        return map_like
-    if isinstance(map_like, QuadraticMap):
-        return PolyMap(map_like.coefficients)
-    raise TypeError(f"cannot view {type(map_like).__name__} as a polynomial map")
 
 
 @dataclass(frozen=True)
@@ -351,7 +345,7 @@ def feigenbaum_parameter(n_max: int) -> FeigenbaumEstimate:
 def schwarzian(map_like, x: float) -> float:
     """T'''/T' - (3/2)(T''/T')^2 via exact polynomial differentiation."""
     if isinstance(map_like, (QuadraticMap, PolyMap)):
-        coeffs = as_poly_map(map_like).coefficients
+        coeffs = map_like.coefficients
     else:
         coeffs = np.asarray(map_like, dtype=float)
     polyder = np.polynomial.polynomial.polyder
@@ -374,29 +368,17 @@ def positive_fixed_point(map_like) -> float:
     if f(lo) <= 0.0 or f(hi) >= 0.0:
         # fall back to a scan for a sign change
         xs = np.linspace(1e-6, 1.0 - 1e-6, 257)
-        vals = [f(x) for x in xs]
-        bracket = None
-        for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
-            if fa > 0.0 >= fb:
-                bracket = (a, b)
-                break
-        if bracket is None:
+        vals = f(xs)
+        (crossings,) = np.nonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))
+        if not len(crossings):
             raise ValueError("map has no positive fixed point in (0, 1)")
-        lo, hi = bracket
+        lo, hi = xs[crossings[0]], xs[crossings[0] + 1]
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return float(min((lo, hi), key=lambda x: abs(f(x))))
-
-
-def _compose_poly(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    poly = np.polynomial.polynomial
-    acc = np.zeros(1)
-    for c in outer[::-1]:
-        acc = poly.polyadd(poly.polymul(acc, inner), [c])
-    return acc
 
 
 def renormalize(map_like):
@@ -409,20 +391,21 @@ def renormalize(map_like):
     """
     beta = positive_fixed_point(map_like)
     if isinstance(map_like, (QuadraticMap, PolyMap)):
-        pm = as_poly_map(map_like)
-        if pm.degree**2 <= MAX_POLY_DEGREE:
-            inner = pm.coefficients * np.power(-beta, np.arange(pm.degree + 1))
-            composed = _compose_poly(pm.coefficients, inner)
+        coeffs, degree = map_like.coefficients, map_like.degree
+        if degree**2 <= MAX_POLY_DEGREE:
+            inner = coeffs * np.power(-beta, np.arange(degree + 1))
+            composed = np.polynomial.Polynomial(coeffs)(np.polynomial.Polynomial(inner)).coef
             return PolyMap(-composed / beta)
     return RenormalizedMap(map_like, beta)
 
 
 def sup_defect(map_a, map_b) -> float:
-    """Sup-norm distance between two maps on a uniform grid of 1024 points."""
+    """Sup-norm distance between two maps on a uniform grid of 1024 points.
+
+    Each map is called once, on the whole grid, so both must evaluate arrays.
+    """
     xs = np.linspace(-1.0, 1.0, 1024)
-    va = np.asarray([map_a(x) for x in xs], dtype=float)
-    vb = np.asarray([map_b(x) for x in xs], dtype=float)
-    return float(np.max(np.abs(va - vb)))
+    return float(np.max(np.abs(map_a(xs) - map_b(xs))))
 
 
 # ----------------------------------------------------------------------

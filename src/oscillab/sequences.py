@@ -10,7 +10,8 @@ with the indicator of the squares, lambda(n) = sum over d^2 | n of
 mu(n/d^2), so ``liouville`` adds slices of ``mobius``.  Polynomial phases
 P(n) mod 1 are kept as exact integer residues over the common denominator
 D of P's coefficients until a float is needed: ``rational_phases`` rounds
-each once (the one such reduction in the package), and the phase
+each once (``circle.rotation_flow`` does the same for its short blocks, in
+Python ints), and the phase
 sequences gather their weights from one table of the D roots of unity
 when D <= N.  A Cesaro mean at a rational frequency r/s with s <= N is
 exact in its phases too: the terms are folded by n mod a multiple of s

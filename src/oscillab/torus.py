@@ -188,29 +188,15 @@ class NormalForm:
         return lhs == target
 
 
-def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g, g = gcd >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def normal_form(matrix: ModularMatrix) -> NormalForm:
     """Constructive conjugation of a double-eigenvalue modular matrix to a shear.
 
     Follows the eigenvector/generalized-eigenvector construction: for
     M = [[a, b], [c, 2-a]] with b, c nonzero, set g = gcd(a-1, b); the
     shear parameter is t = g^2 / b (an integer), the eigenvector column is
-    (b/g, -(a-1)/g), and the second column solves a Bezout equation.  The
-    determinant of the assembled basis is automatically one.
+    (b/g, -(a-1)/g), and the second column is fixed by one modular inverse:
+    determinant one makes its top entry the inverse of (a-1)/g modulo |b/g|,
+    taken in [0, |b/g|).
     """
     if matrix.det != 1:
         raise ValueError("normal form requires determinant +1")
@@ -235,12 +221,8 @@ def normal_form(matrix: ModularMatrix) -> NormalForm:
             raise ArithmeticError("gcd^2 not divisible by b; input is not unipotent")
         t = (g * g) // b
         x1, x2 = b // g, -(a - 1) // g
-        _, y1, y2 = _bezout((a - 1) // g, b // g)
-        # canonical representative: reduce the Bezout column modulo the
-        # eigenvector column so that 0 <= y1 < |x1|
-        y1_red = y1 % abs(x1)
-        shift = (y1 - y1_red) // x1
-        y1, y2 = y1_red, y2 - shift * x2
+        y1 = pow(-x2, -1, abs(x1))
+        y2 = (1 + x2 * y1) // x1
         result = NormalForm(ModularMatrix(x1, y1, x2, y2), t, sign)
     if not result.verify(matrix):
         raise AssertionError("normal form failed exact verification")
@@ -260,14 +242,9 @@ def conjugacy_equivalent(t: int, t_other: int) -> bool:
     Zero pairs only with zero.
     """
     if t == 0 or t_other == 0:
-        return t == 0 and t_other == 0
-    num, den = t, t_other
-    g = math.gcd(num, den)
-    num //= g
-    den //= g
-    if den < 0:
-        num, den = -num, -den
-    return den == 1 and _is_perfect_square(num)
+        return t == t_other
+    ratio = Fraction(t, t_other)
+    return ratio.denominator == 1 and _is_perfect_square(ratio.numerator)
 
 
 # ----------------------------------------------------------------------

@@ -250,6 +250,29 @@ class TestConfigParsing:
         assert cli.main(["--out", str(tmp_path / "out"), "run", str(bad)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ({"checkpoints": "0,50"}, "[x] bad value: checkpoints must lie in 1..N, N = 100"),
+            ({"checkpoints": "50,200"}, "[x] bad value: checkpoints must lie in 1..N, N = 100"),
+            ({"checkpoints": "100,50"}, "[x] bad value: checkpoints must be strictly increasing"),
+            ({"sequence": "subnormal", "sequence.tau": "0.2", "seed": "-1"},
+             "[x] bad value: seed must be >= 0, got -1"),
+        ],
+        ids=["checkpoint_zero", "checkpoint_past_n", "checkpoints_decreasing", "negative_seed"],
+    )
+    def test_bad_checkpoints_or_seed_exit_two_at_parse_time(self, keys, message, tmp_path, capsys):
+        keys = {
+            "sequence": "mobius", "n": "100", "flow": "rotation", "flow.rho": "0.1",
+            "observable": "fourier", "observable.k": "1", "start": "0", **keys,
+        }
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[experiment x]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "run", str(bad)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (out / "x.json").exists()
+
     def test_config_without_experiments_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.cfg"
         empty.write_text("# nothing to run\n")
@@ -441,6 +464,13 @@ class TestRunCommand:
         argv = ["--out", str(out), "run", config_path("resonant-rotation.cfg")]
         assert cli.main([*argv, "--jobs", jobs]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["--out", str(out), "run", config_path("subnormal-quadratic-family.cfg")]
+        assert cli.main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_malformed_start_named_in_manifest(self, tmp_path):

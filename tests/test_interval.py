@@ -113,8 +113,8 @@ class TestPolyMapValidation:
             interval.PolyMap(np.array([-0.1, 0.0, -2.7, 0.0, 1.8]))
 
     def test_accepts_quadratic_family_coefficients(self):
-        pm = interval.as_poly_map(interval.QuadraticMap(0.7))
-        assert pm.degree == 2
+        pm = interval.PolyMap(interval.QuadraticMap(0.7).coefficients)
+        assert pm.degree == interval.QuadraticMap(0.7).degree == 2
         assert pm(0.0) == pytest.approx(0.7)
 
 
@@ -282,6 +282,16 @@ class TestRenormalize:
         below, above = np.nextafter(beta, 0.0), np.nextafter(beta, 1.0)
         assert f(below) > 0.0 >= f(beta) or f(beta) > 0.0 >= f(above)
 
+    def test_fixed_point_bracketed_by_the_scan(self):
+        # T(0) < 0, so f <= 0 at the left end and the bracket comes from the grid scan
+        tmap = interval.PolyMap([-1 - (0.055 - 0.9692), 1.6952, 0.055, -1.6952, -0.9692])
+        f = lambda x: tmap(x) - x
+        assert f(1e-12) < 0.0
+        beta = interval.positive_fixed_point(tmap)
+        assert beta == pytest.approx(0.50302139346519, abs=1e-14)
+        below, above = np.nextafter(beta, 0.0), np.nextafter(beta, 1.0)
+        assert f(below) > 0.0 >= f(beta) or f(beta) > 0.0 >= f(above)
+
     def test_renormalized_has_attracting_fixed_point(self):
         # between the first two flips the renormalized map has an
         # attracting fixed point q_t
@@ -322,6 +332,16 @@ class TestRenormalize:
         assert isinstance(fourth, interval.RenormalizedMap) and fourth.base is third
         assert fourth(-1.0) == pytest.approx(-1.0, abs=1e-12)
         assert fourth(1.0) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_sup_defect_matches_a_per_point_loop(self):
+        base = interval.QuadraticMap(0.78)
+        first = interval.renormalize(base)
+        third = interval.renormalize(interval.renormalize(first))
+        assert isinstance(third, interval.RenormalizedMap)
+        xs = np.linspace(-1.0, 1.0, 1024)
+        for map_a, map_b in ((first, base), (third, first)):
+            loop = max(abs(map_a(x) - map_b(x)) for x in xs)
+            assert interval.sup_defect(map_a, map_b) == loop
 
     def test_defect_decreases_toward_fixed_point(self):
         t_inf = interval.feigenbaum_parameter(8).value
@@ -417,10 +437,9 @@ class TestBasinProbe:
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda: interval.as_poly_map(lambda x: x), TypeError, "cannot view function"),
         (lambda: interval.attractor_coding(0.7, 0), ValueError, "depth must be >= 1"),
     ],
-    ids=["poly_map_of_a_lambda", "coding_depth_zero"],
+    ids=["coding_depth_zero"],
 )
 def test_bad_input_raises(call, error, match):
     with pytest.raises(error, match=match):

@@ -162,6 +162,20 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             torus.normal_form(torus.ModularMatrix(0, 1, -1, 0))
 
+    def test_canonical_basis_for_every_small_shear(self):
+        # every det-1, trace-2 matrix with |a - 1| <= 12 and b, c != 0 has bc = -(a-1)^2
+        for k in range(-12, 13):
+            for b in range(-k * k, k * k + 1):
+                if b == 0 or (k * k) % b:
+                    continue
+                m = torus.ModularMatrix(1 + k, b, -(k * k) // b, 1 - k)
+                g = math.gcd(k, b)
+                for matrix in (m, -m):
+                    result = torus.normal_form(matrix)
+                    assert 0 <= result.basis.b < abs(result.basis.a)
+                    assert result.verify(matrix)
+                    assert result.t == g * g // b
+
     def test_round_trip_random_conjugates(self, rng):
         for _ in range(1000):
             t = int(rng.integers(-50, 51))
@@ -188,6 +202,8 @@ class TestConjugacyEquivalence:
         assert torus.conjugacy_equivalent(8, 2)
         assert not torus.conjugacy_equivalent(2, 8)  # 1/4 is not an integer square
         assert not torus.conjugacy_equivalent(-4, 1)  # a negative ratio is no square
+        assert torus.conjugacy_equivalent(-8, -2)
+        assert not torus.conjugacy_equivalent(8, -2)
 
     def test_zero_pairs_only_with_zero(self):
         assert torus.conjugacy_equivalent(0, 0)
