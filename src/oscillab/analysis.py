@@ -11,8 +11,8 @@ reads an orbit stream of ``flows``.
 
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +76,11 @@ class DisjointnessReport:
 
 
 def checked_checkpoints(checkpoints, n_terms: int) -> list[int]:
-    """``checkpoints`` as ints; refused unless non-empty, strictly increasing and in 1..n_terms."""
-    checkpoints = [int(n) for n in checkpoints]
+    """``checkpoints`` as ints; refused unless integers, non-empty, increasing and in 1..n_terms."""
+    try:
+        checkpoints = [operator.index(n) for n in checkpoints]
+    except TypeError:
+        raise ValueError("checkpoints must be integers") from None
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_terms:
@@ -164,9 +167,10 @@ def _fit_tail_slope(recorded) -> float:
 
 def mean_equicontinuity_probe(flow: Flow, pairs, n_steps: int) -> float:
     """Worst prefix-Cesaro orbit distance over the supplied close pairs."""
-    return max(
-        (mean_attraction_test(flow, x, y, n_steps) for x, y in pairs), default=0.0
-    )
+    worst = max((mean_attraction_test(flow, x, y, n_steps) for x, y in pairs), default=None)
+    if worst is None:
+        raise ValueError("pairs must be non-empty")
+    return worst
 
 
 def mean_equicontinuity_curve(
@@ -277,27 +281,6 @@ def autocorrelation_spectrum(
         carry = ext[len(ext) - n_lags :] if n_lags else np.empty(0, dtype=complex)
         produced += len(block)
     return np.array([acc.value for acc in accs]) / n_terms
-
-
-def autocorrelation_toeplitz(gamma: np.ndarray) -> np.ndarray:
-    """Hermitian Toeplitz matrix: conj(gamma[i - j]) for i >= j, gamma[j - i] above."""
-    i, j = np.indices((len(gamma), len(gamma)))
-    return np.where(i >= j, np.conj(gamma)[i - j], np.asarray(gamma)[j - i])
-
-
-def toeplitz_min_eigenvalue(gamma: np.ndarray) -> float:
-    """Smallest eigenvalue of the autocorrelation Toeplitz matrix."""
-    return float(np.linalg.eigvalsh(autocorrelation_toeplitz(gamma))[0])
-
-
-def rotation_trig_autocorrelation(coeffs: dict[int, complex], angle: float, lags) -> np.ndarray:
-    """Closed-form gamma(k) = sum |a_m|^2 e^{2 pi i m angle k} for trig observables."""
-    return np.array(
-        [
-            sum(abs(a) ** 2 * cmath.exp(2j * math.pi * m * angle * k) for m, a in coeffs.items())
-            for k in np.atleast_1d(lags)
-        ]
-    )
 
 
 # ----------------------------------------------------------------------

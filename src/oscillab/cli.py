@@ -69,7 +69,7 @@ class ExperimentConfig:
                 raise ValueError(f"n must be >= 1, got {n_terms}")
             checkpoints = None
             if section.get("checkpoints"):
-                parts = section["checkpoints"].split(",")
+                parts = [int(part) for part in section["checkpoints"].split(",")]
                 checkpoints = tuple(checked_checkpoints(parts, n_terms))
             seed = section.getint("seed") if section.get("seed") else None
             if seed is not None and seed < 0:

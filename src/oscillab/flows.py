@@ -204,22 +204,6 @@ def circle_distance(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
-def check_metric_axioms(flow: Flow, rng: np.random.Generator, n_triples: int = 1000):
-    """Sample triples and measure worst symmetry / triangle-inequality defect."""
-    if flow.sample is None:
-        raise ValueError(f"flow {flow.name} has no sampler")
-    if n_triples < 1:
-        raise ValueError(f"n_triples must be >= 1, got {n_triples}")
-    sym = 0.0
-    tri = 0.0
-    for _ in range(n_triples):
-        x, y, z = flow.sample(rng), flow.sample(rng), flow.sample(rng)
-        dxy, dyx = flow.dist(x, y), flow.dist(y, x)
-        sym = max(sym, abs(dxy - dyx))
-        tri = max(tri, flow.dist(x, z) - (dxy + flow.dist(y, z)))
-    return sym, tri
-
-
 def _distance_excess(flow: Flow, rng, n_pairs: int, n_steps: int) -> Iterator[np.ndarray]:
     """d(T^n x, T^n y) - d(x, y) for n = 1..n_steps, for each of ``n_pairs`` sampled pairs."""
     if flow.sample is None:

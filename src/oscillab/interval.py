@@ -399,15 +399,6 @@ def renormalize(map_like):
     return RenormalizedMap(map_like, beta)
 
 
-def sup_defect(map_a, map_b) -> float:
-    """Sup-norm distance between two maps on a uniform grid of 1024 points.
-
-    Each map is called once, on the whole grid, so both must evaluate arrays.
-    """
-    xs = np.linspace(-1.0, 1.0, 1024)
-    return float(np.max(np.abs(map_a(xs) - map_b(xs))))
-
-
 # ----------------------------------------------------------------------
 # odometer coding of deep attracting cycles
 

@@ -525,79 +525,6 @@ def quadratic_rational_cesaro(
     return complex(counts @ roots) / n_terms
 
 
-def arithmetic_subsequence_mean(
-    weights: WeightSequence, modulus: int, residue: int, freq: float | Fraction, n_terms: int
-) -> complex:
-    """(1/N) sum over n <= N with n = residue (mod modulus) of c_n e^{-2 pi i n freq}.
-
-    The phases n freq are reduced mod 1 exactly (``rational_phases``), for
-    a float or a ``Fraction`` frequency.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if not 1 <= residue <= modulus:
-        raise ValueError("residue must lie in 1..modulus")
-    if not 1 <= n_terms <= len(weights):
-        raise ValueError("n_terms out of range")
-    n = np.arange(residue, n_terms + 1, modulus, dtype=np.int64)
-    if len(n) == 0:
-        return 0j
-    terms = weights.values[n - 1] * np.exp(-2j * np.pi * rational_phases([0, freq], n))
-    return complex(terms.sum()) / n_terms
-
-
-# ----------------------------------------------------------------------
-# Daboussi-Delange partial sums
-
-def _validate_character(chi: np.ndarray) -> int:
-    """Check a value table chi[n mod q] is a Dirichlet character; return q."""
-    chi = np.asarray(chi, dtype=np.complex128)
-    q = len(chi)
-    if q < 1:
-        raise ValueError("character table must be non-empty")
-    n = np.arange(q)
-    units = np.gcd(n, q) == 1
-    mags = np.abs(chi)
-    # "not <=" so that a NaN entry is refused too
-    bad = np.where(units, ~(np.abs(mags - 1.0) <= 1e-12), ~(mags <= 1e-12))
-    if bad.any():
-        first = int(np.argmax(bad))
-        rule = "be unimodular on units" if units[first] else "vanish off units"
-        raise ValueError(f"character must {rule} (n={first})")
-    if not abs(chi[1 % q] - 1.0) <= 1e-12:
-        raise ValueError("character must satisfy chi(1) = 1")
-    # a row m off the units is within 2e-12 of 0 throughout, so only unit
-    # rows can break chi(mn) = chi(m) chi(n); one row at a time is O(q) memory
-    for m in np.flatnonzero(units):
-        if not (np.abs(chi[m * n % q] - chi[m] * chi) <= 1e-9).all():
-            raise ValueError("character table is not multiplicative")
-    return q
-
-
-def daboussi_delange_diagnostic(
-    f_values: np.ndarray, chi: np.ndarray, u: float, prime_cutoff: int
-) -> float:
-    """Partial sum over primes p <= cutoff of (1 - Re(chi(p) f(p) p^{-iu})) / p.
-
-    Divergence of the full sum (over all primes, all characters, all u)
-    characterizes oscillation for bounded multiplicative f; only the
-    partial sum is computable, so this is a diagnostic, not a decision.
-    """
-    f_values = np.asarray(f_values, dtype=np.complex128)
-    if np.max(np.abs(f_values)) > 1.0 + 1e-12:
-        raise ValueError("multiplicative input must satisfy |f(n)| <= 1")
-    q = _validate_character(chi)
-    if prime_cutoff > len(f_values):
-        raise ValueError("prime cutoff exceeds the provided range of f")
-    chi = np.asarray(chi, dtype=np.complex128)
-    terms = []
-    for p in _prime_sieve(prime_cutoff):
-        p = int(p)
-        val = chi[p % q] * f_values[p - 1] * p ** (-1j * u)
-        terms.append((1.0 - val.real) / p)
-    return math.fsum(terms)
-
-
 # ----------------------------------------------------------------------
 # export
 

@@ -1,9 +1,13 @@
+import cmath
 import functools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oscillab import analysis, registry
+from oscillab.flows import Flow
 from oscillab.torus import ModularMatrix
 
 
@@ -91,3 +95,64 @@ def reference_growth_bound(values, growth_exponent):
     mags = np.abs(values) ** growth_exponent
     prefix = np.cumsum(mags) / np.arange(1, len(values) + 1)
     return float(np.max(prefix) ** (1.0 / growth_exponent))
+
+
+def progression_mean(weights, modulus: int, residue: int, freq, n_terms: int) -> complex:
+    """(1/N) sum over n <= N with n = residue (mod modulus) of c_n e^{-2 pi i n freq}.
+
+    One term per n, its phase n freq reduced mod 1 in Python ints from the
+    fraction that ``freq`` denotes, and the terms added with ``math.fsum``.
+    """
+    freq = Fraction(freq)
+    r, s = freq.numerator, freq.denominator
+    terms = [
+        complex(weights.values[n - 1]) * cmath.exp(-2j * math.pi * (n * r % s / s))
+        for n in range(residue, n_terms + 1, modulus)
+    ]
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)) / n_terms
+
+
+def autocorrelation_toeplitz(gamma: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix: conj(gamma[i - j]) for i >= j, gamma[j - i] above."""
+    i, j = np.indices((len(gamma), len(gamma)))
+    return np.where(i >= j, np.conj(gamma)[i - j], np.asarray(gamma)[j - i])
+
+
+def toeplitz_min_eigenvalue(gamma: np.ndarray) -> float:
+    """Smallest eigenvalue of the autocorrelation Toeplitz matrix."""
+    return float(np.linalg.eigvalsh(autocorrelation_toeplitz(gamma))[0])
+
+
+def rotation_trig_autocorrelation(coeffs: dict[int, complex], angle: float, lags) -> np.ndarray:
+    """Closed-form gamma(k) = sum |a_m|^2 e^{2 pi i m angle k} for trig observables."""
+    return np.array(
+        [
+            sum(abs(a) ** 2 * cmath.exp(2j * math.pi * m * angle * k) for m, a in coeffs.items())
+            for k in np.atleast_1d(lags)
+        ]
+    )
+
+
+def check_metric_axioms(flow: Flow, rng: np.random.Generator, n_triples: int = 1000):
+    """Sample triples and measure worst symmetry / triangle-inequality defect."""
+    if flow.sample is None:
+        raise ValueError(f"flow {flow.name} has no sampler")
+    if n_triples < 1:
+        raise ValueError(f"n_triples must be >= 1, got {n_triples}")
+    sym = 0.0
+    tri = 0.0
+    for _ in range(n_triples):
+        x, y, z = flow.sample(rng), flow.sample(rng), flow.sample(rng)
+        dxy, dyx = flow.dist(x, y), flow.dist(y, x)
+        sym = max(sym, abs(dxy - dyx))
+        tri = max(tri, flow.dist(x, z) - (dxy + flow.dist(y, z)))
+    return sym, tri
+
+
+def sup_defect(map_a, map_b) -> float:
+    """Sup-norm distance between two maps on a uniform grid of 1024 points.
+
+    Each map is called once, on the whole grid, so both must evaluate arrays.
+    """
+    xs = np.linspace(-1.0, 1.0, 1024)
+    return float(np.max(np.abs(map_a(xs) - map_b(xs))))

@@ -10,7 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import counterexample_report, random_modular
+from conftest import (
+    counterexample_report,
+    random_modular,
+    rotation_trig_autocorrelation,
+    toeplitz_min_eigenvalue,
+)
 from oscillab import analysis, circle, interval, padic, sequences, torus
 from oscillab.flows import Observable
 
@@ -217,9 +222,9 @@ def test_09_spectral_autocorrelation():
         gamma = analysis.autocorrelation_spectrum(
             rotation, Observable("trig", trig), 0.0, 32, n_terms
         )
-        expected = analysis.rotation_trig_autocorrelation(coeffs, ALPHA, np.arange(33))
+        expected = rotation_trig_autocorrelation(coeffs, ALPHA, np.arange(33))
         assert np.max(np.abs(gamma - expected)) < 2.0 / math.sqrt(n_terms)
-        assert analysis.toeplitz_min_eigenvalue(gamma) >= -1e-6
+        assert toeplitz_min_eigenvalue(gamma) >= -1e-6
     _report(9, "autocorrelations match the spectral atoms; Toeplitz PSD holds", watch)
 
 

@@ -6,7 +6,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import counterexample_report
+from conftest import (
+    autocorrelation_toeplitz,
+    check_metric_axioms,
+    counterexample_report,
+    rotation_trig_autocorrelation,
+    toeplitz_min_eigenvalue,
+)
 from oscillab import analysis, circle, cli, flows, interval, registry, sequences, torus
 from oscillab.flows import Flow, Observable, isometry_defect
 
@@ -84,6 +90,21 @@ class TestWeightedBirkhoff:
         w = sequences.mobius_sequence(100)
         with pytest.raises(ValueError, match="checkpoints must lie in"):
             analysis.weighted_birkhoff(w, identity_flow(), CONST_ONE, 0.0, checkpoints=[])
+
+    def test_non_integral_checkpoints_rejected(self):
+        # refused, not truncated to averages at other N than asked for
+        w = sequences.mobius_sequence(100)
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            analysis.weighted_birkhoff(
+                w, identity_flow(), CONST_ONE, 0.0, checkpoints=[50.7, 100]
+            )
+
+    def test_numpy_integer_checkpoints_accepted(self):
+        w = sequences.mobius_sequence(100)
+        report = analysis.weighted_birkhoff(
+            w, identity_flow(), CONST_ONE, 0.0, checkpoints=[np.int64(50), 100]
+        )
+        assert [(type(n), n) for n, _ in report.checkpoints] == [(int, 50), (int, 100)]
 
     def test_diverging_orbit_rejected(self):
         # started outside [-1, 1] the quadratic family runs off to infinity
@@ -207,7 +228,14 @@ RNG = np.random.default_rng(0)
         (lambda: flows.lipschitz_one_defect(ROTATION, RNG, 0), "n_pairs"),
         (lambda: flows.isometry_defect(ROTATION, RNG, n_pairs=0), "n_pairs"),
         (lambda: flows.isometry_defect(ROTATION, RNG, n_steps=0), "n_steps"),
-        (lambda: flows.check_metric_axioms(ROTATION, RNG, n_triples=0), "n_triples"),
+        (lambda: check_metric_axioms(ROTATION, RNG, n_triples=0), "n_triples"),
+        (lambda: analysis.mean_equicontinuity_probe(ROTATION, [], 500), "pairs"),
+        (
+            lambda: analysis.mean_equicontinuity_curve(
+                ROTATION, lambda d, rng: (0.1, 0.1 + d), [0.01], lambda d: 500, n_pairs=0
+            ),
+            "pairs",
+        ),
     ],
     ids=[
         "mean_attraction_no_steps",
@@ -220,6 +248,8 @@ RNG = np.random.default_rng(0)
         "isometry_no_pairs",
         "isometry_no_steps",
         "metric_axioms_no_triples",
+        "equicontinuity_no_pairs",
+        "equicontinuity_curve_no_pairs",
     ],
 )
 def test_bad_probe_input_fails_loudly(call, argument):
@@ -288,14 +318,14 @@ class TestAutocorrelation:
         gamma = analysis.autocorrelation_spectrum(
             flow, Observable("trig", trig), 0.2, 16, n_terms
         )
-        expected = analysis.rotation_trig_autocorrelation(coeffs, ALPHA, np.arange(17))
+        expected = rotation_trig_autocorrelation(coeffs, ALPHA, np.arange(17))
         assert np.max(np.abs(gamma - expected)) < 2.0 / math.sqrt(n_terms)
 
     def test_toeplitz_psd(self):
         flow = circle.rotation_flow(ALPHA)
         gamma = analysis.autocorrelation_spectrum(flow, fourier(1), 0.1, 12, 10**4)
         scale = abs(gamma[0])
-        assert analysis.toeplitz_min_eigenvalue(gamma) >= -1e-6 * max(scale, 1.0)
+        assert toeplitz_min_eigenvalue(gamma) >= -1e-6 * max(scale, 1.0)
 
     def test_toeplitz_matches_loop_reference(self, rng):
         from scipy.linalg import toeplitz
@@ -304,7 +334,7 @@ class TestAutocorrelation:
         expected = np.array(
             [[np.conj(gamma[i - j]) if i >= j else gamma[j - i] for j in range(9)] for i in range(9)]
         )
-        matrix = analysis.autocorrelation_toeplitz(gamma)
+        matrix = autocorrelation_toeplitz(gamma)
         assert np.array_equal(matrix, expected)
         assert np.array_equal(matrix, toeplitz(np.conj(gamma), gamma))
 

@@ -256,10 +256,18 @@ class TestConfigParsing:
             ({"checkpoints": "0,50"}, "[x] bad value: checkpoints must lie in 1..N, N = 100"),
             ({"checkpoints": "50,200"}, "[x] bad value: checkpoints must lie in 1..N, N = 100"),
             ({"checkpoints": "100,50"}, "[x] bad value: checkpoints must be strictly increasing"),
+            ({"checkpoints": "50.7,100"},
+             "[x] bad value: invalid literal for int() with base 10: '50.7'"),
             ({"sequence": "subnormal", "sequence.tau": "0.2", "seed": "-1"},
              "[x] bad value: seed must be >= 0, got -1"),
         ],
-        ids=["checkpoint_zero", "checkpoint_past_n", "checkpoints_decreasing", "negative_seed"],
+        ids=[
+            "checkpoint_zero",
+            "checkpoint_past_n",
+            "checkpoints_decreasing",
+            "checkpoint_not_integer",
+            "negative_seed",
+        ],
     )
     def test_bad_checkpoints_or_seed_exit_two_at_parse_time(self, keys, message, tmp_path, capsys):
         keys = {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import check_metric_axioms
 from oscillab import flows
 from oscillab.circle import rotation_flow
 from oscillab.interval import quadratic_flow
@@ -54,7 +55,7 @@ class TestDistanceTrace:
 
 class TestMetricChecks:
     def test_circle_metric_axioms(self, rng):
-        sym, tri = flows.check_metric_axioms(rotation_flow(0.1), rng)
+        sym, tri = check_metric_axioms(rotation_flow(0.1), rng)
         assert sym <= 1e-12
         assert tri <= 1e-12
 
@@ -67,7 +68,7 @@ class TestMetricChecks:
             adding_machine(3, 12),
             quadratic_flow(0.5),
         ):
-            sym, tri = flows.check_metric_axioms(flow, rng, n_triples=300)
+            sym, tri = check_metric_axioms(flow, rng, n_triples=300)
             assert sym <= 1e-12, flow.name
             assert tri <= 1e-12, flow.name
 

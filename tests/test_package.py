@@ -93,14 +93,43 @@ def test_one_flow_stepping_loop():
 
 def test_one_sieve_for_the_arithmetic_weights():
     # liouville is mobius convolved with the squares; only mobius sieves
-    # (the character diagnostic needs the primes themselves)
     callers = sorted(
         statement.name
         for statement in ast.parse((PACKAGE / "sequences.py").read_text()).body
         for node in ast.walk(statement)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_prime_sieve"
     )
-    assert callers == ["daboussi_delange_diagnostic", "mobius"]
+    assert callers == ["mobius"]
+
+
+def test_src_holds_what_its_callers_reach():
+    # a top-level name that no other src statement loads, that is not in
+    # __all__ and that no bench script names is reached only from tests;
+    # cmd_* are loaded by name in cli.main
+    defined, loaded = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            own = getattr(statement, "name", None)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(own)
+            for node in ast.walk(statement):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(getattr(node, "ctx", None), ast.Load) and name != own:
+                    loaded.add(name)
+    bench = " ".join(p.read_text() for p in (PACKAGE.parents[1] / "bench").glob("*.py"))
+    unreached = sorted(
+        name
+        for name in defined
+        if name not in loaded
+        and name not in oscillab.__all__
+        and not name.startswith("cmd_")
+        and not re.search(rf"\b{name}\b", bench)
+    )
+    assert unreached == [
+        "basin_probe",  # the quadratic family's mean-attraction probe (the Feigenbaum case)
+        "load_denjoy",  # reads back the Denjoy gap table that `oscillab denjoy` writes
+        "symbolic_lambda_orbit",  # the symbolic iteration the README advertises
+    ]
 
 
 @pytest.mark.parametrize(
@@ -109,7 +138,6 @@ def test_one_sieve_for_the_arithmetic_weights():
         (analysis.mls_bad_density, ["flow", "x", "y", "eps", "n_steps"]),
         (analysis.shadow_periodic, ["flow", "x", "eps", "horizon"]),
         (interval.basin_probe, ["t", "x", "n_steps"]),
-        (interval.sup_defect, ["map_a", "map_b"]),
         (
             analysis.hooked_disjointness,
             ["weights", "flow", "observable", "start", "support_atoms", "checkpoints"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cyclotomic_polynomial, reference_growth_bound
+from conftest import cyclotomic_polynomial, progression_mean, reference_growth_bound
 from oscillab import sequences as seq
 
 ALPHA = math.sqrt(2.0) - 1.0
@@ -744,35 +744,42 @@ class TestQuadraticRationalCesaro:
             seq.quadratic_rational_cesaro(2**40, 2**41 + 1, Fraction(0), 10**7)
 
 
+def progression_by_cesaro(weights, modulus, residue, freq, n_terms):
+    """The progression mean from ``modulus`` Cesaro means, by
+    1[n = residue (mod modulus)] = (1/modulus) sum_j e(j (n - residue)/modulus)."""
+    return sum(
+        cmath.exp(2j * math.pi * j * residue / modulus)
+        * seq.cesaro_mean(weights, Fraction(freq) + Fraction(j, modulus), n_terms)
+        for j in range(modulus)
+    ) / modulus
+
+
 class TestArithmeticSubsequence:
     def test_counting_identity(self):
         w = seq.WeightSequence("ones", np.ones(101, dtype=complex), 2.0)
-        value = seq.arithmetic_subsequence_mean(w, 2, 1, 0.0, 101)
-        assert value == pytest.approx(math.ceil(101 / 2) / 101)
+        want = math.ceil(101 / 2) / 101
+        assert progression_mean(w, 2, 1, 0.0, 101) == pytest.approx(want, abs=1e-15)
+        assert progression_by_cesaro(w, 2, 1, 0.0, 101) == pytest.approx(want, abs=1e-15)
 
     def test_recombination(self):
         w = seq.quadratic_phase_sequence(4000, ALPHA)
         for t in (0.0, 0.37):
-            total = sum(
-                seq.arithmetic_subsequence_mean(w, 5, r, t, 4000) for r in range(1, 6)
-            )
-            assert abs(total - seq.cesaro_mean(w, t, 4000)) < 1e-12
+            parts = [progression_mean(w, 5, r, t, 4000) for r in range(1, 6)]
+            assert abs(sum(parts) - seq.cesaro_mean(w, t, 4000)) < 1e-12
+            for r, part in enumerate(parts, start=1):
+                assert abs(progression_by_cesaro(w, 5, r, t, 4000) - part) < 1e-12
 
     def test_root_of_unity_identity(self):
         # the proof's expansion over shifted frequencies, checked numerically
         w = seq.mobius_sequence(3000)
         modulus, residue, t = 4, 3, 0.21
-        lhs = seq.arithmetic_subsequence_mean(w, modulus, residue, t, 3000)
-        rhs = sum(
-            np.exp(2j * np.pi * j * residue / modulus)
-            * seq.cesaro_mean(w, t + j / modulus, 3000)
-            for j in range(1, modulus + 1)
-        ) / modulus
-        assert abs(lhs - rhs) < 1e-10
+        lhs = progression_mean(w, modulus, residue, t, 3000)
+        assert abs(lhs - progression_by_cesaro(w, modulus, residue, t, 3000)) < 1e-12
 
     def test_mobius_progression_decay(self):
         w = seq.mobius_sequence(10**6)
-        value = seq.arithmetic_subsequence_mean(w, 4, 1, 0.0, 10**6)
+        value = progression_by_cesaro(w, 4, 1, 0.0, 10**6)
+        assert abs(value - progression_mean(w, 4, 1, 0.0, 10**6)) < 1e-15
         assert abs(value) < 0.02
 
     @pytest.mark.parametrize(
@@ -780,87 +787,12 @@ class TestArithmeticSubsequence:
         [(4, 1, Fraction(1, 2)), (4, 3, Fraction(3, 4)), (2, 1, Fraction(1, 2)), (2, 1, 0.5)],
     )
     def test_rational_frequency_exact(self, modulus, residue, freq):
-        # reference: exact residue phases n freq mod 1, summed with fsum
+        # both sides read exact residue phases n freq mod 1
         n_terms = 10**5
         w = seq.quadratic_phase_sequence(n_terms, Fraction(1, 8))
-        r, s = Fraction(freq).numerator, Fraction(freq).denominator
-        n = np.arange(residue, n_terms + 1, modulus)
-        terms = w.values[n - 1] * np.exp(-2j * np.pi * ((r * n % s) / s))
-        want = complex(math.fsum(terms.real), math.fsum(terms.imag)) / n_terms
-        got = seq.arithmetic_subsequence_mean(w, modulus, residue, freq, n_terms)
+        want = progression_mean(w, modulus, residue, freq, n_terms)
+        got = progression_by_cesaro(w, modulus, residue, freq, n_terms)
         assert abs(got - want) < 1e-14
-
-    def test_residue_out_of_range(self):
-        w = seq.mobius_sequence(10)
-        with pytest.raises(ValueError):
-            seq.arithmetic_subsequence_mean(w, 4, 5, 0.0, 10)
-
-
-class TestDaboussiDelange:
-    def test_trivial_function_vanishes(self):
-        f = np.ones(1000)
-        chi = np.array([1.0 + 0j])
-        for cutoff in (10, 100, 1000):
-            assert seq.daboussi_delange_diagnostic(f, chi, 0.0, cutoff) == 0.0
-
-    def test_mobius_gives_two_over_p(self):
-        cutoff = 10**4
-        mu = seq.mobius(cutoff).astype(complex)
-        chi = np.array([1.0 + 0j])
-        total = seq.daboussi_delange_diagnostic(mu, chi, 0.0, cutoff)
-        primes = seq._prime_sieve(cutoff)
-        assert total == pytest.approx(math.fsum(2.0 / p for p in primes), abs=1e-12)
-        # grows like 2 log log P
-        assert total > 2.0 * math.log(math.log(cutoff))
-
-    def test_conjugate_character_vanishes(self):
-        # completely multiplicative f with f(p) = conj(chi0(p)) for the
-        # trivial modulus: every summand has real part one
-        f = np.ones(500)
-        chi = np.array([1.0 + 0j])
-        assert seq.daboussi_delange_diagnostic(f, chi, 0.0, 500) == 0.0
-
-    def test_rejects_non_character(self):
-        f = np.ones(100)
-        with pytest.raises(ValueError):
-            seq.daboussi_delange_diagnostic(f, np.array([1.0, 0.5, 0.5]), 0.0, 100)
-
-    @pytest.mark.parametrize(
-        "table, message",
-        [
-            ([1.0, 1.0, -1.0], r"vanish off units \(n=0\)"),
-            ([0.0, 1.0, 0.5], r"be unimodular on units \(n=2\)"),
-            # mod 6 both n = 2 and n = 5 break a rule; the first is named
-            ([0.0, 1.0, 1.0, 0.0, 0.0, 0.5], r"vanish off units \(n=2\)"),
-        ],
-    )
-    def test_names_the_first_bad_residue(self, table, message):
-        with pytest.raises(ValueError, match=message):
-            seq.daboussi_delange_diagnostic(np.ones(10), np.array(table), 0.0, 10)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_rejects_non_finite_table(self, bad):
-        with pytest.raises(ValueError, match=r"be unimodular on units \(n=2\)"):
-            seq.daboussi_delange_diagnostic(np.ones(100), [0, 1, bad], 0.0, 100)
-
-    @pytest.mark.parametrize("q", [512, 600])
-    def test_rejects_non_multiplicative_table_at_any_modulus(self, q):
-        # the principal character with chi(7) = -1: chi(77) = 1, not -1 * 1
-        table = (np.gcd(np.arange(q), q) == 1).astype(complex)
-        table[7] = -1.0
-        with pytest.raises(ValueError, match="not multiplicative"):
-            seq.daboussi_delange_diagnostic(np.ones(100), table, 0.0, 100)
-
-    def test_nontrivial_character_runs(self):
-        # character mod 5 sending a generator 2 -> i
-        table = np.zeros(5, dtype=complex)
-        table[1] = 1.0
-        table[2] = 1j
-        table[4] = -1.0
-        table[3] = -1j
-        f = np.ones(200)
-        value = seq.daboussi_delange_diagnostic(f, table, 0.3, 200)
-        assert np.isfinite(value)
 
 
 class TestExport:
@@ -873,20 +805,11 @@ class TestExport:
         assert header == "t,re_sigma,im_sigma,abs_sigma,N"
 
 
-MOBIUS_100 = seq.mobius_sequence(100)
-
-
 @pytest.mark.parametrize(
     "call, match",
     [
         (lambda: seq.quadratic_rational_spectrum(0, 0), "denominator must be >= 1"),
         (lambda: seq.quadratic_rational_spectrum(5, 4), "0 <= numer < denom"),
-        (lambda: seq._validate_character([]), "non-empty"),
-        (lambda: seq._validate_character([0, 1j]), r"chi\(1\) = 1"),
-        (lambda: seq.daboussi_delange_diagnostic(np.full(10, 2.0), [1], 0.0, 10), r"\|f\(n\)\| <= 1"),
-        (lambda: seq.daboussi_delange_diagnostic(np.ones(10), [1], 0.0, 11), "cutoff exceeds"),
-        (lambda: seq.arithmetic_subsequence_mean(MOBIUS_100, 1, 1, 0.5, 10), "modulus must be >= 2"),
-        (lambda: seq.arithmetic_subsequence_mean(MOBIUS_100, 2, 1, 0.5, 101), "n_terms out of range"),
         (lambda: seq.WeightSequence("empty", np.array([]), 2.0), "non-empty 1-d array"),
         (lambda: seq.subnormal_sequence(0.3, 0, seed=1), "n_terms must be >= 1"),
         (lambda: seq.subnormal_sequence(0.3, -5, seed=1), "n_terms must be >= 1"),
@@ -894,12 +817,6 @@ MOBIUS_100 = seq.mobius_sequence(100)
     ids=[
         "spectrum_denominator_zero",
         "spectrum_numerator_past_denominator",
-        "character_empty",
-        "character_chi_of_one",
-        "diagnostic_f_too_large",
-        "diagnostic_cutoff_past_f",
-        "subsequence_modulus_one",
-        "subsequence_terms_past_weights",
         "weights_empty",
         "subnormal_no_terms",
         "subnormal_negative_terms",
@@ -911,5 +828,7 @@ def test_bad_input_raises(call, match):
 
 
 def test_arithmetic_subsequence_past_the_prefix_is_zero():
-    # no n <= 10 is 40 mod 50, so the mean has no terms
-    assert seq.arithmetic_subsequence_mean(MOBIUS_100, 50, 40, 0.1, 10) == 0j
+    # no n <= 10 is 40 mod 50: the 50 shifted means cancel
+    w = seq.mobius_sequence(100)
+    assert progression_mean(w, 50, 40, 0.1, 10) == 0j
+    assert abs(progression_by_cesaro(w, 50, 40, 0.1, 10)) < 1e-15
