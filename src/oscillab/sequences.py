@@ -11,13 +11,14 @@ mu(n/d^2), so ``liouville`` adds slices of ``mobius``.  Polynomial phases
 P(n) mod 1 are kept as exact integer residues over the common denominator
 D of P's coefficients until a float is needed: ``rational_phases`` rounds
 each once (``circle.rotation_flow`` does the same for its short blocks, in
-Python ints), and the phase
-sequences gather their weights from one table of the D roots of unity
-when D <= N.  A Cesaro mean at a rational frequency r/s with s <= N is
-exact in its phases too: the terms are folded by n mod a multiple of s
-(``residue_fold``, one column sum in order of n), so each phase n r/s is
-an integer residue.  Weights and their growth bound are built _BLOCK
-terms at a time, so a build holds its result plus a few small chunks.
+Python ints), and a phase sequence computes one period of D terms and
+copies it when D <= N.  A Cesaro mean at a rational frequency r/s with
+s <= N is exact in its phases too: the terms are folded by n mod a
+multiple of s (``residue_fold``, one column sum in order of n), so each
+phase n r/s is an integer residue.  Weights are built _BLOCK terms at a
+time, so a build holds its result plus a few small chunks.  A sequence's
+growth bound is computed, also chunk by chunk, when a reader first asks
+for it.
 Quadratic-phase sequences with rational parameter get their spectrum in
 closed form: which Gauss sums vanish is a parity rule on integers, and
 each amplitude is a root of unity at an integer residue times one base
@@ -26,13 +27,13 @@ sum; everything else is measured numerically.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import numpy.fft
-import numpy.ma  # np.union1d calls np.ma.is_masked
 import numpy.random
 
 
@@ -102,15 +103,15 @@ def prefix_growth_bound(values: np.ndarray, growth_exponent: float) -> float:
 class WeightSequence:
     """Complex weights c_1..c_N plus their averaged-growth metadata.
 
-    ``growth_bound`` is recomputed from the stored values on construction,
-    so it is always the exact prefix supremum for ``growth_exponent``; the
-    same pass refuses non-finite values.
+    Construction refuses non-finite values, one chunk at a time.
+    ``growth_bound`` is computed from the stored values on first read and
+    kept, so it is always the exact prefix supremum for ``growth_exponent``,
+    and a sequence whose bound nothing reads never pays for it.
     """
 
     name: str
     values: np.ndarray
     growth_exponent: float
-    growth_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.complex128)
@@ -118,10 +119,15 @@ class WeightSequence:
             raise ValueError("values must be a non-empty 1-d array")
         if not self.growth_exponent > 1.0:
             raise ValueError("growth_exponent must be > 1")
+        for start, stop in _blocks(len(values)):
+            if not np.isfinite(values[start:stop]).all():
+                raise ValueError("weight values must be finite")
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "growth_bound", prefix_growth_bound(values, self.growth_exponent)
-        )
+
+    @functools.cached_property
+    def growth_bound(self) -> float:
+        """``prefix_growth_bound`` of the values, computed on first read."""
+        return prefix_growth_bound(self.values, self.growth_exponent)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -263,27 +269,26 @@ def rational_phases(coeffs, n) -> np.ndarray:
 def _phase_weights(name: str, coeffs, n_terms: int) -> WeightSequence:
     """exp(2 pi i P(n)) for n = 1..n_terms, P's coefficients ascending.
 
-    The weights are written chunk by chunk into one array.  When P's
-    denominator D is at most n_terms, the D roots of unity are computed
-    once and gathered by residue.  Each root is exp of its phase rounded
-    as ``rational_phases`` rounds it, so the weights are the same bits as
-    exp of every phase, which is what a larger D computes.
+    D P(n) mod D has period D in n for P's common denominator D, since
+    each (n + D)^k - n^k is a multiple of D.  So only one period, n =
+    1..min(D, n_terms), is computed, chunk by chunk, each weight exp of its
+    phase rounded as ``rational_phases`` rounds it; the rest of the array
+    is copies of that period, the copied prefix doubling each time.
     """
     numers, denom = _phase_numerators(coeffs)
 
-    def residues(start, stop):
-        return _phase_residues(numers, denom, np.arange(start + 1, stop + 1))
+    def phases(start, stop):
+        residues = _phase_residues(numers, denom, np.arange(start + 1, stop + 1))
+        return _round_phases(residues, denom)
 
     values = np.empty(n_terms, dtype=np.complex128)
-    if denom <= n_terms:
-        roots = np.empty(denom, dtype=np.complex128)
-        _fill_exp_phases(roots, lambda a, b: np.arange(a, b) / denom)
-        for start, stop in _blocks(n_terms):
-            # every residue is in 0..D-1: "clip" skips take's checked copy
-            index = residues(start, stop).astype(np.intp)
-            np.take(roots, index, out=values[start:stop], mode="clip")
-    else:
-        _fill_exp_phases(values, lambda a, b: _round_phases(residues(a, b), denom))
+    filled = min(denom, n_terms)
+    _fill_exp_phases(values[:filled], phases)
+    # the filled prefix is a whole number of periods
+    while filled < n_terms:
+        size = min(filled, n_terms - filled)
+        values[filled : filled + size] = values[:size]
+        filled += size
     return WeightSequence(name, values, 2.0)
 
 
@@ -414,7 +419,8 @@ def zero_set_scan(
     from two residue folds of c_n, by n mod grid_size and n mod 840 (each
     one column sum in order of n), each followed by one FFT: the phases
     n k/m are exact integer residues, and the whole scan costs
-    O(N + G log G) for N terms and grid size G.
+    O(N + G log G) for N terms and grid size G.  The keys come from one
+    sort of the lattice j/G and the low rationals that are off it.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -427,8 +433,9 @@ def zero_set_scan(
     # numerators over the common denominator keep the union exact
     common = math.lcm(grid_size, _LOW_MODULUS)
     g_step, low_step = common // grid_size, common // _LOW_MODULUS
-    low = [r * (common // s) for s in range(2, 9) for r in range(1, s)]
-    keys = np.union1d(np.arange(grid_size) * g_step, low)
+    low = {r * (common // s) for s in range(2, 9) for r in range(1, s)}
+    off_lattice = np.fromiter((k for k in low if k % g_step), dtype=np.int64)
+    keys = np.sort(np.concatenate((np.arange(grid_size) * g_step, off_lattice)))
     grid = keys / common
     # a point that is also some j/grid_size takes its value from that fold
     sigma = np.where(
@@ -489,7 +496,7 @@ def quadratic_rational_spectrum(numer: int, denom: int) -> dict[Fraction, comple
         b = h + 2 * k[: denom // 2]
         c = k[: denom // 2] * pow(numer, -1, denom) % denom
     amplitudes = roots[-square(c) % denom] * base
-    return {Fraction(int(r), denom): complex(a) for r, a in zip(b, amplitudes)}
+    return dict(zip([Fraction(r, denom) for r in b.tolist()], amplitudes.tolist()))
 
 
 def quadratic_rational_cesaro(

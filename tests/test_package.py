@@ -203,6 +203,11 @@ def test_cli_import_loads_no_scipy():
     assert run_fresh(code) == "[]"
 
 
+def test_cli_import_loads_no_numpy_ma():
+    code = "import sys, oscillab.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+    assert run_fresh(code) == "[]"
+
+
 LATE_NUMPY_IMPORTS = """
 import sys
 from importlib import resources

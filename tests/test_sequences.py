@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cyclotomic_polynomial, progression_mean, reference_growth_bound
+from oscillab import analysis, registry
 from oscillab import sequences as seq
 
 ALPHA = math.sqrt(2.0) - 1.0
@@ -158,6 +159,41 @@ class TestWeightSequence:
         with np.errstate(over="ignore"):
             assert seq.WeightSequence("huge", values, 2.0).growth_bound == math.inf
 
+    def test_only_a_reader_of_the_bound_computes_it(self, monkeypatch):
+        calls = []
+        bound = seq.prefix_growth_bound
+
+        def counted(values, exponent):
+            calls.append(len(values))
+            return bound(values, exponent)
+
+        monkeypatch.setattr(seq, "prefix_growth_bound", counted)
+        params = {
+            "mobius": {},
+            "liouville": {},
+            "quadratic_phase": {"alpha": "0.25"},
+            "nlogn_phase": {"c": "0.7"},
+            "polynomial_phase": {"coeffs": "0.1,0.3,0.125"},
+            "subnormal": {"tau": "0.3"},
+        }
+        assert set(params) == set(registry.SEQUENCES)
+        built = [
+            registry.build_sequence(name, p, 2 * CHUNK + 5, seed=2) for name, p in params.items()
+        ]
+        for w in built:
+            seq.zero_set_scan(w)
+            seq.cesaro_mean(w, Fraction(1, 3))
+            seq.cesaro_mean(w, ALPHA)
+        assert calls == []
+        flow = registry.build_flow("rotation", {"rho": repr(ALPHA)})
+        observable = registry.build_observable("fourier", {"k": "1"})
+        for w in built:
+            calls.clear()
+            analysis.weighted_birkhoff(w, flow, observable, 0.0)
+            assert calls == [len(w)]
+            assert w.growth_bound == reference_growth_bound(w.values, 2.0)
+            assert calls == [len(w)]
+
 
 class TestPhaseSequences:
     def test_quadratic_zero_alpha(self):
@@ -198,6 +234,10 @@ PHASE_N = np.concatenate(
         [-(2**31), -1, 0],
     ]
 )
+
+
+def common_denominator(coeffs) -> int:
+    return math.lcm(*(Fraction(c).denominator for c in coeffs))
 
 
 class TestRationalPhases:
@@ -259,6 +299,42 @@ class TestRationalPhases:
         phases = seq.rational_phases(coeffs, np.arange(1, n_terms + 1))
         assert w.values.tobytes() == np.exp(2j * np.pi * phases).tobytes()
         assert w.growth_bound == reference_growth_bound(w.values, 2.0)
+
+    # D P(n) mod D has period D: one period, then copies of it, at N = D,
+    # one past a doubling, one short of it and past a few chunks
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [0, 0, 1],
+            [0, 0, Fraction(1, 2)],
+            [0, Fraction(1, 4), Fraction(3, 4)],
+            [0.5, 0.25, 0.125],
+            [0, 0, Fraction(5, 97)],
+            [0, 0, Fraction(1, 4096)],
+            [0, Fraction(1, 17), Fraction(3, 241)],  # D = 4097, Python-int residues
+        ],
+        ids=lambda coeffs: f"D={common_denominator(coeffs)}",
+    )
+    def test_periodic_weights_are_exp_of_phases(self, coeffs):
+        denom = common_denominator(coeffs)
+        sizes = {denom, denom + 1, 2 * denom - 1, 2 * denom, 2 * denom + 1, 3 * CHUNK + 7}
+        for n_terms in sorted(n for n in sizes if n >= denom):
+            w = seq.polynomial_phase_sequence(n_terms, coeffs)
+            phases = seq.rational_phases(coeffs, np.arange(1, n_terms + 1))
+            assert w.values.tobytes() == np.exp(2j * np.pi * phases).tobytes(), n_terms
+
+    def test_periodic_build_holds_no_table_of_the_period(self):
+        # D = 100 003 <= N: the period's Python-int residues are built a
+        # chunk at a time, and no D-term table of roots is held
+        coeffs = [0, 0, Fraction(5, 100_003)]
+        seq.polynomial_phase_sequence(CHUNK, coeffs)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            w = seq.polynomial_phase_sequence(200_006, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.values.nbytes + (512 << 10)
 
     def test_chunked_nlogn_and_subnormal_match_one_shot(self):
         n_terms = 2 * CHUNK + 3
@@ -504,6 +580,15 @@ class TestZeroSetScan:
         for i in sorted(picks):
             reference = residue_reference(values, points[i])
             assert abs(report.sigma[i] - reference) <= tol
+
+    @pytest.mark.parametrize("grid_size", [2, 3, 7, 512, 840, 1000, 1024, 4096, 100_000])
+    def test_grid_is_the_union_of_lattice_and_low_rationals(self, grid_size):
+        common = math.lcm(grid_size, 840)
+        low = [r * (common // s) for s in range(2, 9) for r in range(1, s)]
+        keys = np.union1d(np.arange(grid_size) * (common // grid_size), low)
+        grid = seq.zero_set_scan(seq.mobius_sequence(100), grid_size).grid
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == (keys / common).tobytes()
 
     def test_rejects_bad_sizes(self):
         w = seq.mobius_sequence(100)
