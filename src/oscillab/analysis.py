@@ -51,7 +51,7 @@ class DisjointnessReport:
     sequence: str
     flow: str
     observable: str
-    start: str
+    start: object  # the orbit's start point, as passed
     checkpoints: tuple[tuple[int, complex], ...]
     decay_slope: float
     verdict: str  # 'decaying' | 'stagnant' | 'inconclusive'
@@ -62,17 +62,21 @@ class DisjointnessReport:
         return self.checkpoints[-1][1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "flow": self.flow,
-            "observable": self.observable,
-            "start": self.start,
-            "checkpoints": [
-                {"N": n, "re": s.real, "im": s.imag} for n, s in self.checkpoints
-            ],
-            "slope": self.decay_slope,
-            "verdict": self.verdict,
-        }
+        """The report as JSON data, with ``repr(start)`` as the start."""
+        return _report_json(self, repr(self.start))
+
+
+def _report_json(report: DisjointnessReport, start: str) -> dict:
+    """``report`` as JSON data with ``start`` as its start text."""
+    return {
+        "sequence": report.sequence,
+        "flow": report.flow,
+        "observable": report.observable,
+        "start": start,
+        "checkpoints": [{"N": n, "re": s.real, "im": s.imag} for n, s in report.checkpoints],
+        "slope": report.decay_slope,
+        "verdict": report.verdict,
+    }
 
 
 def checked_checkpoints(checkpoints, n_terms: int) -> list[int]:
@@ -97,11 +101,14 @@ def weighted_birkhoff(
 ) -> DisjointnessReport:
     """Stream (1/N) sum c_n f(T^n x) and classify its decay.
 
-    The verdict fits the slope of log |S_N| against log N over the last
-    half of the checkpoints and compares the final |S_N| with the floor
-    DECAY_FINAL_LEVEL * growth_bound * sup |f| on the orbit: a clearly
-    negative slope below the floor reads 'decaying', a flat tail at or
-    above it reads 'stagnant', anything else is 'inconclusive'.
+    The weights are read one chunk per block of the observable stream, in
+    one ``WeightSequence.read`` pass that also yields the growth bound, so
+    streamed weights are never held whole.  The verdict fits the slope of
+    log |S_N| against log N over the last half of the checkpoints and
+    compares the final |S_N| with the floor DECAY_FINAL_LEVEL *
+    growth_bound * sup |f| on the orbit: a clearly negative slope below the
+    floor reads 'decaying', a flat tail at or above it reads 'stagnant',
+    anything else is 'inconclusive'.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(len(weights))
@@ -109,25 +116,32 @@ def weighted_birkhoff(
     acc = KahanSum()
     sup_observed = 0.0
     recorded: list[tuple[int, complex]] = []
-    lo = 0  # terms 1..lo are in acc
-    for block in _observable_stream(flow, observable, start, checkpoints[-1]):
-        # hypot is what abs(complex) computes; np.abs can differ by an ulp
-        mags = np.hypot(block.real, block.imag)
-        block_sup = float(np.max(mags))
-        if not math.isfinite(block_sup):
-            raise ValueError(f"observable is not finite on the orbit of {start!r}")
-        sup_observed = max(sup_observed, block_sup)
-        terms = weights.values[lo : lo + len(block)] * block
-        cut = 0  # terms[:cut] are in acc
-        for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
-            acc.add(complex(terms[cut : n - lo].sum()))
-            cut = n - lo
-            recorded.append((n, acc.value / n))
-        acc.add(complex(terms[cut:].sum()))
-        lo += len(block)
+
+    def average(chunks):
+        nonlocal sup_observed
+        lo = 0  # terms 1..lo are in acc
+        stream = _observable_stream(flow, observable, start, checkpoints[-1])
+        for block, chunk in zip(stream, chunks):
+            # hypot is what abs(complex) computes; np.abs can differ by an ulp
+            mags = np.hypot(block.real, block.imag)
+            block_sup = float(np.max(mags))
+            if not math.isfinite(block_sup):
+                raise ValueError(f"observable is not finite on the orbit of {start!r}")
+            sup_observed = max(sup_observed, block_sup)
+            terms = chunk[: len(block)] * block
+            cut = 0  # terms[:cut] are in acc
+            for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
+                acc.add(complex(terms[cut : n - lo].sum()))
+                cut = n - lo
+                recorded.append((n, acc.value / n))
+            acc.add(complex(terms[cut:].sum()))
+            lo += len(block)
+            yield chunk
+
+    growth_bound = weights.read(average)
     slope = _fit_tail_slope(recorded)
     final_mag = abs(recorded[-1][1])
-    floor = DECAY_FINAL_LEVEL * weights.growth_bound * max(sup_observed, 1e-300)
+    floor = DECAY_FINAL_LEVEL * growth_bound * max(sup_observed, 1e-300)
     if slope < DECAY_SLOPE and final_mag < floor:
         verdict = "decaying"
         limit = None
@@ -141,7 +155,7 @@ def weighted_birkhoff(
         sequence=weights.name,
         flow=flow.name,
         observable=observable.name,
-        start=repr(start),
+        start=start,
         checkpoints=tuple(recorded),
         decay_slope=slope,
         verdict=verdict,
@@ -340,7 +354,8 @@ def holder_defect(
     """|S_N f(x) - S_N f(y)| minus its averaged Holder bound (<= 0 up to rounding).
 
     The bound is growth_bound * ((1/N) sum |f(T^n x) - f(T^n y)|^q)^(1/q)
-    with q conjugate to the growth exponent.
+    with q conjugate to the growth exponent.  Like ``weighted_birkhoff``,
+    it reads the weights chunk by chunk, in the pass that yields the bound.
     """
     if not 1 <= n_terms <= len(weights):
         raise ValueError(f"n_terms must lie in 1..{len(weights)}, got {n_terms}")
@@ -348,16 +363,21 @@ def holder_defect(
     acc_x = KahanSum()
     acc_y = KahanSum()
     diff_sum = 0.0
-    lo = 0
-    for fu, fv in zip(
-        _observable_stream(flow, observable, x, n_terms),
-        _observable_stream(flow, observable, y, n_terms),
-    ):
-        c = weights.values[lo : lo + len(fu)]
-        acc_x.add(complex((c * fu).sum()))
-        acc_y.add(complex((c * fv).sum()))
-        diff_sum += float((np.abs(fu - fv) ** q).sum())
-        lo += len(fu)
+
+    def difference(chunks):
+        nonlocal diff_sum
+        for fu, fv, chunk in zip(
+            _observable_stream(flow, observable, x, n_terms),
+            _observable_stream(flow, observable, y, n_terms),
+            chunks,
+        ):
+            c = chunk[: len(fu)]
+            acc_x.add(complex((c * fu).sum()))
+            acc_y.add(complex((c * fv).sum()))
+            diff_sum += float((np.abs(fu - fv) ** q).sum())
+            yield chunk
+
+    growth_bound = weights.read(difference)
     lhs = abs(acc_x.value - acc_y.value) / n_terms
-    rhs = weights.growth_bound * (diff_sum / n_terms) ** (1.0 / q)
+    rhs = growth_bound * (diff_sum / n_terms) ** (1.0 / q)
     return lhs - rhs

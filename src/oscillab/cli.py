@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__, circle, interval, registry, sequences, torus
-from .analysis import checked_checkpoints, weighted_birkhoff
+from .analysis import _report_json, checked_checkpoints, weighted_birkhoff
 
 OUTPUT_ENV_VAR = "OSCILLAB_OUT"
 
@@ -174,8 +174,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     observable = registry.build_observable(cfg.observable, cfg.observable_params)
     start = registry.parse_start(cfg.flow, cfg.start, flow)
     report = weighted_birkhoff(weights, flow, observable, start, cfg.checkpoints)
-    payload = report.to_json_dict()
-    payload["start"] = cfg.start  # canonical config text, not the parsed repr
+    payload = _report_json(report, cfg.start)  # canonical config text, not the parsed repr
     json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     csv_lines = ["N,re,im,abs"]
     for n, s in report.checkpoints:

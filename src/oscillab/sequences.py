@@ -4,8 +4,10 @@ Generators for the arithmetic and phase sequences used throughout the
 package (Mobius, Liouville, quadratic, n log n and polynomial phases,
 random subnormal weights; one plain function each, which the registry
 holds directly), together with the Cesaro-mean machinery that locates
-where a sequence's averaged Fourier mass survives.  ``mobius`` holds the
-one sieve of the arithmetic weights: Liouville's lambda is mu convolved
+where a sequence's averaged Fourier mass survives.  ``_mobius_segments``
+is the one sieve of the arithmetic weights, run a segment at a time:
+``mobius`` takes 1..N as one segment, the Mobius weights' chunks are
+segments of about 16 sqrt(N) terms, and Liouville's lambda is mu convolved
 with the indicator of the squares, lambda(n) = sum over d^2 | n of
 mu(n/d^2), so ``liouville`` adds slices of ``mobius``.  Polynomial phases
 P(n) mod 1 are kept as exact integer residues over the common denominator
@@ -16,9 +18,12 @@ copies it when D <= N.  A Cesaro mean at a rational frequency r/s with
 s <= N is exact in its phases too: the terms are folded by n mod a
 multiple of s (``residue_fold``, one column sum in order of n), so each
 phase n r/s is an integer residue.  Weights are built _BLOCK terms at a
-time, so a build holds its result plus a few small chunks.  A sequence's
-growth bound is computed, also chunk by chunk, when a reader first asks
-for it.
+time, so a build holds its result plus a few small chunks; the Mobius
+weights build nothing until read.  Every sequence yields its weights in
+those chunks, and the weighted averages of ``analysis`` read only the
+chunks, so an average of Mobius weights holds O(sqrt(N) + _BLOCK) of
+them, not N.  A sequence's growth bound is computed, also chunk by chunk,
+in the first such pass or when a reader first asks for it.
 Quadratic-phase sequences with rational parameter get their spectrum in
 closed form: which Gauss sums vanish is a parity rule on integers, and
 each amplitude is a root of unity at an integer residue times one base
@@ -76,16 +81,23 @@ class KahanSum:
         return self._total
 
 
-def prefix_growth_bound(values: np.ndarray, growth_exponent: float) -> float:
+def _chunks(values: np.ndarray):
+    """Slices of ``values`` at ``_blocks(len(values))``."""
+    return (values[start:stop] for start, stop in _blocks(len(values)))
+
+
+def prefix_growth_bound(values, growth_exponent: float) -> float:
     """sup over prefixes N of ((1/N) sum_{n<=N} |c_n|^exponent)^(1/exponent).
 
-    Runs chunk by chunk, and raises ``ValueError`` at a non-finite value.
-    The running sum enters each chunk's cumsum as its first addend, so
-    every prefix sum is the one a single cumsum over all values adds.
+    ``values`` is an array, read chunk by chunk, or a pass of
+    ``WeightSequence.read``: a sized iterable of the ``_blocks`` chunks in
+    order.  Raises ``ValueError`` at a non-finite value.  The running sum
+    enters each chunk's cumsum as its first addend, so every prefix sum is
+    the one a single cumsum over all values adds.
     """
+    chunks = _chunks(values) if isinstance(values, np.ndarray) else values
     total = best = 0.0
-    for start, stop in _blocks(len(values)):
-        chunk = values[start:stop]
+    for (start, stop), chunk in zip(_blocks(len(values)), chunks):
         prefix = np.abs(chunk) ** growth_exponent
         prefix[0] += total
         np.cumsum(prefix, out=prefix)
@@ -99,41 +111,100 @@ def prefix_growth_bound(values: np.ndarray, growth_exponent: float) -> float:
     return float(best ** (1.0 / growth_exponent))
 
 
-@dataclass(frozen=True, eq=False)
 class WeightSequence:
     """Complex weights c_1..c_N plus their averaged-growth metadata.
 
-    Construction refuses non-finite values, one chunk at a time.
-    ``growth_bound`` is computed from the stored values on first read and
-    kept, so it is always the exact prefix supremum for ``growth_exponent``,
-    and a sequence whose bound nothing reads never pays for it.
+    A reader takes the weights whole, as ``values``, or one ``_blocks``
+    chunk at a time, from ``chunks`` or in one ``read`` pass.  Built from
+    an array, the chunks are slices of it, and construction refuses
+    non-finite values one chunk at a time.  ``mobius_sequence`` is streamed
+    instead: its chunks come from the segmented sieve, and ``values`` is
+    built, from ``mobius``, only when first read.  ``growth_bound`` is the
+    exact prefix supremum for ``growth_exponent``.  It is computed by the
+    first ``read`` (or on first access) and kept, so a sequence whose bound
+    nothing reads never pays for it.
     """
 
-    name: str
-    values: np.ndarray
-    growth_exponent: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
+    def __init__(self, name: str, values, growth_exponent: float) -> None:
+        values = np.asarray(values, dtype=np.complex128)
         if values.ndim != 1 or len(values) < 1:
             raise ValueError("values must be a non-empty 1-d array")
-        if not self.growth_exponent > 1.0:
+        if not growth_exponent > 1.0:
             raise ValueError("growth_exponent must be > 1")
-        for start, stop in _blocks(len(values)):
-            if not np.isfinite(values[start:stop]).all():
-                raise ValueError("weight values must be finite")
-        object.__setattr__(self, "values", values)
+        if not all(np.isfinite(chunk).all() for chunk in _chunks(values)):
+            raise ValueError("weight values must be finite")
+        self.name, self.values, self.growth_exponent = name, values, growth_exponent
+
+    def chunks(self):
+        """c_1..c_N as complex arrays, one per ``_blocks(len(self))`` chunk."""
+        return _chunks(self.values)
+
+    def read(self, reader) -> float:
+        """Run ``reader`` over the chunks in one pass; return ``growth_bound``.
+
+        ``reader(chunks)`` is a generator that takes chunks from ``chunks``
+        in order, yields each one it took and may stop early.  While the
+        bound is unknown the pass goes on to c_N and the bound comes from
+        the same chunks, so a streamed sequence is produced once.
+        """
+        if "growth_bound" in self.__dict__:
+            for _ in reader(self.chunks()):
+                pass
+        else:
+            self.growth_bound = prefix_growth_bound(_Pass(self, reader), self.growth_exponent)
+        return self.growth_bound
 
     @functools.cached_property
     def growth_bound(self) -> float:
-        """``prefix_growth_bound`` of the values, computed on first read."""
-        return prefix_growth_bound(self.values, self.growth_exponent)
+        """``prefix_growth_bound`` of the chunks, computed on first access."""
+        return prefix_growth_bound(_Pass(self, iter), self.growth_exponent)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __repr__(self) -> str:
         return f"WeightSequence({self.name}, n={len(self)})"
+
+
+class _Pass:
+    """One read of ``weights.chunks()``: the chunks ``reader`` takes, then the rest."""
+
+    def __init__(self, weights: WeightSequence, reader) -> None:
+        self._weights, self._reader = weights, reader
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+    def __iter__(self):
+        chunks = self._weights.chunks()
+        yield from self._reader(chunks)
+        yield from chunks
+
+
+class _MobiusWeights(WeightSequence):
+    """mu(1)..mu(N) as complex weights, streamed from ``_mobius_segments``."""
+
+    def __init__(self, n_terms: int) -> None:
+        _check_n_terms(n_terms)
+        self.name, self.growth_exponent, self._n_terms = "mobius", 2.0, n_terms
+
+    def chunks(self):
+        # a segment is a whole number of chunks: 4 up to N = 2^20, so one
+        # segment covers N <= 16384, then about 16 sqrt(N) terms, which
+        # keeps the per-prime calls of a segment few beside its work, and
+        # at most 64
+        root = math.isqrt(self._n_terms)
+        span = _BLOCK * min(64, max(4, -(-16 * root // _BLOCK)))
+        for mu in _mobius_segments(self._n_terms, span):
+            for chunk in _chunks(mu):
+                yield chunk.astype(np.complex128)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return mobius(self._n_terms).astype(np.complex128)
+
+    def __len__(self) -> int:
+        return self._n_terms
 
 
 @dataclass(frozen=True)
@@ -158,24 +229,36 @@ def _prime_sieve(n_max: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-def mobius(n_max: int) -> np.ndarray:
-    """Mobius function mu(1)..mu(n_max) by a multiplicative sieve.
+def _mobius_segments(n_max: int, span: int):
+    """mu(lo)..mu(hi - 1), int64, for consecutive [lo, hi) of ``span`` terms up to n_max.
 
-    Only the primes up to sqrt(n_max) are sieved: a squarefree n whose
-    small prime factors multiply to less than n has exactly one more,
-    larger prime factor.
+    One multiplicative sieve, run a segment at a time (Deleglise and Rivat,
+    *Experimental Math.* 5, 1996).  Each segment sieves only the primes up
+    to sqrt(n_max): a squarefree n whose small prime factors multiply to
+    less than n has exactly one more, larger prime factor.  The arrays are
+    int64 like the package's other integer work: int8 or int32 arrays
+    would run numpy loops that nothing else runs, whose code pages add to
+    the resident set of every process that sieves.
     """
+    primes = _prime_sieve(math.isqrt(n_max)).tolist()
+    for lo in range(1, n_max + 1, span):
+        hi = min(lo + span, n_max + 1)
+        mu = np.ones(hi - lo, dtype=np.int64)
+        small = np.ones(hi - lo, dtype=np.int64)  # product of the sieved primes dividing n
+        for p in primes:
+            mu[-lo % p :: p] *= -1
+            small[-lo % p :: p] *= p
+            mu[-lo % (p * p) :: p * p] = 0
+        mu[small < np.arange(lo, hi)] *= -1
+        yield mu
+
+
+def mobius(n_max: int) -> np.ndarray:
+    """Mobius function mu(1)..mu(n_max), int64: one segment of ``_mobius_segments``."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    mu = np.ones(n_max + 1, dtype=np.int64)
-    small = np.ones(n_max + 1, dtype=np.int64)  # product of the sieved primes dividing n
-    for p in _prime_sieve(math.isqrt(n_max)):
-        p = int(p)
-        mu[p::p] *= -1
-        small[p::p] *= p
-        mu[p * p :: p * p] = 0
-    mu[small < np.arange(n_max + 1)] *= -1
-    return mu[1:]
+    (mu,) = _mobius_segments(n_max, n_max)
+    return mu
 
 
 def liouville(n_max: int) -> np.ndarray:
@@ -192,7 +275,8 @@ def liouville(n_max: int) -> np.ndarray:
 
 
 def mobius_sequence(n_terms: int) -> WeightSequence:
-    return WeightSequence("mobius", mobius(n_terms).astype(np.complex128), 2.0)
+    """mu(n) as weights, streamed: no N-term array unless ``values`` is read."""
+    return _MobiusWeights(n_terms)
 
 
 def liouville_sequence(n_terms: int) -> WeightSequence:

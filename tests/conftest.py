@@ -90,6 +90,33 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+def reference_mobius(n_max: int) -> np.ndarray:
+    """mu(1)..mu(n_max), int64, by one multiplicative sieve over all of 0..n_max.
+
+    The primes up to sqrt(n_max) flip mu, multiply a product of small primes
+    and zero mu at their squares; a squarefree n whose small primes
+    multiply to less than n has one more, larger prime factor.
+    """
+    mu = np.ones(n_max + 1, dtype=np.int64)
+    small = np.ones(n_max + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n_max) + 1):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            mu[p::p] *= -1
+            small[p::p] *= p
+            mu[p * p :: p * p] = 0
+    mu[small < np.arange(n_max + 1)] *= -1
+    return mu[1:]
+
+
+def reference_liouville(n_max: int) -> np.ndarray:
+    """(-1)^Omega(n) for n = 1..n_max as mu convolved with the squares."""
+    lam = reference_mobius(n_max)
+    mu = lam[: n_max // 4].copy()
+    for d in range(2, math.isqrt(n_max) + 1):
+        lam[d * d - 1 :: d * d] += mu[: n_max // (d * d)]
+    return lam
+
+
 def reference_growth_bound(values, growth_exponent):
     """The prefix-supremum growth bound as one cumsum over all values."""
     mags = np.abs(values) ** growth_exponent

@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from oscillab import cli, interval, padic, registry, sequences
+from oscillab import analysis, cli, interval, padic, registry, sequences
 from oscillab.flows import Flow
 
 
@@ -411,6 +411,30 @@ class TestRunCommand:
         assert cfg.n_terms == 20000
         cli.run_experiment(cfg, str(tmp_path))
         assert 0 < calls <= bound
+
+    def test_run_writes_the_config_start_without_its_repr(self, tmp_path, monkeypatch):
+        # a run writes the start's config text, so the parsed point's repr
+        # is never needed; a library report still writes repr(start)
+        class Unprintable(float):
+            def __repr__(self):
+                raise AssertionError("repr of the start point")
+
+        parse_start = registry.parse_start
+        monkeypatch.setattr(
+            registry, "parse_start", lambda *args: Unprintable(parse_start(*args))
+        )
+        (cfg,) = cli.parse_config(config_path("mobius-rotation.cfg"))
+        assert cli.run_experiment(cfg, str(tmp_path)) == {
+            "name": "mobius-rotation",
+            "verdict": "decaying",
+        }
+        written = json.loads((tmp_path / "mobius-rotation.json").read_text())
+        assert written["start"] == "0.0"
+        flow = registry.build_flow(cfg.flow, cfg.flow_params)
+        observable = registry.build_observable(cfg.observable, cfg.observable_params)
+        weights = sequences.mobius_sequence(100)
+        report = analysis.weighted_birkhoff(weights, flow, observable, 0.25)
+        assert report.to_json_dict()["start"] == "0.25"
 
     def test_reruns_byte_identical(self, tmp_path):
         out1 = tmp_path / "first"

@@ -92,14 +92,15 @@ def test_one_flow_stepping_loop():
 
 
 def test_one_sieve_for_the_arithmetic_weights():
-    # liouville is mobius convolved with the squares; only mobius sieves
+    # liouville is mobius convolved with the squares, and mobius and the
+    # streamed Mobius weights read the one segmented sieve
     callers = sorted(
         statement.name
         for statement in ast.parse((PACKAGE / "sequences.py").read_text()).body
         for node in ast.walk(statement)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_prime_sieve"
     )
-    assert callers == ["mobius"]
+    assert callers == ["_mobius_segments"]
 
 
 def test_src_holds_what_its_callers_reach():

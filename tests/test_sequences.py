@@ -6,7 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import cyclotomic_polynomial, progression_mean, reference_growth_bound
+from conftest import (
+    cyclotomic_polynomial,
+    progression_mean,
+    reference_growth_bound,
+    reference_liouville,
+    reference_mobius,
+)
 from oscillab import analysis, registry
 from oscillab import sequences as seq
 
@@ -195,6 +201,107 @@ class TestWeightSequence:
             assert calls == [len(w)]
 
 
+# the Mobius segment up to N = 2^20: four chunks
+SEGMENT = 4 * CHUNK
+
+
+def rotation_pair():
+    return (
+        registry.build_flow("rotation", {"rho": repr(ALPHA)}),
+        registry.build_observable("fourier", {"k": "1"}),
+    )
+
+
+class TestMobiusStream:
+    # chunk and segment edges, 64 and 62 segments at 2^20 and 10^6, and 86
+    # longer (6-chunk) segments at 2^21 + 1
+    @pytest.mark.parametrize(
+        "n_max",
+        [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, SEGMENT - 1, SEGMENT, SEGMENT + 1]
+        + [2**20, 10**6, 2**21 + 1],
+    )
+    def test_sieves_match_the_one_array_sieve(self, n_max):
+        mu = seq.mobius(n_max)
+        assert mu.dtype == np.int64
+        assert np.array_equal(mu, reference_mobius(n_max))
+        assert np.array_equal(seq.liouville(n_max), reference_liouville(n_max))
+        chunks = seq.mobius_sequence(n_max).chunks()
+        assert np.array_equal(np.concatenate(list(chunks)), mu)
+
+    @pytest.mark.parametrize("n_max", [1, CHUNK + 1, SEGMENT, 3 * SEGMENT + 7, 2**21 + 1])
+    def test_chunks_are_the_values_in_block_order(self, n_max):
+        w = seq.mobius_sequence(n_max)
+        chunks = list(w.chunks())
+        assert [len(c) for c in chunks] == [b - a for a, b in seq._blocks(n_max)]
+        assert "values" not in vars(w)  # the chunks fill no N-term array
+        assert np.concatenate(chunks).tobytes() == w.values.tobytes()
+        assert w.values.tobytes() == reference_mobius(n_max).astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize("n_max, mertens", [(10**6, 212), (10**7, 1037)])
+    def test_mertens_function_from_the_chunks(self, n_max, mertens):
+        chunks = seq.mobius_sequence(n_max).chunks()
+        assert sum(int(c.real.sum()) for c in chunks) == mertens
+
+    @pytest.mark.parametrize("n_max", [CHUNK + 1, 3 * SEGMENT + 7])
+    @pytest.mark.parametrize("checkpoints", [None, "short"])
+    def test_chunks_read_as_values_read(self, n_max, checkpoints):
+        # a streamed sequence and the same values as an array give the same bits
+        if checkpoints == "short":
+            checkpoints = [100, n_max // 3]
+        flow, observable = rotation_pair()
+        streamed = seq.mobius_sequence(n_max)
+        stored = seq.WeightSequence("mobius", reference_mobius(n_max), 2.0)
+        got = analysis.weighted_birkhoff(streamed, flow, observable, 0.25, checkpoints)
+        want = analysis.weighted_birkhoff(stored, flow, observable, 0.25, checkpoints)
+        assert got == want
+        for n_terms in (n_max // 3 + 1, n_max):
+            got = analysis.holder_defect(streamed, flow, observable, 0.25, 0.5, n_terms)
+            want = analysis.holder_defect(stored, flow, observable, 0.25, 0.5, n_terms)
+            assert got == want
+        assert "values" not in vars(streamed)
+        assert streamed.growth_bound == seq.prefix_growth_bound(stored.values, 2.0)
+
+    def test_a_weighted_average_sieves_each_segment_once(self, monkeypatch):
+        produced = []
+        segments = seq._mobius_segments
+
+        def counted(n_max, span):
+            lo = 1
+            for mu in segments(n_max, span):
+                produced.append(lo)
+                lo += len(mu)
+                yield mu
+
+        monkeypatch.setattr(seq, "_mobius_segments", counted)
+        flow, observable = rotation_pair()
+        w = seq.mobius_sequence(3 * SEGMENT + 7)
+        # the bound is a supremum over every prefix: all four segments once
+        analysis.weighted_birkhoff(w, flow, observable, 0.0, [100])
+        starts = [1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1]
+        assert produced == starts
+        produced.clear()
+        # with the bound known, a read stops where its reader stops
+        analysis.weighted_birkhoff(w, flow, observable, 0.0, [100])
+        analysis.holder_defect(w, flow, observable, 0.0, 0.5, SEGMENT + 1)
+        assert w.growth_bound == 1.0
+        assert produced == [1, 1, SEGMENT + 1]
+        assert "values" not in vars(w)
+
+    def test_weighted_average_holds_no_array_of_the_weights(self):
+        flow, observable = rotation_pair()
+        analysis.weighted_birkhoff(seq.mobius_sequence(CHUNK), flow, observable, 0.0)  # warm caches
+        tracemalloc.start()
+        try:
+            report = analysis.weighted_birkhoff(seq.mobius_sequence(2**22), flow, observable, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "decaying"
+        # holding the weights whole took 100 MiB here: three int64 sieve
+        # arrays and a complex copy, 32 bytes a term
+        assert peak < 4 << 20
+
+
 class TestPhaseSequences:
     def test_quadratic_zero_alpha(self):
         w = seq.quadratic_phase_sequence(10, 0.0)
@@ -263,7 +370,7 @@ class TestRationalPhases:
     @pytest.mark.parametrize(
         "coeffs,n_terms",
         [
-            # the root table serves D <= N: dyadic D at N = D and N = D - 1
+            # the periodic fill serves D <= N: dyadic D at N = D and N = D - 1
             ([0, 0, Fraction(1, 64)], 64),
             ([0, 0, Fraction(1, 64)], 63),
             # and a non-dyadic D, whose residues are Python ints
@@ -272,7 +379,7 @@ class TestRationalPhases:
             ([0, 1 / 8, 3 / 16], 1000),
         ],
     )
-    def test_root_table_is_exp_of_phases(self, coeffs, n_terms):
+    def test_periodic_fill_is_exp_of_phases(self, coeffs, n_terms):
         w = seq.polynomial_phase_sequence(n_terms, coeffs)
         phases = seq.rational_phases(coeffs, np.arange(1, n_terms + 1))
         assert w.values.tobytes() == np.exp(2j * np.pi * phases).tobytes()
@@ -286,7 +393,7 @@ class TestRationalPhases:
     @pytest.mark.parametrize(
         "coeffs",
         [
-            [0, 0, Fraction(1, 64)],  # dyadic D <= N: the root table
+            [0, 0, Fraction(1, 64)],  # dyadic D <= N: one period, then copies
             [0, 0, 0.25],
             [0.1, ALPHA, -0.0131, 0.07],  # dyadic D > N: exp of every phase
             [0, 0, Fraction(5, 97)],  # non-dyadic D <= N: Python-int residues
