@@ -51,7 +51,7 @@ class DisjointnessReport:
     sequence: str
     flow: str
     observable: str
-    start: object  # the orbit's start point, as passed
+    start: str
     checkpoints: tuple[tuple[int, complex], ...]
     decay_slope: float
     verdict: str  # 'decaying' | 'stagnant' | 'inconclusive'
@@ -62,21 +62,17 @@ class DisjointnessReport:
         return self.checkpoints[-1][1]
 
     def to_json_dict(self) -> dict:
-        """The report as JSON data, with ``repr(start)`` as the start."""
-        return _report_json(self, repr(self.start))
-
-
-def _report_json(report: DisjointnessReport, start: str) -> dict:
-    """``report`` as JSON data with ``start`` as its start text."""
-    return {
-        "sequence": report.sequence,
-        "flow": report.flow,
-        "observable": report.observable,
-        "start": start,
-        "checkpoints": [{"N": n, "re": s.real, "im": s.imag} for n, s in report.checkpoints],
-        "slope": report.decay_slope,
-        "verdict": report.verdict,
-    }
+        return {
+            "sequence": self.sequence,
+            "flow": self.flow,
+            "observable": self.observable,
+            "start": self.start,
+            "checkpoints": [
+                {"N": n, "re": s.real, "im": s.imag} for n, s in self.checkpoints
+            ],
+            "slope": self.decay_slope,
+            "verdict": self.verdict,
+        }
 
 
 def checked_checkpoints(checkpoints, n_terms: int) -> list[int]:
@@ -110,6 +106,18 @@ def weighted_birkhoff(
     floor reads 'decaying', a flat tail at or above it reads 'stagnant',
     anything else is 'inconclusive'.
     """
+    return _birkhoff_report(weights, flow, observable, start, checkpoints, repr(start))
+
+
+def _birkhoff_report(
+    weights: WeightSequence,
+    flow: Flow,
+    observable: Observable,
+    start,
+    checkpoints,
+    start_text: str,
+) -> DisjointnessReport:
+    """``weighted_birkhoff`` with ``start_text`` as the report's start."""
     if checkpoints is None:
         checkpoints = default_checkpoints(len(weights))
     checkpoints = checked_checkpoints(checkpoints, len(weights))
@@ -155,7 +163,7 @@ def weighted_birkhoff(
         sequence=weights.name,
         flow=flow.name,
         observable=observable.name,
-        start=start,
+        start=start_text,
         checkpoints=tuple(recorded),
         decay_slope=slope,
         verdict=verdict,

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import __version__, circle, interval, registry, sequences, torus
-from .analysis import _report_json, checked_checkpoints, weighted_birkhoff
+from .analysis import _birkhoff_report, checked_checkpoints
 
 OUTPUT_ENV_VAR = "OSCILLAB_OUT"
 
@@ -173,8 +173,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str) -> dict:
     flow = registry.build_flow(cfg.flow, cfg.flow_params)
     observable = registry.build_observable(cfg.observable, cfg.observable_params)
     start = registry.parse_start(cfg.flow, cfg.start, flow)
-    report = weighted_birkhoff(weights, flow, observable, start, cfg.checkpoints)
-    payload = _report_json(report, cfg.start)  # canonical config text, not the parsed repr
+    # the report's start is the canonical config text, not the parsed repr
+    report = _birkhoff_report(weights, flow, observable, start, cfg.checkpoints, cfg.start)
+    payload = report.to_json_dict()
     json_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     csv_lines = ["N,re,im,abs"]
     for n, s in report.checkpoints:

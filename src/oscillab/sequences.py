@@ -18,12 +18,13 @@ copies it when D <= N.  A Cesaro mean at a rational frequency r/s with
 s <= N is exact in its phases too: the terms are folded by n mod a
 multiple of s (``residue_fold``, one column sum in order of n), so each
 phase n r/s is an integer residue.  Weights are built _BLOCK terms at a
-time, so a build holds its result plus a few small chunks; the Mobius
-weights build nothing until read.  Every sequence yields its weights in
-those chunks, and the weighted averages of ``analysis`` read only the
-chunks, so an average of Mobius weights holds O(sqrt(N) + _BLOCK) of
-them, not N.  A sequence's growth bound is computed, also chunk by chunk,
-in the first such pass or when a reader first asks for it.
+time, so a build holds its result plus a few small chunks; Mobius weights
+longer than one segment build nothing until read.  Every sequence yields
+its weights in those chunks, and the weighted averages of ``analysis``
+read only the chunks, so an average of streamed Mobius weights holds
+O(sqrt(N) + _BLOCK) of them, not N.  A sequence's growth bound is
+computed, also chunk by chunk, in the first such pass or when a reader
+first asks for it.
 Quadratic-phase sequences with rational parameter get their spectrum in
 closed form: which Gauss sums vanish is a parity rule on integers, and
 each amplitude is a root of unity at an integer residue times one base
@@ -83,7 +84,8 @@ class KahanSum:
 
 def _chunks(values: np.ndarray):
     """Slices of ``values`` at ``_blocks(len(values))``."""
-    return (values[start:stop] for start, stop in _blocks(len(values)))
+    # a slice stops at the array's end, so the last one is the short chunk
+    return (values[start : start + _BLOCK] for start in range(0, len(values), _BLOCK))
 
 
 def prefix_growth_bound(values, growth_exponent: float) -> float:
@@ -117,12 +119,13 @@ class WeightSequence:
     A reader takes the weights whole, as ``values``, or one ``_blocks``
     chunk at a time, from ``chunks`` or in one ``read`` pass.  Built from
     an array, the chunks are slices of it, and construction refuses
-    non-finite values one chunk at a time.  ``mobius_sequence`` is streamed
-    instead: its chunks come from the segmented sieve, and ``values`` is
-    built, from ``mobius``, only when first read.  ``growth_bound`` is the
-    exact prefix supremum for ``growth_exponent``.  It is computed by the
-    first ``read`` (or on first access) and kept, so a sequence whose bound
-    nothing reads never pays for it.
+    non-finite values one chunk at a time.  A ``mobius_sequence`` longer
+    than one segment is streamed instead: its chunks come from the
+    segmented sieve, and ``values`` is built, from ``mobius``, only when
+    first read; the chunks are its slices from then on.  ``growth_bound``
+    is the exact prefix supremum for ``growth_exponent``.  It is computed
+    by the first ``read`` (or on first access) and kept, so a sequence
+    whose bound nothing reads never pays for it.
     """
 
     def __init__(self, name: str, values, growth_exponent: float) -> None:
@@ -181,21 +184,32 @@ class _Pass:
         yield from chunks
 
 
+def _mobius_span(n_terms: int) -> int:
+    """Terms per segment of the Mobius weights: a whole number of chunks.
+
+    8 chunks up to N = 2^22, so one segment covers N <= 32768, then about
+    16 sqrt(N) terms, and at most 64 chunks.  Each segment makes three
+    numpy calls per prime up to sqrt(N): with 4-chunk segments those calls
+    made a weighted average of N = 2^16 to 2^20 streamed weights about a
+    tenth slower than one of held weights; with 8 it was no slower.
+    """
+    return _BLOCK * min(64, max(8, -(-16 * math.isqrt(n_terms) // _BLOCK)))
+
+
 class _MobiusWeights(WeightSequence):
     """mu(1)..mu(N) as complex weights, streamed from ``_mobius_segments``."""
 
     def __init__(self, n_terms: int) -> None:
-        _check_n_terms(n_terms)
         self.name, self.growth_exponent, self._n_terms = "mobius", 2.0, n_terms
 
     def chunks(self):
-        # a segment is a whole number of chunks: 4 up to N = 2^20, so one
-        # segment covers N <= 16384, then about 16 sqrt(N) terms, which
-        # keeps the per-prime calls of a segment few beside its work, and
-        # at most 64
-        root = math.isqrt(self._n_terms)
-        span = _BLOCK * min(64, max(4, -(-16 * root // _BLOCK)))
-        for mu in _mobius_segments(self._n_terms, span):
+        # once values is built, reading it beats sieving again
+        if "values" in vars(self):
+            return _chunks(self.values)
+        return self._sieved_chunks()
+
+    def _sieved_chunks(self):
+        for mu in _mobius_segments(self._n_terms, _mobius_span(self._n_terms)):
             for chunk in _chunks(mu):
                 yield chunk.astype(np.complex128)
 
@@ -275,7 +289,15 @@ def liouville(n_max: int) -> np.ndarray:
 
 
 def mobius_sequence(n_terms: int) -> WeightSequence:
-    """mu(n) as weights, streamed: no N-term array unless ``values`` is read."""
+    """mu(n) as weights: held when one segment covers them, streamed when not.
+
+    Held weights are ``mobius(N)`` as an array, so every read slices it.
+    Streamed weights hold no N-term array unless ``values`` is read: each
+    pass over their chunks sieves again until then.
+    """
+    _check_n_terms(n_terms)
+    if n_terms <= _mobius_span(n_terms):
+        return WeightSequence("mobius", mobius(n_terms).astype(np.complex128), 2.0)
     return _MobiusWeights(n_terms)
 
 

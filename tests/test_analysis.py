@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 from importlib import resources
@@ -131,6 +132,19 @@ class TestWeightedBirkhoff:
         assert abs(
             final(u, f_sum) - (final(u, fourier(1)) + final(u, fourier(2)))
         ) < 1e-12
+
+
+    def test_report_keeps_the_text_of_its_start(self):
+        # a torus start is a list the caller may change after the run
+        flow = torus.torus_affine_flow(torus.ModularMatrix(1, 1, 0, 1))
+        observable = registry.build_observable("torus_fourier", {"k1": "0", "k2": "1"})
+        start = [0.25, 0.5]
+        w = sequences.mobius_sequence(1000)
+        report = analysis.weighted_birkhoff(w, flow, observable, start)
+        start[0] = 0.75
+        assert report.start == "[0.25, 0.5]"
+        assert report.to_json_dict()["start"] == "[0.25, 0.5]"
+        assert hash(report) == hash(dataclasses.replace(report))
 
 
 class TestStabilityProbes:

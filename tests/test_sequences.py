@@ -202,7 +202,7 @@ class TestWeightSequence:
 
 
 # the Mobius segment up to N = 2^20: four chunks
-SEGMENT = 4 * CHUNK
+SEGMENT = 8 * CHUNK  # the Mobius weights' segment up to N = 2^22
 
 
 def rotation_pair():
@@ -213,12 +213,12 @@ def rotation_pair():
 
 
 class TestMobiusStream:
-    # chunk and segment edges, 64 and 62 segments at 2^20 and 10^6, and 86
-    # longer (6-chunk) segments at 2^21 + 1
+    # chunk and segment edges, 32 and 31 segments at 2^20 and 10^6, and 117
+    # longer (9-chunk) segments at 4.3e6
     @pytest.mark.parametrize(
         "n_max",
         [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, SEGMENT - 1, SEGMENT, SEGMENT + 1]
-        + [2**20, 10**6, 2**21 + 1],
+        + [2**20, 10**6, 4_300_000],
     )
     def test_sieves_match_the_one_array_sieve(self, n_max):
         mu = seq.mobius(n_max)
@@ -228,7 +228,7 @@ class TestMobiusStream:
         chunks = seq.mobius_sequence(n_max).chunks()
         assert np.array_equal(np.concatenate(list(chunks)), mu)
 
-    @pytest.mark.parametrize("n_max", [1, CHUNK + 1, SEGMENT, 3 * SEGMENT + 7, 2**21 + 1])
+    @pytest.mark.parametrize("n_max", [SEGMENT + 1, 3 * SEGMENT + 7, 2**21 + 1])
     def test_chunks_are_the_values_in_block_order(self, n_max):
         w = seq.mobius_sequence(n_max)
         chunks = list(w.chunks())
@@ -242,7 +242,7 @@ class TestMobiusStream:
         chunks = seq.mobius_sequence(n_max).chunks()
         assert sum(int(c.real.sum()) for c in chunks) == mertens
 
-    @pytest.mark.parametrize("n_max", [CHUNK + 1, 3 * SEGMENT + 7])
+    @pytest.mark.parametrize("n_max", [SEGMENT + 1, 3 * SEGMENT + 7])
     @pytest.mark.parametrize("checkpoints", [None, "short"])
     def test_chunks_read_as_values_read(self, n_max, checkpoints):
         # a streamed sequence and the same values as an array give the same bits
@@ -260,6 +260,45 @@ class TestMobiusStream:
             assert got == want
         assert "values" not in vars(streamed)
         assert streamed.growth_bound == seq.prefix_growth_bound(stored.values, 2.0)
+
+    @pytest.mark.parametrize("n_max", [1, CHUNK + 1, SEGMENT])
+    def test_one_segment_of_weights_is_held_and_sieved_once(self, monkeypatch, n_max):
+        calls = []
+        segments = seq._mobius_segments
+
+        def counted(n_max, span):
+            calls.append(span)
+            return segments(n_max, span)
+
+        monkeypatch.setattr(seq, "_mobius_segments", counted)
+        flow, observable = rotation_pair()
+        w = seq.mobius_sequence(n_max)
+        assert calls == [n_max]  # mobius(N), one segment
+        assert w.values.tobytes() == reference_mobius(n_max).astype(np.complex128).tobytes()
+        assert all(np.shares_memory(c, w.values) for c in w.chunks())
+        # every read slices the held weights, as repeated Holder probes do
+        for x in (0.1, 0.2, 0.3):
+            analysis.holder_defect(w, flow, observable, x, 0.5, n_max)
+        analysis.weighted_birkhoff(w, flow, observable, 0.0)
+        assert calls == [n_max]
+
+    def test_hooked_disjointness_sieves_once(self, monkeypatch):
+        # the atom means fill values; the average then reads its slices
+        calls = []
+        segments = seq._mobius_segments
+
+        def counted(n_max, span):
+            calls.append(span)
+            return segments(n_max, span)
+
+        monkeypatch.setattr(seq, "_mobius_segments", counted)
+        n_max = 3 * SEGMENT + 7
+        flow, observable = rotation_pair()
+        atoms = [Fraction(1, 2), ALPHA]
+        got = analysis.hooked_disjointness(seq.mobius_sequence(n_max), flow, observable, 0.0, atoms)
+        assert calls == [n_max]  # mobius(N), one segment
+        stored = seq.WeightSequence("mobius", reference_mobius(n_max), 2.0)
+        assert got == analysis.hooked_disjointness(stored, flow, observable, 0.0, atoms)
 
     def test_a_weighted_average_sieves_each_segment_once(self, monkeypatch):
         produced = []
