@@ -97,14 +97,13 @@ def weighted_birkhoff(
 ) -> DisjointnessReport:
     """Stream (1/N) sum c_n f(T^n x) and classify its decay.
 
-    The weights are read one chunk per block of the observable stream, in
-    one ``WeightSequence.read`` pass that also yields the growth bound, so
-    streamed weights are never held whole.  The verdict fits the slope of
-    log |S_N| against log N over the last half of the checkpoints and
-    compares the final |S_N| with the floor DECAY_FINAL_LEVEL *
-    growth_bound * sup |f| on the orbit: a clearly negative slope below the
-    floor reads 'decaying', a flat tail at or above it reads 'stagnant',
-    anything else is 'inconclusive'.
+    The weights are read one chunk per block of the observable stream, up
+    to the last checkpoint, so streamed weights are never held whole.  The
+    verdict fits the slope of log |S_N| against log N over the last half of
+    the checkpoints and compares the final |S_N| with the floor
+    DECAY_FINAL_LEVEL * growth_bound * sup |f| on the orbit: a clearly
+    negative slope below the floor reads 'decaying', a flat tail at or
+    above it reads 'stagnant', anything else is 'inconclusive'.
     """
     return _birkhoff_report(weights, flow, observable, start, checkpoints, repr(start))
 
@@ -124,32 +123,26 @@ def _birkhoff_report(
     acc = KahanSum()
     sup_observed = 0.0
     recorded: list[tuple[int, complex]] = []
-
-    def average(chunks):
-        nonlocal sup_observed
-        lo = 0  # terms 1..lo are in acc
-        stream = _observable_stream(flow, observable, start, checkpoints[-1])
-        for block, chunk in zip(stream, chunks):
-            # hypot is what abs(complex) computes; np.abs can differ by an ulp
-            mags = np.hypot(block.real, block.imag)
-            block_sup = float(np.max(mags))
-            if not math.isfinite(block_sup):
-                raise ValueError(f"observable is not finite on the orbit of {start!r}")
-            sup_observed = max(sup_observed, block_sup)
-            terms = chunk[: len(block)] * block
-            cut = 0  # terms[:cut] are in acc
-            for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
-                acc.add(complex(terms[cut : n - lo].sum()))
-                cut = n - lo
-                recorded.append((n, acc.value / n))
-            acc.add(complex(terms[cut:].sum()))
-            lo += len(block)
-            yield chunk
-
-    growth_bound = weights.read(average)
+    lo = 0  # terms 1..lo are in acc
+    stream = _observable_stream(flow, observable, start, checkpoints[-1])
+    for block, chunk in zip(stream, weights.chunks()):
+        # hypot is what abs(complex) computes; np.abs can differ by an ulp
+        mags = np.hypot(block.real, block.imag)
+        block_sup = float(np.max(mags))
+        if not math.isfinite(block_sup):
+            raise ValueError(f"observable is not finite on the orbit of {start!r}")
+        sup_observed = max(sup_observed, block_sup)
+        terms = chunk[: len(block)] * block
+        cut = 0  # terms[:cut] are in acc
+        for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
+            acc.add(complex(terms[cut : n - lo].sum()))
+            cut = n - lo
+            recorded.append((n, acc.value / n))
+        acc.add(complex(terms[cut:].sum()))
+        lo += len(block)
     slope = _fit_tail_slope(recorded)
     final_mag = abs(recorded[-1][1])
-    floor = DECAY_FINAL_LEVEL * growth_bound * max(sup_observed, 1e-300)
+    floor = DECAY_FINAL_LEVEL * weights.growth_bound * max(sup_observed, 1e-300)
     if slope < DECAY_SLOPE and final_mag < floor:
         verdict = "decaying"
         limit = None
@@ -363,7 +356,7 @@ def holder_defect(
 
     The bound is growth_bound * ((1/N) sum |f(T^n x) - f(T^n y)|^q)^(1/q)
     with q conjugate to the growth exponent.  Like ``weighted_birkhoff``,
-    it reads the weights chunk by chunk, in the pass that yields the bound.
+    it reads the weights chunk by chunk, up to n_terms.
     """
     if not 1 <= n_terms <= len(weights):
         raise ValueError(f"n_terms must lie in 1..{len(weights)}, got {n_terms}")
@@ -371,21 +364,15 @@ def holder_defect(
     acc_x = KahanSum()
     acc_y = KahanSum()
     diff_sum = 0.0
-
-    def difference(chunks):
-        nonlocal diff_sum
-        for fu, fv, chunk in zip(
-            _observable_stream(flow, observable, x, n_terms),
-            _observable_stream(flow, observable, y, n_terms),
-            chunks,
-        ):
-            c = chunk[: len(fu)]
-            acc_x.add(complex((c * fu).sum()))
-            acc_y.add(complex((c * fv).sum()))
-            diff_sum += float((np.abs(fu - fv) ** q).sum())
-            yield chunk
-
-    growth_bound = weights.read(difference)
+    for fu, fv, chunk in zip(
+        _observable_stream(flow, observable, x, n_terms),
+        _observable_stream(flow, observable, y, n_terms),
+        weights.chunks(),
+    ):
+        c = chunk[: len(fu)]
+        acc_x.add(complex((c * fu).sum()))
+        acc_y.add(complex((c * fv).sum()))
+        diff_sum += float((np.abs(fu - fv) ** q).sum())
     lhs = abs(acc_x.value - acc_y.value) / n_terms
-    rhs = growth_bound * (diff_sum / n_terms) ** (1.0 / q)
+    rhs = weights.growth_bound * (diff_sum / n_terms) ** (1.0 / q)
     return lhs - rhs

@@ -22,9 +22,9 @@ time, so a build holds its result plus a few small chunks; Mobius weights
 longer than one segment build nothing until read.  Every sequence yields
 its weights in those chunks, and the weighted averages of ``analysis``
 read only the chunks, so an average of streamed Mobius weights holds
-O(sqrt(N) + _BLOCK) of them, not N.  A sequence's growth bound is
-computed, also chunk by chunk, in the first such pass or when a reader
-first asks for it.
+O(sqrt(N) + _BLOCK) of them, not N.  A sequence's growth bound is a
+property of the sequence, not of a read: 1 for streamed Mobius weights,
+and for an array computed chunk by chunk when a reader first asks for it.
 Quadratic-phase sequences with rational parameter get their spectrum in
 closed form: which Gauss sums vanish is a parity rule on integers, and
 each amplitude is a root of unity at an integer residue times one base
@@ -88,18 +88,17 @@ def _chunks(values: np.ndarray):
     return (values[start : start + _BLOCK] for start in range(0, len(values), _BLOCK))
 
 
-def prefix_growth_bound(values, growth_exponent: float) -> float:
+def prefix_growth_bound(values: np.ndarray, growth_exponent: float) -> float:
     """sup over prefixes N of ((1/N) sum_{n<=N} |c_n|^exponent)^(1/exponent).
 
-    ``values`` is an array, read chunk by chunk, or a pass of
-    ``WeightSequence.read``: a sized iterable of the ``_blocks`` chunks in
-    order.  Raises ``ValueError`` at a non-finite value.  The running sum
-    enters each chunk's cumsum as its first addend, so every prefix sum is
-    the one a single cumsum over all values adds.
+    ``values`` is read chunk by chunk.  Raises ``ValueError`` at a
+    non-finite value.  The running sum enters each chunk's cumsum as its
+    first addend, so every prefix sum is the one a single cumsum over all
+    values adds.
     """
-    chunks = _chunks(values) if isinstance(values, np.ndarray) else values
     total = best = 0.0
-    for (start, stop), chunk in zip(_blocks(len(values)), chunks):
+    for start, stop in _blocks(len(values)):
+        chunk = values[start:stop]
         prefix = np.abs(chunk) ** growth_exponent
         prefix[0] += total
         np.cumsum(prefix, out=prefix)
@@ -117,15 +116,15 @@ class WeightSequence:
     """Complex weights c_1..c_N plus their averaged-growth metadata.
 
     A reader takes the weights whole, as ``values``, or one ``_blocks``
-    chunk at a time, from ``chunks`` or in one ``read`` pass.  Built from
-    an array, the chunks are slices of it, and construction refuses
-    non-finite values one chunk at a time.  A ``mobius_sequence`` longer
-    than one segment is streamed instead: its chunks come from the
-    segmented sieve, and ``values`` is built, from ``mobius``, only when
-    first read; the chunks are its slices from then on.  ``growth_bound``
-    is the exact prefix supremum for ``growth_exponent``.  It is computed
-    by the first ``read`` (or on first access) and kept, so a sequence
-    whose bound nothing reads never pays for it.
+    chunk at a time, from ``chunks``.  Built from an array, the chunks are
+    slices of it, and construction refuses non-finite values one chunk at
+    a time.  A ``mobius_sequence`` longer than one segment is streamed
+    instead: its chunks come from the segmented sieve, and ``values`` is
+    built, from ``mobius``, only when first read; the chunks are its slices
+    from then on.  ``growth_bound`` is the exact prefix supremum for
+    ``growth_exponent``.  Streamed Mobius weights know theirs, 1; for an
+    array it is computed on first access and kept, so a sequence whose
+    bound nothing reads never pays for it.
     """
 
     def __init__(self, name: str, values, growth_exponent: float) -> None:
@@ -142,46 +141,16 @@ class WeightSequence:
         """c_1..c_N as complex arrays, one per ``_blocks(len(self))`` chunk."""
         return _chunks(self.values)
 
-    def read(self, reader) -> float:
-        """Run ``reader`` over the chunks in one pass; return ``growth_bound``.
-
-        ``reader(chunks)`` is a generator that takes chunks from ``chunks``
-        in order, yields each one it took and may stop early.  While the
-        bound is unknown the pass goes on to c_N and the bound comes from
-        the same chunks, so a streamed sequence is produced once.
-        """
-        if "growth_bound" in self.__dict__:
-            for _ in reader(self.chunks()):
-                pass
-        else:
-            self.growth_bound = prefix_growth_bound(_Pass(self, reader), self.growth_exponent)
-        return self.growth_bound
-
     @functools.cached_property
     def growth_bound(self) -> float:
-        """``prefix_growth_bound`` of the chunks, computed on first access."""
-        return prefix_growth_bound(_Pass(self, iter), self.growth_exponent)
+        """``prefix_growth_bound`` of the values, computed on first access."""
+        return prefix_growth_bound(self.values, self.growth_exponent)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __repr__(self) -> str:
         return f"WeightSequence({self.name}, n={len(self)})"
-
-
-class _Pass:
-    """One read of ``weights.chunks()``: the chunks ``reader`` takes, then the rest."""
-
-    def __init__(self, weights: WeightSequence, reader) -> None:
-        self._weights, self._reader = weights, reader
-
-    def __len__(self) -> int:
-        return len(self._weights)
-
-    def __iter__(self):
-        chunks = self._weights.chunks()
-        yield from self._reader(chunks)
-        yield from chunks
 
 
 def _mobius_span(n_terms: int) -> int:
@@ -198,6 +167,11 @@ def _mobius_span(n_terms: int) -> int:
 
 class _MobiusWeights(WeightSequence):
     """mu(1)..mu(N) as complex weights, streamed from ``_mobius_segments``."""
+
+    # |mu| <= 1 and mu(1) = 1, so the N = 1 prefix is the supremum; in
+    # floats each prefix sum of mu^2 is an integer count k <= N, and k/N
+    # rounds to at most 1.0
+    growth_bound = 1.0
 
     def __init__(self, n_terms: int) -> None:
         self.name, self.growth_exponent, self._n_terms = "mobius", 2.0, n_terms
@@ -302,6 +276,7 @@ def mobius_sequence(n_terms: int) -> WeightSequence:
 
 
 def liouville_sequence(n_terms: int) -> WeightSequence:
+    _check_n_terms(n_terms)
     return WeightSequence("liouville", liouville(n_terms).astype(np.complex128), 2.0)
 
 

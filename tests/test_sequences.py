@@ -18,6 +18,15 @@ from oscillab import sequences as seq
 
 ALPHA = math.sqrt(2.0) - 1.0
 CHUNK = seq._BLOCK
+# parameters for every registered sequence
+REGISTRY_PARAMS = {
+    "mobius": {},
+    "liouville": {},
+    "quadratic_phase": {"alpha": "0.25"},
+    "nlogn_phase": {"c": "0.7"},
+    "polynomial_phase": {"coeffs": "0.1,0.3,0.125"},
+    "subnormal": {"tau": "0.3"},
+}
 
 
 def brute_mobius(n):
@@ -165,6 +174,11 @@ class TestWeightSequence:
         with np.errstate(over="ignore"):
             assert seq.WeightSequence("huge", values, 2.0).growth_bound == math.inf
 
+    @pytest.mark.parametrize("name", sorted(registry.SEQUENCES))
+    def test_every_registered_sequence_refuses_zero_terms(self, name):
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            registry.build_sequence(name, REGISTRY_PARAMS[name], 0, seed=2)
+
     def test_only_a_reader_of_the_bound_computes_it(self, monkeypatch):
         calls = []
         bound = seq.prefix_growth_bound
@@ -174,17 +188,10 @@ class TestWeightSequence:
             return bound(values, exponent)
 
         monkeypatch.setattr(seq, "prefix_growth_bound", counted)
-        params = {
-            "mobius": {},
-            "liouville": {},
-            "quadratic_phase": {"alpha": "0.25"},
-            "nlogn_phase": {"c": "0.7"},
-            "polynomial_phase": {"coeffs": "0.1,0.3,0.125"},
-            "subnormal": {"tau": "0.3"},
-        }
-        assert set(params) == set(registry.SEQUENCES)
+        assert set(REGISTRY_PARAMS) == set(registry.SEQUENCES)
         built = [
-            registry.build_sequence(name, p, 2 * CHUNK + 5, seed=2) for name, p in params.items()
+            registry.build_sequence(name, p, 2 * CHUNK + 5, seed=2)
+            for name, p in REGISTRY_PARAMS.items()
         ]
         for w in built:
             seq.zero_set_scan(w)
@@ -201,7 +208,6 @@ class TestWeightSequence:
             assert calls == [len(w)]
 
 
-# the Mobius segment up to N = 2^20: four chunks
 SEGMENT = 8 * CHUNK  # the Mobius weights' segment up to N = 2^22
 
 
@@ -225,8 +231,9 @@ class TestMobiusStream:
         assert mu.dtype == np.int64
         assert np.array_equal(mu, reference_mobius(n_max))
         assert np.array_equal(seq.liouville(n_max), reference_liouville(n_max))
-        chunks = seq.mobius_sequence(n_max).chunks()
-        assert np.array_equal(np.concatenate(list(chunks)), mu)
+        w = seq.mobius_sequence(n_max)
+        assert np.array_equal(np.concatenate(list(w.chunks())), mu)
+        assert w.growth_bound == seq.prefix_growth_bound(mu.astype(complex), 2.0)
 
     @pytest.mark.parametrize("n_max", [SEGMENT + 1, 3 * SEGMENT + 7, 2**21 + 1])
     def test_chunks_are_the_values_in_block_order(self, n_max):
@@ -300,7 +307,7 @@ class TestMobiusStream:
         stored = seq.WeightSequence("mobius", reference_mobius(n_max), 2.0)
         assert got == analysis.hooked_disjointness(stored, flow, observable, 0.0, atoms)
 
-    def test_a_weighted_average_sieves_each_segment_once(self, monkeypatch):
+    def test_a_weighted_average_sieves_only_what_it_reads(self, monkeypatch):
         produced = []
         segments = seq._mobius_segments
 
@@ -314,15 +321,15 @@ class TestMobiusStream:
         monkeypatch.setattr(seq, "_mobius_segments", counted)
         flow, observable = rotation_pair()
         w = seq.mobius_sequence(3 * SEGMENT + 7)
-        # the bound is a supremum over every prefix: all four segments once
+        # the bound is 1 without a sieve, so an average to N = 100 reads one segment
         analysis.weighted_birkhoff(w, flow, observable, 0.0, [100])
-        starts = [1, SEGMENT + 1, 2 * SEGMENT + 1, 3 * SEGMENT + 1]
-        assert produced == starts
+        assert produced == [1]
+        assert w.growth_bound == 1.0
+        assert produced == [1]
         produced.clear()
-        # with the bound known, a read stops where its reader stops
+        # a read stops where its reader stops
         analysis.weighted_birkhoff(w, flow, observable, 0.0, [100])
         analysis.holder_defect(w, flow, observable, 0.0, 0.5, SEGMENT + 1)
-        assert w.growth_bound == 1.0
         assert produced == [1, 1, SEGMENT + 1]
         assert "values" not in vars(w)
 
