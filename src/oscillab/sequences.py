@@ -13,18 +13,22 @@ mu(n/d^2), so ``liouville`` adds slices of ``mobius``.  Polynomial phases
 P(n) mod 1 are kept as exact integer residues over the common denominator
 D of P's coefficients until a float is needed: ``rational_phases`` rounds
 each once (``circle.rotation_flow`` does the same for its short blocks, in
-Python ints), and a phase sequence computes one period of D terms and
-copies it when D <= N.  A Cesaro mean at a rational frequency r/s with
-s <= N is exact in its phases too: the terms are folded by n mod a
-multiple of s (``residue_fold``, one column sum in order of n), so each
-phase n r/s is an integer residue.  Weights are built _BLOCK terms at a
-time, so a build holds its result plus a few small chunks; Mobius weights
-longer than one segment build nothing until read.  Every sequence yields
-its weights in those chunks, and the weighted averages of ``analysis``
-read only the chunks, so an average of streamed Mobius weights holds
-O(sqrt(N) + _BLOCK) of them, not N.  A sequence's growth bound is a
-property of the sequence, not of a read: 1 for streamed Mobius weights,
-and for an array computed chunk by chunk when a reader first asks for it.
+Python ints), and a phase sequence computes one period of D terms; when
+D < N it holds that period plus a chunk, not N terms.  A Cesaro mean at a
+rational frequency r/s with s <= N is exact in its phases too: the terms
+are folded by n mod a multiple of s (``residue_fold``, one column sum in
+order of n), so each phase n r/s is an integer residue.  Weights are built
+_BLOCK terms at a time, so a build holds its result plus a few small
+chunks; Mobius weights longer than one segment build nothing until read.
+Every sequence yields its weights in those chunks.  The weighted averages
+of ``analysis`` read only the chunks, and so do the Cesaro means and scans
+of a sequence that does not hold its values: their folds carry each
+column's running sum from one block of rows into the next, so every sum
+keeps the bits of the one column sum over all the values, and a scan of
+streamed Mobius weights holds O(sqrt(N) + _BLOCK) of them, not N.  A
+sequence's growth bound is a property of the sequence, not of a read: 1
+for streamed Mobius weights, and for any other sequence computed chunk by
+chunk when a reader first asks for it.
 Quadratic-phase sequences with rational parameter get their spectrum in
 closed form: which Gauss sums vanish is a parity rule on integers, and
 each amplitude is a root of unity at an integer residue times one base
@@ -88,17 +92,22 @@ def _chunks(values: np.ndarray):
     return (values[start : start + _BLOCK] for start in range(0, len(values), _BLOCK))
 
 
-def prefix_growth_bound(values: np.ndarray, growth_exponent: float) -> float:
+def _check_finite(values: np.ndarray) -> None:
+    if not all(np.isfinite(chunk).all() for chunk in _chunks(values)):
+        raise ValueError("weight values must be finite")
+
+
+def prefix_growth_bound(chunks, growth_exponent: float) -> float:
     """sup over prefixes N of ((1/N) sum_{n<=N} |c_n|^exponent)^(1/exponent).
 
-    ``values`` is read chunk by chunk.  Raises ``ValueError`` at a
-    non-finite value.  The running sum enters each chunk's cumsum as its
-    first addend, so every prefix sum is the one a single cumsum over all
-    values adds.
+    ``chunks`` are consecutive chunks of the values c_1, c_2, ...  Raises
+    ``ValueError`` at a non-finite value.  The running sum enters each
+    chunk's cumsum as its first addend, so every prefix sum is the one a
+    single cumsum over all values adds, however the values are cut.
     """
     total = best = 0.0
-    for start, stop in _blocks(len(values)):
-        chunk = values[start:stop]
+    start = 0
+    for chunk in chunks:
         prefix = np.abs(chunk) ** growth_exponent
         prefix[0] += total
         np.cumsum(prefix, out=prefix)
@@ -107,8 +116,9 @@ def prefix_growth_bound(values: np.ndarray, growth_exponent: float) -> float:
         # of finite ones makes it inf too, hence the exact check
         if not math.isfinite(total) and not np.isfinite(chunk).all():
             raise ValueError("weight values must be finite")
-        prefix /= np.arange(start + 1, stop + 1)
+        prefix /= np.arange(start + 1, start + len(chunk) + 1)
         best = max(best, prefix.max())
+        start += len(chunk)
     return float(best ** (1.0 / growth_exponent))
 
 
@@ -116,15 +126,17 @@ class WeightSequence:
     """Complex weights c_1..c_N plus their averaged-growth metadata.
 
     A reader takes the weights whole, as ``values``, or one ``_blocks``
-    chunk at a time, from ``chunks``.  Built from an array, the chunks are
-    slices of it, and construction refuses non-finite values one chunk at
-    a time.  A ``mobius_sequence`` longer than one segment is streamed
-    instead: its chunks come from the segmented sieve, and ``values`` is
-    built, from ``mobius``, only when first read; the chunks are its slices
-    from then on.  ``growth_bound`` is the exact prefix supremum for
-    ``growth_exponent``.  Streamed Mobius weights know theirs, 1; for an
-    array it is computed on first access and kept, so a sequence whose
-    bound nothing reads never pays for it.
+    chunk at a time, from ``chunks``.  Built from an array, the sequence
+    holds it: the chunks are slices of it, and construction refuses
+    non-finite values one chunk at a time.  Two kinds hold less and build
+    ``values`` only when it is first read: a ``mobius_sequence`` longer
+    than one segment, whose chunks come from the segmented sieve (and are
+    slices of ``values`` once it is built), and phase weights whose period
+    D is below N, which hold one period plus a chunk and serve every chunk
+    as a view of that.  ``growth_bound`` is the exact prefix supremum for
+    ``growth_exponent``.  Streamed Mobius weights know theirs, 1; any
+    other sequence computes it from its chunks on first access and keeps
+    it, so a sequence whose bound nothing reads never pays for it.
     """
 
     def __init__(self, name: str, values, growth_exponent: float) -> None:
@@ -133,8 +145,7 @@ class WeightSequence:
             raise ValueError("values must be a non-empty 1-d array")
         if not growth_exponent > 1.0:
             raise ValueError("growth_exponent must be > 1")
-        if not all(np.isfinite(chunk).all() for chunk in _chunks(values)):
-            raise ValueError("weight values must be finite")
+        _check_finite(values)
         self.name, self.values, self.growth_exponent = name, values, growth_exponent
 
     def chunks(self):
@@ -143,14 +154,23 @@ class WeightSequence:
 
     @functools.cached_property
     def growth_bound(self) -> float:
-        """``prefix_growth_bound`` of the values, computed on first access."""
-        return prefix_growth_bound(self.values, self.growth_exponent)
+        """``prefix_growth_bound`` of the chunks, computed on first access."""
+        return prefix_growth_bound(self.chunks(), self.growth_exponent)
 
     def __len__(self) -> int:
         return len(self.values)
 
     def __repr__(self) -> str:
         return f"WeightSequence({self.name}, n={len(self)})"
+
+
+def _prefix_chunks(weights: WeightSequence, n_terms: int):
+    """c_1..c_{n_terms} as the weights' own chunks, the last one cut at n_terms.
+
+    A streamed sequence produces no chunk past the one holding c_{n_terms}.
+    """
+    for (start, stop), chunk in zip(_blocks(n_terms), weights.chunks()):
+        yield chunk[: stop - start]
 
 
 def _mobius_span(n_terms: int) -> int:
@@ -347,14 +367,55 @@ def rational_phases(coeffs, n) -> np.ndarray:
     return _round_phases(_phase_residues(numers, denom, n), denom)
 
 
+def _repeat(period: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with copies of ``period``, the copied prefix doubling each time."""
+    filled = min(len(period), len(out))
+    out[:filled] = period[:filled]
+    # the filled prefix is a whole number of periods
+    while filled < len(out):
+        size = min(filled, len(out) - filled)
+        out[filled : filled + size] = out[:size]
+        filled += size
+    return out
+
+
+class _PeriodicWeights(WeightSequence):
+    """c_1..c_N with period D < N, held as one period plus a chunk.
+
+    ``_tiles`` is c_1..c_min(N, D + _BLOCK), so the chunk at ``start`` is
+    the view of it at start mod D, and the N-term ``values`` is built by
+    copies only when first read.
+    """
+
+    def __init__(self, name: str, period: np.ndarray, n_terms: int) -> None:
+        _check_finite(period)
+        self.name, self.growth_exponent, self._n_terms = name, 2.0, n_terms
+        self._period = len(period)
+        tiles = np.empty(min(n_terms, len(period) + _BLOCK), dtype=np.complex128)
+        self._tiles = _repeat(period, tiles)
+
+    def chunks(self):
+        for start, stop in _blocks(self._n_terms):
+            at = start % self._period
+            yield self._tiles[at : at + stop - start]
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return _repeat(self._tiles[: self._period], np.empty(self._n_terms, dtype=np.complex128))
+
+    def __len__(self) -> int:
+        return self._n_terms
+
+
 def _phase_weights(name: str, coeffs, n_terms: int) -> WeightSequence:
     """exp(2 pi i P(n)) for n = 1..n_terms, P's coefficients ascending.
 
     D P(n) mod D has period D in n for P's common denominator D, since
     each (n + D)^k - n^k is a multiple of D.  So only one period, n =
     1..min(D, n_terms), is computed, chunk by chunk, each weight exp of its
-    phase rounded as ``rational_phases`` rounds it; the rest of the array
-    is copies of that period, the copied prefix doubling each time.
+    phase rounded as ``rational_phases`` rounds it.  When D < N the
+    sequence holds that period (``_PeriodicWeights``); otherwise it holds
+    the N values.
     """
     numers, denom = _phase_numerators(coeffs)
 
@@ -362,15 +423,10 @@ def _phase_weights(name: str, coeffs, n_terms: int) -> WeightSequence:
         residues = _phase_residues(numers, denom, np.arange(start + 1, stop + 1))
         return _round_phases(residues, denom)
 
-    values = np.empty(n_terms, dtype=np.complex128)
-    filled = min(denom, n_terms)
-    _fill_exp_phases(values[:filled], phases)
-    # the filled prefix is a whole number of periods
-    while filled < n_terms:
-        size = min(filled, n_terms - filled)
-        values[filled : filled + size] = values[:size]
-        filled += size
-    return WeightSequence(name, values, 2.0)
+    period = _fill_exp_phases(np.empty(min(denom, n_terms), dtype=np.complex128), phases)
+    if denom < n_terms:
+        return _PeriodicWeights(name, period, n_terms)
+    return WeightSequence(name, period, 2.0)
 
 
 def _check_n_terms(n_terms: int) -> None:
@@ -428,21 +484,24 @@ def cesaro_mean(
     """(1/N) sum_{n<=N} c_n exp(-2 pi i n freq).
 
     ``freq`` is a float or a ``Fraction``, read exactly as the fraction
-    r/s it denotes.  When s <= N, the phases n r/s are exact integer
-    residues: the terms are folded by n mod a multiple of s
-    (``residue_fold``, one column sum in order of n), the folds of each
-    class k mod s are added, and the s sums meet the s roots
-    exp(-2 pi i (r k mod s)/s).  A larger s (a
-    float irrational, or 1/3 as a float, whose denominator is 2^54) reads
-    ``float(freq)``; its phases n freq are reduced mod 1 exactly
-    (``rational_phases``) and summed _BLOCK terms at a time with
-    compensation.
+    r/s it denotes; a non-finite float raises ``ValueError``.  When s <= N,
+    the phases n r/s are exact integer residues: the terms are folded by n
+    mod a multiple of s (``residue_fold``, one column sum in order of n),
+    the folds of each class k mod s are added, and the s sums meet the s
+    roots exp(-2 pi i (r k mod s)/s).  A larger s (a float irrational, or
+    1/3 as a float, whose denominator is 2^54) reads ``float(freq)``; its
+    phases n freq are reduced mod 1 exactly (``rational_phases``) and
+    summed _BLOCK terms at a time with compensation.  Both read the held
+    values if the sequence holds them and its chunks up to c_N if not, with
+    the same bits either way.
     """
     n_total = len(weights)
     if n_terms is None:
         n_terms = n_total
     if not 1 <= n_terms <= n_total:
         raise ValueError(f"n_terms must be in 1..{n_total}")
+    if not isinstance(freq, Fraction) and not math.isfinite(freq):
+        raise ValueError(f"frequency {freq} is not finite")
     exact = freq if isinstance(freq, Fraction) else Fraction(float(freq))
     s = exact.denominator
     if s <= n_terms:
@@ -450,15 +509,17 @@ def cesaro_mean(
         # of folds adds about sqrt(N/s) terms: the rounding grows like
         # sqrt(N), not N, while every phase stays an integer residue
         width = s * math.isqrt(n_terms // s)
-        folds = residue_fold(weights.values[:n_terms], width).reshape(-1, s).sum(axis=0)
+        (folds,) = _weight_folds(weights, n_terms, (width,))
+        folds = folds.reshape(-1, s).sum(axis=0)
         residues = (exact.numerator % s) * np.arange(s) % s
         return complex(folds @ np.exp(-2j * np.pi * (residues / s))) / n_terms
     coeffs = [0, float(freq)]
     acc = KahanSum()
-    for start, stop in _blocks(n_terms):
-        phases = rational_phases(coeffs, np.arange(start + 1, stop + 1))
-        block = weights.values[start:stop] * np.exp(-2j * np.pi * phases)
-        acc.add(complex(block.sum()))
+    start = 0
+    for chunk in _prefix_chunks(weights, n_terms):
+        phases = rational_phases(coeffs, np.arange(start + 1, start + len(chunk) + 1))
+        acc.add(complex((chunk * np.exp(-2j * np.pi * phases)).sum()))
+        start += len(chunk)
     return acc.value / n_terms
 
 
@@ -466,21 +527,99 @@ def cesaro_mean(
 _LOW_MODULUS = 840
 
 
-def residue_fold(values: np.ndarray, m: int) -> np.ndarray:
-    """F_k = sum of c_n over n = 1..len(values) with n = k (mod m), k = 0..m-1.
+def _carry(rows: np.ndarray, sums: np.ndarray) -> None:
+    """sums += rows[1], rows[2], ... in turn, as one column sum goes on (rows[0] is scratch)."""
+    # a column sum starts at +0.0, so carried sums are never -0.0, and
+    # adding them to that identity first changes no bit
+    rows[0] = sums
+    np.add.reduce(rows, axis=0, out=sums)
+
+
+class _CarriedFold:
+    """``residue_fold`` by m >= 2 of values fed one block at a time.
+
+    The values are copied into staging rows, R = max(1, 4 _BLOCK // m) at
+    a time, under a row 0 that holds the column sums so far; one column sum
+    of the R + 1 rows then carries each column's running sum on by R
+    terms in order of n.  So every fold adds the values of its class in
+    the order one column sum over all of them adds them, and has its bits.
+    Besides the m sums it holds (R + 1) m values: at most 4 _BLOCK + m, or
+    2m when m > 4 _BLOCK.  (Staging one chunk per column sum instead made
+    a fold of 2^17 values about 1.4 times slower, x86_64 with numpy 2.4.)
+    """
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self._sums = np.zeros(m, dtype=np.complex128)
+        self._rows = np.empty((max(1, 4 * _BLOCK // m) + 1, m), dtype=np.complex128)
+        self._flat = self._rows.reshape(-1)
+        self._staged = m  # _flat[m:_staged] holds values not yet summed
+
+    def add(self, block: np.ndarray) -> None:
+        while len(block):
+            take = min(len(block), len(self._flat) - self._staged)
+            self._flat[self._staged : self._staged + take] = block[:take]
+            self._staged += take
+            block = block[take:]
+            if self._staged == len(self._flat):
+                _carry(self._rows, self._sums)
+                self._staged = self.m
+
+    def result(self) -> np.ndarray:
+        rows, rest = divmod(self._staged - self.m, self.m)
+        _carry(self._rows[: rows + 1], self._sums)
+        self._sums[:rest] += self._flat[(rows + 1) * self.m : self._staged]
+        return np.roll(self._sums, 1)
+
+
+def _residue_folds(blocks, moduli) -> list[np.ndarray]:
+    """``residue_fold`` of the blocks' values by each m in moduli, from one read."""
+    if 1 in moduli:
+        # numpy sums one column pairwise, so the values are one block
+        values = np.concatenate(list(blocks))
+        return [residue_fold(values, m) for m in moduli]
+    folds = [_CarriedFold(m) for m in moduli]
+    for block in blocks:
+        for fold in folds:
+            fold.add(block)
+    return [fold.result() for fold in folds]
+
+
+def _weight_folds(weights: WeightSequence, n_terms: int, moduli) -> list[np.ndarray]:
+    """``residue_fold`` of c_1..c_{n_terms} by each m, with the held values' bits.
+
+    Held values are folded as one array.  Other weights feed every fold
+    from one read of their chunks up to c_{n_terms}, so a streamed sequence
+    sieves each segment it reads once, and periodic weights fold views of
+    their one period.
+    """
+    held = vars(weights).get("values")  # None unless built: reading builds nothing
+    if held is not None:
+        return [residue_fold(held[:n_terms], m) for m in moduli]
+    return _residue_folds(_prefix_chunks(weights, n_terms), moduli)
+
+
+def residue_fold(values, m: int) -> np.ndarray:
+    """F_k = sum of c_n over n = 1..N with n = k (mod m), k = 0..m-1.
 
     The phase exp(-2 pi i n j/m) of every term in fold k is exp(-2 pi i
     k j/m), an exact integer residue, so a sum of the c_n against any
     frequency j/m is a sum over the m folds: ``cesaro_mean`` at r/s takes
     one dot product with s roots, and ``zero_set_scan`` one FFT for every
-    j/m at once.  The folds are one column sum of the (len // m, m) view
-    of the values in order of n (numpy sums pairwise when m = 1), plus the
-    last len % m values; column j holds n = j + 1 (mod m), so the sums are
-    rolled by one.  The result is complex; for contiguous values nothing
-    longer than m is allocated.
+    j/m at once.  ``values`` is an array or an iterable of consecutive
+    blocks of c_1..c_N.  An array is one block: the folds are one column
+    sum of its (N // m, m) view in order of n, plus the last N % m values;
+    column j holds n = j + 1 (mod m), so the sums are rolled by one, and
+    for contiguous values nothing longer than m is allocated.  Blocks are
+    folded by ``_CarriedFold``, which adds in the same order and so gives
+    the same bits in O(m + _BLOCK) memory, except at m = 1: numpy sums one
+    column pairwise, so there the blocks are joined into one.  The result
+    is complex.
     """
     if m < 1:
         raise ValueError(f"fold modulus m must be >= 1, got {m}")
+    if not isinstance(values, np.ndarray):
+        return _residue_folds(values, (m,))[0]
     rows = len(values) // m
     folds = values[: rows * m].reshape(rows, m).sum(axis=0, dtype=np.complex128)
     folds[: len(values) - rows * m] += values[rows * m :]
@@ -500,8 +639,11 @@ def zero_set_scan(
     from two residue folds of c_n, by n mod grid_size and n mod 840 (each
     one column sum in order of n), each followed by one FFT: the phases
     n k/m are exact integer residues, and the whole scan costs
-    O(N + G log G) for N terms and grid size G.  The keys come from one
-    sort of the lattice j/G and the low rationals that are off it.
+    O(N + G log G) for N terms and grid size G.  Held values are folded as
+    one array; otherwise one read of the chunks up to c_N feeds both folds,
+    so a scan of streamed Mobius weights sieves each segment once and holds
+    O(sqrt(N) + G + _BLOCK) values, with the same bits.  The keys come from
+    one sort of the lattice j/G and the low rationals that are off it.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -510,7 +652,7 @@ def zero_set_scan(
         n_terms = n_total
     if not 1 <= n_terms <= n_total:
         raise ValueError(f"n_terms must be in 1..{n_total}")
-    values = weights.values[:n_terms]
+    lattice, low_folds = _weight_folds(weights, n_terms, (grid_size, _LOW_MODULUS))
     # numerators over the common denominator keep the union exact
     common = math.lcm(grid_size, _LOW_MODULUS)
     g_step, low_step = common // grid_size, common // _LOW_MODULUS
@@ -521,8 +663,8 @@ def zero_set_scan(
     # a point that is also some j/grid_size takes its value from that fold
     sigma = np.where(
         keys % g_step == 0,
-        np.fft.fft(residue_fold(values, grid_size))[keys // g_step],
-        np.fft.fft(residue_fold(values, _LOW_MODULUS))[keys // low_step],
+        np.fft.fft(lattice)[keys // g_step],
+        np.fft.fft(low_folds)[keys // low_step],
     ) / n_terms
     return SpectrumReport(
         grid=grid,

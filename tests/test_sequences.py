@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -157,7 +158,7 @@ class TestWeightSequence:
         prefix = np.cumsum(np.abs(values) ** exponent) / np.arange(1, n_terms + 1)
         assert np.argmax(prefix) == n_terms - 1
         want = reference_growth_bound(values, exponent)
-        assert seq.prefix_growth_bound(values, exponent) == want
+        assert seq.prefix_growth_bound(seq._chunks(values), exponent) == want
         assert seq.WeightSequence("ramp", values, exponent).growth_bound == want
 
     @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, 2 * CHUNK + 5])
@@ -183,9 +184,15 @@ class TestWeightSequence:
         calls = []
         bound = seq.prefix_growth_bound
 
-        def counted(values, exponent):
-            calls.append(len(values))
-            return bound(values, exponent)
+        def counted(chunks, exponent):
+            calls.append(0)  # the terms this call reads
+
+            def read():
+                for chunk in chunks:
+                    calls[-1] += len(chunk)
+                    yield chunk
+
+            return bound(read(), exponent)
 
         monkeypatch.setattr(seq, "prefix_growth_bound", counted)
         assert set(REGISTRY_PARAMS) == set(registry.SEQUENCES)
@@ -233,7 +240,7 @@ class TestMobiusStream:
         assert np.array_equal(seq.liouville(n_max), reference_liouville(n_max))
         w = seq.mobius_sequence(n_max)
         assert np.array_equal(np.concatenate(list(w.chunks())), mu)
-        assert w.growth_bound == seq.prefix_growth_bound(mu.astype(complex), 2.0)
+        assert w.growth_bound == seq.prefix_growth_bound(seq._chunks(mu.astype(complex)), 2.0)
 
     @pytest.mark.parametrize("n_max", [SEGMENT + 1, 3 * SEGMENT + 7, 2**21 + 1])
     def test_chunks_are_the_values_in_block_order(self, n_max):
@@ -266,7 +273,7 @@ class TestMobiusStream:
             want = analysis.holder_defect(stored, flow, observable, 0.25, 0.5, n_terms)
             assert got == want
         assert "values" not in vars(streamed)
-        assert streamed.growth_bound == seq.prefix_growth_bound(stored.values, 2.0)
+        assert streamed.growth_bound == seq.prefix_growth_bound(seq._chunks(stored.values), 2.0)
 
     @pytest.mark.parametrize("n_max", [1, CHUNK + 1, SEGMENT])
     def test_one_segment_of_weights_is_held_and_sieved_once(self, monkeypatch, n_max):
@@ -474,7 +481,14 @@ class TestRationalPhases:
         for n_terms in sorted(n for n in sizes if n >= denom):
             w = seq.polynomial_phase_sequence(n_terms, coeffs)
             phases = seq.rational_phases(coeffs, np.arange(1, n_terms + 1))
-            assert w.values.tobytes() == np.exp(2j * np.pi * phases).tobytes(), n_terms
+            want = np.exp(2j * np.pi * phases)
+            # the chunks and the bound read one held period before values is built
+            chunks = list(w.chunks())
+            assert [len(c) for c in chunks] == [b - a for a, b in seq._blocks(n_terms)]
+            assert np.concatenate(chunks).tobytes() == want.tobytes(), n_terms
+            assert w.growth_bound == reference_growth_bound(want, 2.0), n_terms
+            assert ("values" in vars(w)) == (n_terms == denom)
+            assert w.values.tobytes() == want.tobytes(), n_terms
 
     def test_periodic_build_holds_no_table_of_the_period(self):
         # D = 100 003 <= N: the period's Python-int residues are built a
@@ -488,6 +502,18 @@ class TestRationalPhases:
         finally:
             tracemalloc.stop()
         assert peak < w.values.nbytes + (512 << 10)
+
+    def test_periodic_build_holds_one_period(self):
+        # e(n^2/4) has period 4: the build holds it plus a chunk, not 2^17 terms
+        seq.quadratic_phase_sequence(CHUNK, 0.25)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            w = seq.quadratic_phase_sequence(2**17, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 10
+        assert "values" not in vars(w)
 
     def test_chunked_nlogn_and_subnormal_match_one_shot(self):
         n_terms = 2 * CHUNK + 3
@@ -664,6 +690,7 @@ class TestResidueFold:
 
     def test_fold_and_mean_allocate_no_copy_of_the_weights(self):
         w = seq.quadratic_phase_sequence(2**17, 0.25)
+        w.values  # periodic weights build their N values when first read
         seq.cesaro_mean(w, 0.25)  # warm numpy's caches
         for call in (lambda: seq.residue_fold(w.values, 512), lambda: seq.cesaro_mean(w, 0.25)):
             tracemalloc.start()
@@ -673,6 +700,138 @@ class TestResidueFold:
             finally:
                 tracemalloc.stop()
             assert peak < 256 << 10
+
+
+def bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+# coefficients whose common denominator is D; 4097 = 17 * 241 does not
+# divide 2^64, so its residues are Python ints
+PERIODIC_COEFFS = {
+    1: [0, 0, 1],
+    3: [0, 0, Fraction(1, 3)],
+    4: [0, 0, Fraction(1, 4)],
+    97: [0, 0, Fraction(5, 97)],
+    4097: [0, Fraction(1, 17), Fraction(3, 241)],
+}
+
+
+def weight_builds():
+    """(id, build) of periodic, streamed and held weights."""
+    # past two fills of a carried fold's staging rows (4 chunks) at every m
+    n_terms = 9 * CHUNK + 7
+    builds = [
+        (f"periodic-D={denom}", functools.partial(seq.polynomial_phase_sequence, n_terms, coeffs))
+        for denom, coeffs in PERIODIC_COEFFS.items()
+    ]
+    builds += [
+        (f"mobius-{n_max}", functools.partial(seq.mobius_sequence, n_max))
+        for n_max in (SEGMENT - 1, SEGMENT + 1, 3 * SEGMENT + 7)
+    ]
+    values = np.array([1, 1j]) @ np.random.default_rng(3).normal(size=(2, n_terms))
+    builds.append(("held-gauss", lambda: seq.WeightSequence("gauss", values, 2.0)))
+    return builds
+
+
+BUILDS = weight_builds()
+
+
+class TestChunkedCesaro:
+    """Folds, means and scans of chunks have the bits of the one-array ones."""
+
+    @pytest.mark.parametrize("build", [b for _, b in BUILDS], ids=[i for i, _ in BUILDS])
+    def test_carried_fold_is_the_one_block_fold(self, build):
+        n_terms = len(build())
+        # cesaro_mean's widths s * isqrt(N / s) for s = 1..8 and 97
+        widths = {s * math.isqrt(n_terms // s) for s in (*range(1, 9), 97)}
+        for m in sorted({1, 2, 7, 512, 840} | widths):
+            w = build()
+            (read,) = seq._weight_folds(w, n_terms, (m,))
+            chunked = seq.residue_fold(w.chunks(), m)
+            want = seq.residue_fold(w.values, m)
+            assert read.tobytes() == want.tobytes(), m
+            assert chunked.tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("build", [b for _, b in BUILDS], ids=[i for i, _ in BUILDS])
+    def test_means_and_scans_are_the_held_ones(self, build):
+        w = build()
+        n_max, holds = len(w), "values" in vars(w)
+        held = seq.WeightSequence("held", w.values, 2.0)
+        freqs = [Fraction(r, s) for s in range(1, 9) for r in range(s)]
+        freqs += [Fraction(5, 97), Fraction(1, 4097), ALPHA, 1 / 3]
+        for n_terms in (1, 3, CHUNK + 1, n_max // 3 + 1, n_max):
+            w = build()
+            for t in freqs:
+                got = seq.cesaro_mean(w, t, n_terms)
+                assert bits(got) == bits(seq.cesaro_mean(held, t, n_terms)), (t, n_terms)
+            for grid_size in (2, 7, 512):
+                got = seq.zero_set_scan(w, grid_size, n_terms)
+                want = seq.zero_set_scan(held, grid_size, n_terms)
+                assert got.sigma.tobytes() == want.sigma.tobytes(), (grid_size, n_terms)
+                assert got.max_abs == want.max_abs
+            assert ("values" in vars(w)) == holds  # reading built nothing
+
+    @pytest.mark.parametrize("freq", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_mean_refuses_a_non_finite_frequency(self, freq):
+        w = seq.mobius_sequence(100)
+        with pytest.raises(ValueError, match=f"frequency {freq} is not finite"):
+            seq.cesaro_mean(w, freq)
+
+
+def counted_segments(monkeypatch):
+    """Patch the sieve to record the first n of each segment it produces."""
+    produced = []
+    segments = seq._mobius_segments
+
+    def counted(n_max, span):
+        lo = 1
+        for mu in segments(n_max, span):
+            produced.append(lo)
+            lo += len(mu)
+            yield mu
+
+    monkeypatch.setattr(seq, "_mobius_segments", counted)
+    return produced
+
+
+class TestStreamedCesaro:
+    def test_scan_sieves_each_segment_once(self, monkeypatch):
+        produced = counted_segments(monkeypatch)
+        n_max = 3 * SEGMENT + 7
+        w = seq.mobius_sequence(n_max)
+        report = seq.zero_set_scan(w)
+        assert produced == list(range(1, n_max + 1, SEGMENT))
+        assert "values" not in vars(w)
+        want = seq.zero_set_scan(seq.WeightSequence("mobius", reference_mobius(n_max), 2.0))
+        assert report.sigma.tobytes() == want.sigma.tobytes()
+
+    def test_a_mean_sieves_only_what_it_reads(self, monkeypatch):
+        produced = counted_segments(monkeypatch)
+        w = seq.mobius_sequence(3 * SEGMENT + 7)
+        for freq in (Fraction(1, 2), ALPHA):  # a fold and a compensated sum
+            produced.clear()
+            seq.cesaro_mean(w, freq, 100)
+            assert produced == [1]
+            produced.clear()
+            seq.cesaro_mean(w, freq, SEGMENT + 1)
+            assert produced == [1, SEGMENT + 1]
+        produced.clear()
+        seq.zero_set_scan(w, 512, SEGMENT)
+        assert produced == [1]
+        assert "values" not in vars(w)
+
+    def test_scan_holds_no_array_of_the_weights(self):
+        seq.zero_set_scan(seq.mobius_sequence(SEGMENT + 1))  # warm caches
+        tracemalloc.start()
+        try:
+            report = seq.zero_set_scan(seq.mobius_sequence(2**22))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_abs < 0.01
+        # holding the weights whole took 100 MiB, as for the weighted average
+        assert peak < 4 << 20
 
 
 class TestZeroSetScan:
