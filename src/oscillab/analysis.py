@@ -323,10 +323,10 @@ def hooked_disjointness(
     Birkhoff average should decay ('supported'); a resonant atom paired
     with a stagnant average is 'resonant'; disagreement is 'mixed'.  Each
     atom goes to ``cesaro_mean`` as given, so a ``Fraction`` r/s is exact.
-    Every atom mean and the average read the weights, so they are built
-    once, as ``values``, for all of them: streamed weights sieve once.
+    Every atom mean and the average read the weights' chunks, so no N-term
+    array is built for streamed Mobius or periodic phase weights; streamed
+    weights are sieved once per atom and once for the average.
     """
-    weights.values
     atom_means = {t: cesaro_mean(weights, t) for t in support_atoms}
     spectral_clear = all(abs(v) < ATOM_LEVEL for v in atom_means.values())
     report = weighted_birkhoff(weights, flow, observable, start, checkpoints)

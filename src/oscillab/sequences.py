@@ -20,12 +20,12 @@ are folded by n mod a multiple of s (``residue_fold``, one column sum in
 order of n), so each phase n r/s is an integer residue.  Weights are built
 _BLOCK terms at a time, so a build holds its result plus a few small
 chunks; Mobius weights longer than one segment build nothing until read.
-Every sequence yields its weights in those chunks.  The weighted averages
-of ``analysis`` read only the chunks, and so do the Cesaro means and scans
-of a sequence that does not hold its values: their folds carry each
-column's running sum from one block of rows into the next, so every sum
-keeps the bits of the one column sum over all the values, and a scan of
-streamed Mobius weights holds O(sqrt(N) + _BLOCK) of them, not N.  A
+Every sequence yields its weights in those chunks, and every reader, the
+weighted averages of ``analysis`` and the Cesaro means and scans alike,
+reads only the chunks.  The Cesaro folds carry each column's running sum
+from one block of rows into the next, so every sum keeps the bits of the
+one column sum over all the values, and a scan of streamed Mobius
+weights holds O(sqrt(N) + _BLOCK) of them, not N.  A
 sequence's growth bound is a property of the sequence, not of a read: 1
 for streamed Mobius weights, and for any other sequence computed chunk by
 chunk when a reader first asks for it.
@@ -47,8 +47,9 @@ import numpy.fft
 import numpy.random
 
 
-# terms per chunk: a complex chunk is 64 KiB, below glibc's 128 KiB mmap
-# threshold, so chunk scratch is reused from the heap, not faulted in
+# terms per chunk: a complex chunk is 64 KiB, and a fold's staging rows
+# hold fewer than 2 _BLOCK values when they fit, so both stay below glibc's
+# 128 KiB mmap threshold and are reused from the heap, not faulted in
 _BLOCK = 1 << 12
 
 
@@ -125,15 +126,15 @@ def prefix_growth_bound(chunks, growth_exponent: float) -> float:
 class WeightSequence:
     """Complex weights c_1..c_N plus their averaged-growth metadata.
 
-    A reader takes the weights whole, as ``values``, or one ``_blocks``
-    chunk at a time, from ``chunks``.  Built from an array, the sequence
-    holds it: the chunks are slices of it, and construction refuses
-    non-finite values one chunk at a time.  Two kinds hold less and build
-    ``values`` only when it is first read: a ``mobius_sequence`` longer
-    than one segment, whose chunks come from the segmented sieve (and are
-    slices of ``values`` once it is built), and phase weights whose period
-    D is below N, which hold one period plus a chunk and serve every chunk
-    as a view of that.  ``growth_bound`` is the exact prefix supremum for
+    Readers take the weights one ``_blocks`` chunk at a time, from
+    ``chunks``.  Built from an array, the sequence holds it as ``values``:
+    the chunks are slices of it, and construction refuses non-finite
+    values one chunk at a time.  Two kinds hold less and build ``values``
+    only when it is first read, which no reader in the package does: a
+    ``mobius_sequence`` longer than one segment, whose chunks come from the
+    segmented sieve on every read, and phase weights whose period D is
+    below N, which hold one period plus a chunk and serve every chunk as a
+    view of that.  ``growth_bound`` is the exact prefix supremum for
     ``growth_exponent``.  Streamed Mobius weights know theirs, 1; any
     other sequence computes it from its chunks on first access and keeps
     it, so a sequence whose bound nothing reads never pays for it.
@@ -197,12 +198,6 @@ class _MobiusWeights(WeightSequence):
         self.name, self.growth_exponent, self._n_terms = "mobius", 2.0, n_terms
 
     def chunks(self):
-        # once values is built, reading it beats sieving again
-        if "values" in vars(self):
-            return _chunks(self.values)
-        return self._sieved_chunks()
-
-    def _sieved_chunks(self):
         for mu in _mobius_segments(self._n_terms, _mobius_span(self._n_terms)):
             for chunk in _chunks(mu):
                 yield chunk.astype(np.complex128)
@@ -286,8 +281,8 @@ def mobius_sequence(n_terms: int) -> WeightSequence:
     """mu(n) as weights: held when one segment covers them, streamed when not.
 
     Held weights are ``mobius(N)`` as an array, so every read slices it.
-    Streamed weights hold no N-term array unless ``values`` is read: each
-    pass over their chunks sieves again until then.
+    Streamed weights hold no N-term array unless ``values`` is read, and
+    each pass over their chunks sieves again.
     """
     _check_n_terms(n_terms)
     if n_terms <= _mobius_span(n_terms):
@@ -491,9 +486,9 @@ def cesaro_mean(
     roots exp(-2 pi i (r k mod s)/s).  A larger s (a float irrational, or
     1/3 as a float, whose denominator is 2^54) reads ``float(freq)``; its
     phases n freq are reduced mod 1 exactly (``rational_phases``) and
-    summed _BLOCK terms at a time with compensation.  Both read the held
-    values if the sequence holds them and its chunks up to c_N if not, with
-    the same bits either way.
+    summed _BLOCK terms at a time with compensation.  Both read the
+    sequence's chunks up to c_N, so no N-term array is built for weights
+    that do not hold one.
     """
     n_total = len(weights)
     if n_terms is None:
@@ -538,20 +533,20 @@ def _carry(rows: np.ndarray, sums: np.ndarray) -> None:
 class _CarriedFold:
     """``residue_fold`` by m >= 2 of values fed one block at a time.
 
-    The values are copied into staging rows, R = max(1, 4 _BLOCK // m) at
-    a time, under a row 0 that holds the column sums so far; one column sum
-    of the R + 1 rows then carries each column's running sum on by R
+    The values are copied into staging rows, R = max(1, 2 _BLOCK // m - 2)
+    at a time, under a row 0 that holds the column sums so far; one column
+    sum of the R + 1 rows then carries each column's running sum on by R
     terms in order of n.  So every fold adds the values of its class in
     the order one column sum over all of them adds them, and has its bits.
-    Besides the m sums it holds (R + 1) m values: at most 4 _BLOCK + m, or
-    2m when m > 4 _BLOCK.  (Staging one chunk per column sum instead made
-    a fold of 2^17 values about 1.4 times slower, x86_64 with numpy 2.4.)
+    Besides the m sums the rows hold (R + 1) m values: fewer than 2 _BLOCK
+    when m < _BLOCK, so they stay under glibc's mmap threshold as a chunk
+    does, and 2m when m is larger.
     """
 
     def __init__(self, m: int) -> None:
         self.m = m
         self._sums = np.zeros(m, dtype=np.complex128)
-        self._rows = np.empty((max(1, 4 * _BLOCK // m) + 1, m), dtype=np.complex128)
+        self._rows = np.empty((max(1, 2 * _BLOCK // m - 2) + 1, m), dtype=np.complex128)
         self._flat = self._rows.reshape(-1)
         self._staged = m  # _flat[m:_staged] holds values not yet summed
 
@@ -572,10 +567,17 @@ class _CarriedFold:
         return np.roll(self._sums, 1)
 
 
-def _residue_folds(blocks, moduli) -> list[np.ndarray]:
-    """``residue_fold`` of the blocks' values by each m in moduli, from one read."""
+def _weight_folds(weights: WeightSequence, n_terms: int, moduli) -> list[np.ndarray]:
+    """``residue_fold`` of c_1..c_{n_terms} by each m, from one read of the chunks.
+
+    Each chunk up to c_{n_terms} feeds a ``_CarriedFold`` per modulus, so
+    the folds have the bits of ``residue_fold`` over the values as one
+    array, a streamed sequence sieves each segment it reads once, and
+    periodic weights fold views of their one period.  At m = 1 numpy sums
+    the one column pairwise, so there the chunks are joined into one array.
+    """
+    blocks = _prefix_chunks(weights, n_terms)
     if 1 in moduli:
-        # numpy sums one column pairwise, so the values are one block
         values = np.concatenate(list(blocks))
         return [residue_fold(values, m) for m in moduli]
     folds = [_CarriedFold(m) for m in moduli]
@@ -585,41 +587,22 @@ def _residue_folds(blocks, moduli) -> list[np.ndarray]:
     return [fold.result() for fold in folds]
 
 
-def _weight_folds(weights: WeightSequence, n_terms: int, moduli) -> list[np.ndarray]:
-    """``residue_fold`` of c_1..c_{n_terms} by each m, with the held values' bits.
-
-    Held values are folded as one array.  Other weights feed every fold
-    from one read of their chunks up to c_{n_terms}, so a streamed sequence
-    sieves each segment it reads once, and periodic weights fold views of
-    their one period.
-    """
-    held = vars(weights).get("values")  # None unless built: reading builds nothing
-    if held is not None:
-        return [residue_fold(held[:n_terms], m) for m in moduli]
-    return _residue_folds(_prefix_chunks(weights, n_terms), moduli)
-
-
-def residue_fold(values, m: int) -> np.ndarray:
+def residue_fold(values: np.ndarray, m: int) -> np.ndarray:
     """F_k = sum of c_n over n = 1..N with n = k (mod m), k = 0..m-1.
 
     The phase exp(-2 pi i n j/m) of every term in fold k is exp(-2 pi i
     k j/m), an exact integer residue, so a sum of the c_n against any
     frequency j/m is a sum over the m folds: ``cesaro_mean`` at r/s takes
     one dot product with s roots, and ``zero_set_scan`` one FFT for every
-    j/m at once.  ``values`` is an array or an iterable of consecutive
-    blocks of c_1..c_N.  An array is one block: the folds are one column
-    sum of its (N // m, m) view in order of n, plus the last N % m values;
-    column j holds n = j + 1 (mod m), so the sums are rolled by one, and
-    for contiguous values nothing longer than m is allocated.  Blocks are
-    folded by ``_CarriedFold``, which adds in the same order and so gives
-    the same bits in O(m + _BLOCK) memory, except at m = 1: numpy sums one
-    column pairwise, so there the blocks are joined into one.  The result
-    is complex.
+    j/m at once.  The folds are one column sum of the (N // m, m) view of
+    ``values`` in order of n, plus the last N % m values; column j holds
+    n = j + 1 (mod m), so the sums are rolled by one, and for contiguous
+    values nothing longer than m is allocated.  The result is complex.
+    The Cesaro readers fold a sequence's chunks (``_weight_folds``), which
+    adds in the same order and so gives these bits.
     """
     if m < 1:
         raise ValueError(f"fold modulus m must be >= 1, got {m}")
-    if not isinstance(values, np.ndarray):
-        return _residue_folds(values, (m,))[0]
     rows = len(values) // m
     folds = values[: rows * m].reshape(rows, m).sum(axis=0, dtype=np.complex128)
     folds[: len(values) - rows * m] += values[rows * m :]
@@ -639,11 +622,11 @@ def zero_set_scan(
     from two residue folds of c_n, by n mod grid_size and n mod 840 (each
     one column sum in order of n), each followed by one FFT: the phases
     n k/m are exact integer residues, and the whole scan costs
-    O(N + G log G) for N terms and grid size G.  Held values are folded as
-    one array; otherwise one read of the chunks up to c_N feeds both folds,
-    so a scan of streamed Mobius weights sieves each segment once and holds
-    O(sqrt(N) + G + _BLOCK) values, with the same bits.  The keys come from
-    one sort of the lattice j/G and the low rationals that are off it.
+    O(N + G log G) for N terms and grid size G.  One read of the chunks up
+    to c_N feeds both folds, so a scan of streamed Mobius weights sieves
+    each segment once and holds O(sqrt(N) + G + _BLOCK) values.  The keys
+    come from one sort of the lattice j/G and the low rationals that are
+    off it.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")

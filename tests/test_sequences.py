@@ -296,23 +296,25 @@ class TestMobiusStream:
         analysis.weighted_birkhoff(w, flow, observable, 0.0)
         assert calls == [n_max]
 
-    def test_hooked_disjointness_sieves_once(self, monkeypatch):
-        # the atom means fill values; the average then reads its slices
-        calls = []
-        segments = seq._mobius_segments
-
-        def counted(n_max, span):
-            calls.append(span)
-            return segments(n_max, span)
-
-        monkeypatch.setattr(seq, "_mobius_segments", counted)
-        n_max = 3 * SEGMENT + 7
+    def test_hooked_disjointness_holds_no_array_of_the_weights(self):
+        # the atom means and the average each read the chunks
         flow, observable = rotation_pair()
         atoms = [Fraction(1, 2), ALPHA]
-        got = analysis.hooked_disjointness(seq.mobius_sequence(n_max), flow, observable, 0.0, atoms)
-        assert calls == [n_max]  # mobius(N), one segment
-        stored = seq.WeightSequence("mobius", reference_mobius(n_max), 2.0)
-        assert got == analysis.hooked_disjointness(stored, flow, observable, 0.0, atoms)
+        n_max = 3 * SEGMENT + 7
+        for w in (seq.mobius_sequence(n_max), seq.quadratic_phase_sequence(n_max, 0.25)):
+            got = analysis.hooked_disjointness(w, flow, observable, 0.0, atoms)
+            assert "values" not in vars(w)
+            held = seq.WeightSequence(w.name, w.values, 2.0)
+            assert got == analysis.hooked_disjointness(held, flow, observable, 0.0, atoms)
+        w = seq.mobius_sequence(2**20)
+        tracemalloc.start()
+        try:
+            analysis.hooked_disjointness(w, flow, observable, 0.0, atoms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # building values for the atom means took 25 MiB here
+        assert peak < 4 << 20
 
     def test_a_weighted_average_sieves_only_what_it_reads(self, monkeypatch):
         produced = []
@@ -719,7 +721,7 @@ PERIODIC_COEFFS = {
 
 def weight_builds():
     """(id, build) of periodic, streamed and held weights."""
-    # past two fills of a carried fold's staging rows (4 chunks) at every m
+    # past two fills of a carried fold's staging rows (under 2 chunks) at every m
     n_terms = 9 * CHUNK + 7
     builds = [
         (f"periodic-D={denom}", functools.partial(seq.polynomial_phase_sequence, n_terms, coeffs))
@@ -748,10 +750,13 @@ class TestChunkedCesaro:
         for m in sorted({1, 2, 7, 512, 840} | widths):
             w = build()
             (read,) = seq._weight_folds(w, n_terms, (m,))
-            chunked = seq.residue_fold(w.chunks(), m)
             want = seq.residue_fold(w.values, m)
             assert read.tobytes() == want.tobytes(), m
-            assert chunked.tobytes() == want.tobytes(), m
+
+    @pytest.mark.parametrize("m", [2, 7, 512, 724, 840])
+    def test_fold_staging_stays_below_the_mmap_threshold(self, m):
+        # 724 is cesaro_mean's width at N = 2^17 and s = 4
+        assert seq._CarriedFold(m)._rows.nbytes < 128 << 10
 
     @pytest.mark.parametrize("build", [b for _, b in BUILDS], ids=[i for i, _ in BUILDS])
     def test_means_and_scans_are_the_held_ones(self, build):
