@@ -324,8 +324,8 @@ def hooked_disjointness(
     with a stagnant average is 'resonant'; disagreement is 'mixed'.  Each
     atom goes to ``cesaro_mean`` as given, so a ``Fraction`` r/s is exact.
     Every atom mean and the average read the weights' chunks, so no N-term
-    array is built for streamed Mobius or periodic phase weights; streamed
-    weights are sieved once per atom and once for the average.
+    array is built for streamed arithmetic or periodic phase weights;
+    streamed weights are sieved once per atom and once for the average.
     """
     atom_means = {t: cesaro_mean(weights, t) for t in support_atoms}
     spectral_clear = all(abs(v) < ATOM_LEVEL for v in atom_means.values())

@@ -5,11 +5,9 @@ package (Mobius, Liouville, quadratic, n log n and polynomial phases,
 random subnormal weights; one plain function each, which the registry
 holds directly), together with the Cesaro-mean machinery that locates
 where a sequence's averaged Fourier mass survives.  ``_mobius_segments``
-is the one sieve of the arithmetic weights, run a segment at a time:
-``mobius`` takes 1..N as one segment, the Mobius weights' chunks are
-segments of about 16 sqrt(N) terms, and Liouville's lambda is mu convolved
-with the indicator of the squares, lambda(n) = sum over d^2 | n of
-mu(n/d^2), so ``liouville`` adds slices of ``mobius``.  Polynomial phases
+is the one sieve of mu and lambda, run a segment at a time: ``mobius``
+and ``liouville`` take 1..N as one segment, and streamed weights' chunks
+come from segments of about 16 sqrt(N) terms.  Polynomial phases
 P(n) mod 1 are kept as exact integer residues over the common denominator
 D of P's coefficients until a float is needed: ``rational_phases`` rounds
 each once (``circle.rotation_flow`` does the same for its short blocks, in
@@ -19,16 +17,16 @@ rational frequency r/s with s <= N is exact in its phases too: the terms
 are folded by n mod a multiple of s (``residue_fold``, one column sum in
 order of n), so each phase n r/s is an integer residue.  Weights are built
 _BLOCK terms at a time, so a build holds its result plus a few small
-chunks; Mobius weights longer than one segment build nothing until read.
+chunks; arithmetic weights longer than one segment build nothing until read.
 Every sequence yields its weights in those chunks, and every reader, the
 weighted averages of ``analysis`` and the Cesaro means and scans alike,
 reads only the chunks.  The Cesaro folds carry each column's running sum
 from one block of rows into the next, so every sum keeps the bits of the
-one column sum over all the values, and a scan of streamed Mobius
-weights holds O(sqrt(N) + _BLOCK) of them, not N.  A
-sequence's growth bound is a property of the sequence, not of a read: 1
-for streamed Mobius weights, and for any other sequence computed chunk by
-chunk when a reader first asks for it.
+one column sum over all the values, and a scan of streamed arithmetic
+weights holds O(sqrt(N) + _BLOCK) of them, not N.  A sequence's growth
+bound is a property of the sequence, not of a read: 1 for streamed
+arithmetic weights, and for any other sequence computed chunk by chunk
+when a reader first asks for it.
 Quadratic-phase sequences with rational parameter get their spectrum in
 closed form: which Gauss sums vanish is a parity rule on integers, and
 each amplitude is a root of unity at an integer residue times one base
@@ -130,12 +128,12 @@ class WeightSequence:
     ``chunks``.  Built from an array, the sequence holds it as ``values``:
     the chunks are slices of it, and construction refuses non-finite
     values one chunk at a time.  Two kinds hold less and build ``values``
-    only when it is first read, which no reader in the package does: a
-    ``mobius_sequence`` longer than one segment, whose chunks come from the
-    segmented sieve on every read, and phase weights whose period D is
+    only when it is first read, which no reader in the package does: Mobius
+    or Liouville weights longer than one segment, whose chunks come from
+    the segmented sieve on every read, and phase weights whose period D is
     below N, which hold one period plus a chunk and serve every chunk as a
     view of that.  ``growth_bound`` is the exact prefix supremum for
-    ``growth_exponent``.  Streamed Mobius weights know theirs, 1; any
+    ``growth_exponent``.  Streamed arithmetic weights know theirs, 1; any
     other sequence computes it from its chunks on first access and keeps
     it, so a sequence whose bound nothing reads never pays for it.
     """
@@ -175,36 +173,36 @@ def _prefix_chunks(weights: WeightSequence, n_terms: int):
 
 
 def _mobius_span(n_terms: int) -> int:
-    """Terms per segment of the Mobius weights: a whole number of chunks.
+    """Terms per segment of the arithmetic weights: a whole number of chunks.
 
-    8 chunks up to N = 2^22, so one segment covers N <= 32768, then about
-    16 sqrt(N) terms, and at most 64 chunks.  Each segment makes three
-    numpy calls per prime up to sqrt(N): with 4-chunk segments those calls
-    made a weighted average of N = 2^16 to 2^20 streamed weights about a
-    tenth slower than one of held weights; with 8 it was no slower.
+    8 chunks up to N = 2^22 (one segment covers N <= 32768), then about 16
+    sqrt(N) terms, at most 64 chunks: with 4-chunk segments the numpy calls
+    per prime up to sqrt(N) made a weighted average of N = 2^16 to 2^20
+    streamed weights a tenth slower than one of held weights; with 8, not.
     """
     return _BLOCK * min(64, max(8, -(-16 * math.isqrt(n_terms) // _BLOCK)))
 
 
 class _MobiusWeights(WeightSequence):
-    """mu(1)..mu(N) as complex weights, streamed from ``_mobius_segments``."""
+    """mu(1)..mu(N), or lambda's, as complex weights, streamed from ``_mobius_segments``."""
 
-    # |mu| <= 1 and mu(1) = 1, so the N = 1 prefix is the supremum; in
-    # floats each prefix sum of mu^2 is an integer count k <= N, and k/N
-    # rounds to at most 1.0
+    # |c_n| <= 1 = c_1, so the N = 1 prefix is the supremum; in floats each
+    # prefix sum of |c_n|^2 is an integer k <= N, and k/N rounds to <= 1.0
     growth_bound = 1.0
 
-    def __init__(self, n_terms: int) -> None:
-        self.name, self.growth_exponent, self._n_terms = "mobius", 2.0, n_terms
+    def __init__(self, n_terms: int, liouville: bool) -> None:
+        self.name, self.growth_exponent = ("liouville" if liouville else "mobius"), 2.0
+        self._n_terms, self._liouville = n_terms, liouville
 
     def chunks(self):
-        for mu in _mobius_segments(self._n_terms, _mobius_span(self._n_terms)):
-            for chunk in _chunks(mu):
+        span = _mobius_span(self._n_terms)
+        for segment in _mobius_segments(self._n_terms, span, self._liouville):
+            for chunk in _chunks(segment):
                 yield chunk.astype(np.complex128)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return mobius(self._n_terms).astype(np.complex128)
+        return (liouville if self._liouville else mobius)(self._n_terms).astype(np.complex128)
 
     def __len__(self) -> int:
         return self._n_terms
@@ -232,67 +230,68 @@ def _prime_sieve(n_max: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-def _mobius_segments(n_max: int, span: int):
-    """mu(lo)..mu(hi - 1), int64, for consecutive [lo, hi) of ``span`` terms up to n_max.
+def _mobius_segments(n_max: int, span: int, liouville: bool = False):
+    """mu(n), or lambda(n) with ``liouville``, int64, for n up to n_max in ``span``-term segments.
 
-    One multiplicative sieve, run a segment at a time (Deleglise and Rivat,
-    *Experimental Math.* 5, 1996).  Each segment sieves only the primes up
-    to sqrt(n_max): a squarefree n whose small prime factors multiply to
-    less than n has exactly one more, larger prime factor.  The arrays are
-    int64 like the package's other integer work: int8 or int32 arrays
-    would run numpy loops that nothing else runs, whose code pages add to
-    the resident set of every process that sieves.
+    One sieve for both (Deleglise and Rivat, *Experimental Math.* 5, 1996),
+    over the primes p <= sqrt(n_max).  ``small`` holds +-(the product of
+    the sieved prime powers dividing n): each p multiplies its multiples by
+    -p, and then mu zeroes the multiples of p^2, while lambda multiplies
+    the multiples of each p^k <= n_max by -p again.  Where |small| < n, n
+    has one more prime factor, above sqrt(n_max), so the value is
+    sign(small) negated.  The arrays are int64: an int8 or int32 sieve runs
+    numpy loops that nothing else runs, whose code pages add to the
+    resident set of every process that sieves.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     primes = _prime_sieve(math.isqrt(n_max)).tolist()
     for lo in range(1, n_max + 1, span):
         hi = min(lo + span, n_max + 1)
-        mu = np.ones(hi - lo, dtype=np.int64)
-        small = np.ones(hi - lo, dtype=np.int64)  # product of the sieved primes dividing n
+        small = np.ones(hi - lo, dtype=np.int64)
         for p in primes:
-            mu[-lo % p :: p] *= -1
-            small[-lo % p :: p] *= p
-            mu[-lo % (p * p) :: p * p] = 0
-        mu[small < np.arange(lo, hi)] *= -1
-        yield mu
+            small[-lo % p :: p] *= -p
+            power = p * p
+            if not liouville:
+                small[-lo % power :: power] = 0
+            while liouville and power < hi:
+                small[-lo % power :: power] *= -p
+                power *= p
+        values = np.sign(small)
+        # small becomes -1 where |small| < n, else 1 (twice as fast as a masked write)
+        np.less(np.abs(small, out=small), np.arange(lo, hi), out=small)
+        small *= -2
+        small += 1
+        values *= small
+        yield values
 
 
 def mobius(n_max: int) -> np.ndarray:
     """Mobius function mu(1)..mu(n_max), int64: one segment of ``_mobius_segments``."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    (mu,) = _mobius_segments(n_max, n_max)
-    return mu
+    return next(_mobius_segments(n_max, n_max))
 
 
 def liouville(n_max: int) -> np.ndarray:
-    """Liouville function (-1)^Omega(n) for n = 1..n_max, from ``mobius``'s sieve.
+    """Liouville function (-1)^Omega(n) for n = 1..n_max, int64: one segment of the same sieve."""
+    return next(_mobius_segments(n_max, n_max, liouville=True))
 
-    lambda is mu convolved with the indicator of the squares (its Dirichlet
-    series is zeta(2s)/zeta(s)): lambda(n) = sum over d^2 | n of mu(n/d^2).
-    """
-    lam = mobius(n_max)
-    mu = lam[: n_max // 4].copy()  # mu(m) for every m = n/d^2 with d >= 2
-    for d in range(2, math.isqrt(n_max) + 1):
-        lam[d * d - 1 :: d * d] += mu[: n_max // (d * d)]
-    return lam
+
+def _sieved_sequence(n_terms: int, liouville: bool) -> WeightSequence:
+    _check_n_terms(n_terms)
+    streamed = _MobiusWeights(n_terms, liouville)
+    if n_terms <= _mobius_span(n_terms):
+        return WeightSequence(streamed.name, streamed.values, 2.0)
+    return streamed
 
 
 def mobius_sequence(n_terms: int) -> WeightSequence:
-    """mu(n) as weights: held when one segment covers them, streamed when not.
-
-    Held weights are ``mobius(N)`` as an array, so every read slices it.
-    Streamed weights hold no N-term array unless ``values`` is read, and
-    each pass over their chunks sieves again.
-    """
-    _check_n_terms(n_terms)
-    if n_terms <= _mobius_span(n_terms):
-        return WeightSequence("mobius", mobius(n_terms).astype(np.complex128), 2.0)
-    return _MobiusWeights(n_terms)
+    """mu(n) as weights: held when one segment covers them, else sieved on every read."""
+    return _sieved_sequence(n_terms, liouville=False)
 
 
 def liouville_sequence(n_terms: int) -> WeightSequence:
-    _check_n_terms(n_terms)
-    return WeightSequence("liouville", liouville(n_terms).astype(np.complex128), 2.0)
+    """lambda(n) as weights: held when one segment covers them, else sieved on every read."""
+    return _sieved_sequence(n_terms, liouville=True)
 
 
 # ----------------------------------------------------------------------
@@ -623,7 +622,7 @@ def zero_set_scan(
     one column sum in order of n), each followed by one FFT: the phases
     n k/m are exact integer residues, and the whole scan costs
     O(N + G log G) for N terms and grid size G.  One read of the chunks up
-    to c_N feeds both folds, so a scan of streamed Mobius weights sieves
+    to c_N feeds both folds, so a scan of streamed mu or lambda sieves
     each segment once and holds O(sqrt(N) + G + _BLOCK) values.  The keys
     come from one sort of the lattice j/G and the low rationals that are
     off it.

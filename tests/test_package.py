@@ -92,8 +92,8 @@ def test_one_flow_stepping_loop():
 
 
 def test_one_sieve_for_the_arithmetic_weights():
-    # liouville is mobius convolved with the squares, and mobius and the
-    # streamed Mobius weights read the one segmented sieve
+    # mobius, liouville and their streamed weights all read the one
+    # segmented sieve
     callers = sorted(
         statement.name
         for statement in ast.parse((PACKAGE / "sequences.py").read_text()).body

@@ -218,6 +218,28 @@ class TestWeightSequence:
 SEGMENT = 8 * CHUNK  # the Mobius weights' segment up to N = 2^22
 
 
+# each sieved function, its weights and its independent reference
+SIEVED = {
+    "mobius": (seq.mobius, seq.mobius_sequence, reference_mobius),
+    "liouville": (seq.liouville, seq.liouville_sequence, reference_liouville),
+}
+
+
+def sieved_cases(mobius_cases, liouville_cases):
+    """(name, *case) parameters for both sieved sequences.
+
+    A Mobius case's id is the case alone, and a Liouville case's id is the
+    case prefixed with liouville-.
+    """
+    def param(name, case, prefix):
+        case = case if isinstance(case, tuple) else (case,)
+        return pytest.param(name, *case, id=prefix + "-".join(map(str, case)))
+
+    return [param("mobius", c, "") for c in mobius_cases] + [
+        param("liouville", c, "liouville-") for c in liouville_cases
+    ]
+
+
 def rotation_pair():
     return (
         registry.build_flow("rotation", {"rho": repr(ALPHA)}),
@@ -229,31 +251,42 @@ class TestMobiusStream:
     # chunk and segment edges, 32 and 31 segments at 2^20 and 10^6, and 117
     # longer (9-chunk) segments at 4.3e6
     @pytest.mark.parametrize(
-        "n_max",
-        [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, SEGMENT - 1, SEGMENT, SEGMENT + 1]
-        + [2**20, 10**6, 4_300_000],
+        "name, n_max",
+        sieved_cases(
+            [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, SEGMENT - 1, SEGMENT, SEGMENT + 1]
+            + [2**20, 10**6, 4_300_000],
+            [SEGMENT - 1, SEGMENT + 1, 3 * SEGMENT + 7, 10**6],
+        ),
     )
-    def test_sieves_match_the_one_array_sieve(self, n_max):
-        mu = seq.mobius(n_max)
-        assert mu.dtype == np.int64
-        assert np.array_equal(mu, reference_mobius(n_max))
+    def test_sieves_match_the_one_array_sieve(self, name, n_max):
+        function, sequence, reference = SIEVED[name]
+        values = function(n_max)
+        assert values.dtype == np.int64
+        assert np.array_equal(values, reference(n_max))
         assert np.array_equal(seq.liouville(n_max), reference_liouville(n_max))
-        w = seq.mobius_sequence(n_max)
-        assert np.array_equal(np.concatenate(list(w.chunks())), mu)
-        assert w.growth_bound == seq.prefix_growth_bound(seq._chunks(mu.astype(complex)), 2.0)
+        w = sequence(n_max)
+        assert np.array_equal(np.concatenate(list(w.chunks())), values)
+        assert w.growth_bound == seq.prefix_growth_bound(seq._chunks(values.astype(complex)), 2.0)
 
-    @pytest.mark.parametrize("n_max", [SEGMENT + 1, 3 * SEGMENT + 7, 2**21 + 1])
-    def test_chunks_are_the_values_in_block_order(self, n_max):
-        w = seq.mobius_sequence(n_max)
+    @pytest.mark.parametrize(
+        "name, n_max",
+        sieved_cases([SEGMENT + 1, 3 * SEGMENT + 7, 2**21 + 1], [SEGMENT + 1, 3 * SEGMENT + 7, 10**6]),
+    )
+    def test_chunks_are_the_values_in_block_order(self, name, n_max):
+        _, sequence, reference = SIEVED[name]
+        w = sequence(n_max)
         chunks = list(w.chunks())
         assert [len(c) for c in chunks] == [b - a for a, b in seq._blocks(n_max)]
         assert "values" not in vars(w)  # the chunks fill no N-term array
         assert np.concatenate(chunks).tobytes() == w.values.tobytes()
-        assert w.values.tobytes() == reference_mobius(n_max).astype(np.complex128).tobytes()
+        assert w.values.tobytes() == reference(n_max).astype(np.complex128).tobytes()
 
-    @pytest.mark.parametrize("n_max, mertens", [(10**6, 212), (10**7, 1037)])
-    def test_mertens_function_from_the_chunks(self, n_max, mertens):
-        chunks = seq.mobius_sequence(n_max).chunks()
+    @pytest.mark.parametrize(
+        "name, n_max, mertens",
+        sieved_cases([(10**6, 212), (10**7, 1037)], [(10**6, -530), (10**7, -842)]),
+    )
+    def test_mertens_function_from_the_chunks(self, name, n_max, mertens):
+        chunks = SIEVED[name][1](n_max).chunks()
         assert sum(int(c.real.sum()) for c in chunks) == mertens
 
     @pytest.mark.parametrize("n_max", [SEGMENT + 1, 3 * SEGMENT + 7])
@@ -275,20 +308,21 @@ class TestMobiusStream:
         assert "values" not in vars(streamed)
         assert streamed.growth_bound == seq.prefix_growth_bound(seq._chunks(stored.values), 2.0)
 
-    @pytest.mark.parametrize("n_max", [1, CHUNK + 1, SEGMENT])
-    def test_one_segment_of_weights_is_held_and_sieved_once(self, monkeypatch, n_max):
+    @pytest.mark.parametrize("name, n_max", sieved_cases([1, CHUNK + 1, SEGMENT], [1, CHUNK + 1, SEGMENT]))
+    def test_one_segment_of_weights_is_held_and_sieved_once(self, monkeypatch, name, n_max):
+        _, sequence, reference = SIEVED[name]
         calls = []
         segments = seq._mobius_segments
 
-        def counted(n_max, span):
+        def counted(n_max, span, liouville=False):
             calls.append(span)
-            return segments(n_max, span)
+            return segments(n_max, span, liouville)
 
         monkeypatch.setattr(seq, "_mobius_segments", counted)
         flow, observable = rotation_pair()
-        w = seq.mobius_sequence(n_max)
-        assert calls == [n_max]  # mobius(N), one segment
-        assert w.values.tobytes() == reference_mobius(n_max).astype(np.complex128).tobytes()
+        w = sequence(n_max)
+        assert calls == [n_max]  # mobius(N) or liouville(N), one segment
+        assert w.values.tobytes() == reference(n_max).astype(np.complex128).tobytes()
         assert all(np.shares_memory(c, w.values) for c in w.chunks())
         # every read slices the held weights, as repeated Holder probes do
         for x in (0.1, 0.2, 0.3):
@@ -320,9 +354,9 @@ class TestMobiusStream:
         produced = []
         segments = seq._mobius_segments
 
-        def counted(n_max, span):
+        def counted(n_max, span, liouville=False):
             lo = 1
-            for mu in segments(n_max, span):
+            for mu in segments(n_max, span, liouville):
                 produced.append(lo)
                 lo += len(mu)
                 yield mu
@@ -344,17 +378,18 @@ class TestMobiusStream:
 
     def test_weighted_average_holds_no_array_of_the_weights(self):
         flow, observable = rotation_pair()
-        analysis.weighted_birkhoff(seq.mobius_sequence(CHUNK), flow, observable, 0.0)  # warm caches
-        tracemalloc.start()
-        try:
-            report = analysis.weighted_birkhoff(seq.mobius_sequence(2**22), flow, observable, 0.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.verdict == "decaying"
-        # holding the weights whole took 100 MiB here: three int64 sieve
-        # arrays and a complex copy, 32 bytes a term
-        assert peak < 4 << 20
+        for sequence in (seq.mobius_sequence, seq.liouville_sequence):
+            analysis.weighted_birkhoff(sequence(CHUNK), flow, observable, 0.0)  # warm caches
+            tracemalloc.start()
+            try:
+                report = analysis.weighted_birkhoff(sequence(2**22), flow, observable, 0.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.verdict == "decaying"
+            # holding the weights whole took 100 MiB here: three int64 sieve
+            # arrays and a complex copy, 32 bytes a term
+            assert peak < 4 << 20, sequence
 
 
 class TestPhaseSequences:
@@ -789,9 +824,9 @@ def counted_segments(monkeypatch):
     produced = []
     segments = seq._mobius_segments
 
-    def counted(n_max, span):
+    def counted(n_max, span, liouville=False):
         lo = 1
-        for mu in segments(n_max, span):
+        for mu in segments(n_max, span, liouville):
             produced.append(lo)
             lo += len(mu)
             yield mu
@@ -827,16 +862,17 @@ class TestStreamedCesaro:
         assert "values" not in vars(w)
 
     def test_scan_holds_no_array_of_the_weights(self):
-        seq.zero_set_scan(seq.mobius_sequence(SEGMENT + 1))  # warm caches
-        tracemalloc.start()
-        try:
-            report = seq.zero_set_scan(seq.mobius_sequence(2**22))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.max_abs < 0.01
-        # holding the weights whole took 100 MiB, as for the weighted average
-        assert peak < 4 << 20
+        for sequence in (seq.mobius_sequence, seq.liouville_sequence):
+            seq.zero_set_scan(sequence(SEGMENT + 1))  # warm caches
+            tracemalloc.start()
+            try:
+                report = seq.zero_set_scan(sequence(2**22))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.max_abs < 0.01
+            # holding the weights whole took 100 MiB, as for the weighted average
+            assert peak < 4 << 20, sequence
 
 
 class TestZeroSetScan:
