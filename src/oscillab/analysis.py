@@ -18,8 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random
 
-from .flows import Flow, Observable, _observable_stream, orbit, orbit_distance_trace
-from .sequences import KahanSum, WeightSequence, cesaro_mean
+from .flows import (
+    Flow,
+    Observable,
+    _Cycle,
+    _observable_stream,
+    _observed_orbit,
+    orbit,
+    orbit_distance_trace,
+)
+from .sequences import KahanSum, WeightSequence, _blocks, _CarriedFold, _fold_width, cesaro_mean
 
 # verdict thresholds: empirical separation between the decaying examples
 # and the exact stagnant counterexample; configuration, not truth
@@ -98,14 +106,49 @@ def weighted_birkhoff(
     """Stream (1/N) sum c_n f(T^n x) and classify its decay.
 
     The weights are read one chunk per block of the observable stream, up
-    to the last checkpoint, so streamed weights are never held whole.  The
-    verdict fits the slope of log |S_N| against log N over the last half of
-    the checkpoints and compares the final |S_N| with the floor
+    to the last checkpoint, so streamed weights are never held whole.
+    Terms before the orbit's cycle are summed as products c_n f(T^n x).
+    Once the orbit is on its cycle (``flows._observed_orbit``), the terms
+    between two checkpoints are one residue fold of the c_n by a multiple
+    of the period (``sequences._CarriedFold``), dotted with f on the cycle,
+    so f is evaluated once per state and no product is formed per term.
+    The verdict fits the slope of log |S_N| against log N over the last
+    half of the checkpoints and compares the final |S_N| with the floor
     DECAY_FINAL_LEVEL * growth_bound * sup |f| on the orbit: a clearly
     negative slope below the floor reads 'decaying', a flat tail at or
     above it reads 'stagnant', anything else is 'inconclusive'.
     """
     return _birkhoff_report(weights, flow, observable, start, checkpoints, repr(start))
+
+
+class _CycleSum:
+    """Sum of c_n f(T^n x) over the terms ``begin``..``end - 1`` (from 0) on an orbit's cycle.
+
+    The c_n are fed in order and folded by m, a multiple of the period
+    (``_fold_width``); column j of the fold holds the terms of index
+    begin + j (mod m), on all of which f has one value.
+    """
+
+    def __init__(self, cycle: _Cycle, begin: int, end: int) -> None:
+        period = len(cycle.values)
+        m = _fold_width(period, end - begin)
+        self._fold = _CarriedFold(m)
+        self._values = cycle.values[(np.arange(begin, begin + m) - cycle.start) % period]
+
+    def add(self, weights: np.ndarray) -> None:
+        self._fold.add(weights)
+
+    def total(self) -> complex:
+        return complex((self._fold.columns() * self._values).sum())
+
+
+def _finite_sup(values: np.ndarray, start) -> float:
+    """max |f| over ``values``; refused when one is not finite."""
+    # hypot is what abs(complex) computes; np.abs can differ by an ulp
+    sup = float(np.max(np.hypot(values.real, values.imag)))
+    if not math.isfinite(sup):
+        raise ValueError(f"observable is not finite on the orbit of {start!r}")
+    return sup
 
 
 def _birkhoff_report(
@@ -123,23 +166,34 @@ def _birkhoff_report(
     acc = KahanSum()
     sup_observed = 0.0
     recorded: list[tuple[int, complex]] = []
-    lo = 0  # terms 1..lo are in acc
-    stream = _observable_stream(flow, observable, start, checkpoints[-1])
-    for block, chunk in zip(stream, weights.chunks()):
-        # hypot is what abs(complex) computes; np.abs can differ by an ulp
-        mags = np.hypot(block.real, block.imag)
-        block_sup = float(np.max(mags))
-        if not math.isfinite(block_sup):
-            raise ValueError(f"observable is not finite on the orbit of {start!r}")
-        sup_observed = max(sup_observed, block_sup)
-        terms = chunk[: len(block)] * block
-        cut = 0  # terms[:cut] are in acc
-        for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
-            acc.add(complex(terms[cut : n - lo].sum()))
-            cut = n - lo
-            recorded.append((n, acc.value / n))
-        acc.add(complex(terms[cut:].sum()))
-        lo += len(block)
+    lo = 0  # terms 1..lo are read
+    cyclic = None  # the cyclic terms since the last checkpoint, as a _CycleSum
+    stream = _observed_orbit(flow, observable, start, checkpoints[-1])
+    for (head, cycle), chunk, (_, hi) in zip(stream, weights.chunks(), _blocks(checkpoints[-1])):
+        if len(head):
+            sup_observed = max(sup_observed, _finite_sup(head, start))
+            terms = chunk[: len(head)] * head
+            cut = 0  # terms[:cut] are in acc
+            for n in [n for n in checkpoints if lo < n <= lo + len(head)]:
+                acc.add(complex(terms[cut : n - lo].sum()))
+                cut = n - lo
+                recorded.append((n, acc.value / n))
+            acc.add(complex(terms[cut:].sum()))
+        at = lo + len(head)  # terms 1..at are in acc or in cyclic
+        if at < hi and at == cycle.start:
+            sup_observed = max(sup_observed, _finite_sup(cycle.values, start))
+        while at < hi:
+            end = next(n for n in checkpoints if n > at)
+            if cyclic is None:
+                cyclic = _CycleSum(cycle, at, end)
+            cyclic.add(chunk[at - lo : min(end, hi) - lo])
+            if end > hi:
+                break
+            acc.add(cyclic.total())
+            cyclic = None
+            recorded.append((end, acc.value / end))
+            at = end
+        lo = hi
     slope = _fit_tail_slope(recorded)
     final_mag = abs(recorded[-1][1])
     floor = DECAY_FINAL_LEVEL * weights.growth_bound * max(sup_observed, 1e-300)

@@ -18,6 +18,7 @@ import concurrent.futures
 import configparser
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -53,36 +54,36 @@ class ExperimentConfig:
     seed: int | None
 
     @classmethod
-    def from_section(cls, name: str, section) -> "ExperimentConfig":
-        def grouped(prefix: str) -> dict:
-            return {
-                key[len(prefix) + 1 :]: value
-                for key, value in section.items()
-                if key.startswith(prefix + ".")
-            }
+    def from_section(cls, name: str, section: dict[str, str]) -> "ExperimentConfig":
+        """The experiment ``name`` from its section's items, read once into ``section``."""
+        grouped: dict[str, dict] = {"sequence": {}, "flow": {}, "observable": {}}
+        for key, value in section.items():
+            prefix, dot, param = key.partition(".")
+            if dot and prefix in grouped:
+                grouped[prefix][param] = value
 
         if "n" not in section:
             raise ConfigError(f"[{name}] missing n")
         try:
-            n_terms = section.getint("n")
+            n_terms = int(section["n"])
             if n_terms < 1:
                 raise ValueError(f"n must be >= 1, got {n_terms}")
             checkpoints = None
             if section.get("checkpoints"):
                 parts = [int(part) for part in section["checkpoints"].split(",")]
                 checkpoints = tuple(checked_checkpoints(parts, n_terms))
-            seed = section.getint("seed") if section.get("seed") else None
+            seed = int(section["seed"]) if section.get("seed") else None
             if seed is not None and seed < 0:
                 raise ValueError(f"seed must be >= 0, got {seed}")
             return cls(
                 name=name,
                 sequence=section["sequence"],
-                sequence_params=grouped("sequence"),
+                sequence_params=grouped["sequence"],
                 n_terms=n_terms,
                 flow=section["flow"],
-                flow_params=grouped("flow"),
+                flow_params=grouped["flow"],
                 observable=section["observable"],
-                observable_params=grouped("observable"),
+                observable_params=grouped["observable"],
                 start=section["start"],
                 checkpoints=checkpoints,
                 seed=seed,
@@ -101,13 +102,26 @@ class ExperimentConfig:
             raise ConfigError(f"[{self.name}] unknown observable {self.observable!r}")
 
 
-def parse_config(path: str) -> list[ExperimentConfig]:
-    parser = configparser.ConfigParser(interpolation=None)
+def _read_config(path: str) -> bytes:
     try:
-        with open(path) as fh:
-            parser.read_file(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_config(path: str) -> list[ExperimentConfig]:
+    return _parse_config_bytes(_read_config(path), path)
+
+
+def _parse_config_bytes(raw: bytes, path: str) -> list[ExperimentConfig]:
+    """The experiments of the config file ``path`` whose bytes are ``raw``.
+
+    The bytes are decoded as ``open(path)`` decodes them.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_file(io.TextIOWrapper(io.BytesIO(raw)), source=path)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
     experiments = []
@@ -129,7 +143,7 @@ def parse_config(path: str) -> list[ExperimentConfig]:
         if label in sections:
             raise ConfigError(f"[{sections[label]}] and [{section_name}] share the name {label!r}")
         sections[label] = section_name
-        cfg = ExperimentConfig.from_section(label, parser[section_name])
+        cfg = ExperimentConfig.from_section(label, dict(parser.items(section_name, raw=True)))
         cfg.known_names()
         experiments.append(cfg)
     if not experiments:
@@ -191,9 +205,9 @@ def cmd_run(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     out_dir = args.out
-    experiments = parse_config(args.config)
-    with open(args.config, "rb") as fh:  # the bytes that run, before any edit
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    raw = _read_config(args.config)  # hashed and parsed from one read
+    experiments = _parse_config_bytes(raw, args.config)
+    digest = hashlib.sha256(raw).hexdigest()
     os.makedirs(out_dir, exist_ok=True)
     if args.seed is not None:
         experiments = [replace(cfg, seed=args.seed) for cfg in experiments]

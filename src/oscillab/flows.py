@@ -9,7 +9,7 @@ orbit, read through ``_points`` (which steps a flow without ``block``) by
 with ``eval_block`` or else row by row, and by the pair stream
 ``orbit_distance_trace`` of d(T^k x, T^k z).  Outside them,
 ``interval.basin_probe`` calls a flow's ``block`` itself, and the interval
-cycle finders walk their cycle orbits with ``walk_block``.  Averages need
+cycle finders walk their cycle orbits with ``compact_walk``.  Averages need
 only O(block) memory; a distance trace holds both orbits whole, as blocks
 and as rows.
 
@@ -19,15 +19,23 @@ stacks its points along a leading axis: a float array of shape (n,) for
 the circle and interval flows, (n, 2) for the torus, and a
 ``padic.ResidueBlock`` (the ring plus residue arrays) for the p-adic flows.
 
-Eventually periodic orbits stop early.  The torus, quadratic-family and
-p-adic ``block`` kernels step their plain map with ``walk_block``, whose
-``cycle_walk`` compares each new state with the one saved at the last
-power of two (Brent's cycle check).  At the first exact repeat of the full
-state the orbit is periodic from there on, so the rest of the block is
-indexed from the cycle already computed: the tiled points are the points
-the walk would produce, bit for bit.  (Floats compare with ``==``, which
-equates 0.0 and -0.0; each such map sends both to the same image.)  An
-orbit that never repeats is walked to the end of the block.
+A cycle is walked once.  The torus, quadratic-family and p-adic kernels
+step their plain map with ``compact_walk``, whose ``cycle_walk`` compares
+each new state with the one saved at the last power of two (Brent's cycle
+check).  At the first exact repeat of the full state the orbit is periodic
+from there on, so the walk stops and keeps a ``Walk``: each state up to
+the repeat once, the tail before the cycle and the period.  Their
+``Flow.walk`` returns it, and ``walk_block`` tiles it into ``Flow.block``:
+the tiled points are the points a step loop would produce, bit for bit.
+(Floats compare with ``==``, which equates 0.0 and -0.0; each such map
+sends both to the same image, and the tail is cut where the states agree
+bit for bit.)  An orbit that never repeats is walked to the end of the
+block.  The observable stream reads ``Flow.walk`` where a flow has one:
+once a block's walk meets a repeat, f is evaluated once on each state of
+the walk, and every later term is served from those values, so no later
+block is walked or evaluated, and ``analysis.weighted_birkhoff`` sums the
+cyclic terms between two checkpoints as one residue fold of the weights
+by a multiple of the period, dotted with the cycle's values.
 
 Finite reductions make repeats certain.  An observable with a ``level``
 reads only the residue mod p^level, and a flow with ``reduce`` can step
@@ -49,6 +57,46 @@ Point = Any
 
 
 @dataclass(frozen=True)
+class Walk:
+    """The orbit points T x .. T^n x of a walked kernel, each state held once.
+
+    ``points`` stacks T x .. T^m x as ``Flow.block`` stacks points.  When
+    the walk met an exact repeat, m = ``tail`` + ``period`` and the last
+    ``period`` rows are the cycle: T^k x for k > ``tail`` is the row
+    tail + (k - 1 - tail) mod period.  Otherwise ``period`` is 0 and m = n.
+    The tail is the shortest one: T^(tail + 1) x is the first point that
+    recurs.
+    """
+
+    points: Any
+    tail: int
+    period: int
+    n_steps: int
+
+    @property
+    def size(self) -> int:
+        """m, the number of points held."""
+        return self.tail + self.period if self.period else self.n_steps
+
+    def last(self, start: Point) -> Any:
+        """T^n x as its row of an array of points; ``start`` when n = 0."""
+        k = self.n_steps - 1
+        if k < 0:
+            return start
+        if self.period and k >= self.tail:
+            k = self.tail + (k - self.tail) % self.period
+        return self.points[k]
+
+    def tiled(self) -> Any:
+        """T x .. T^n x, the ``n_steps`` rows of ``Flow.block``."""
+        if not self.period:
+            return self.points
+        k = np.arange(self.n_steps)
+        rows = np.where(k < self.tail, k, self.tail + (k - self.tail) % self.period)
+        return self.points.take(rows, axis=0)
+
+
+@dataclass(frozen=True)
 class Flow:
     """A state space with a continuous self-map and a metric.
 
@@ -59,6 +107,10 @@ class Flow:
     along a leading axis (see the module docstring), and T^n x as a point;
     a block that meets an exact repeat of the state tiles the cycle.  Every
     orbit reader reads ``block``, or without it applies ``step`` per point.
+    ``walk(x, n)``, set on the walked kernels, returns ``(walk, last)``: the
+    same n points as a ``Walk``, each state up to the first repeat held
+    once, which the observable stream reads; their ``block`` is
+    ``walk_block(walk)``.
 
     ``reduce(x, level)`` returns ``(flow, x)``: the flow that steps the
     orbit mod p^level, and x there, when ``level`` is below this flow's
@@ -74,6 +126,7 @@ class Flow:
     parse: Callable[[str], Point] | None = None
     block: Callable[[Point, int], tuple[Any, Point]] | None = None
     reduce: Callable[[Point, int], tuple[Flow, Point]] | None = None
+    walk: Callable[[Point, int], tuple[Walk, Point]] | None = None
 
     def __repr__(self) -> str:  # keep reports readable
         return f"Flow({self.name})"
@@ -127,13 +180,13 @@ def cycle_walk(
     return 0
 
 
-def walk_block(f: Callable[[Point], Point], state: Point, n_steps: int, dtype) -> np.ndarray:
-    """The orbit points T x .. T^n x of ``state`` under ``f``, as ``Flow.block`` stacks them.
+def compact_walk(f: Callable[[Point], Point], state: Point, n_steps: int, dtype) -> Walk:
+    """The orbit points T x .. T^n x of ``state`` under ``f``, walked up to the first repeat.
 
-    A state is a number, giving an (n,) array, or a list of two, giving an
-    (n, 2) array.  A float or int64 ``dtype`` records raw machine values
-    (``array``), ``object`` Python ints.  Past the first repeat the rows
-    run through the last ``period`` walked rows again and again.
+    A state is a number, giving rows of an (m,) array, or a list of two,
+    giving rows of an (m, 2) array.  A float or int64 ``dtype`` records raw
+    machine values (``array``), ``object`` Python ints.  After a repeat the
+    rows past the cycle's first lap are dropped, so each state is held once.
     """
     pair = isinstance(state, list)
     if dtype is object:
@@ -146,11 +199,28 @@ def walk_block(f: Callable[[Point], Point], state: Point, n_steps: int, dtype) -
     points = np.array(store, dtype=object) if dtype is object else np.frombuffer(store, dtype)
     if pair:
         points = points.reshape(-1, 2)
-    if period:
-        start = len(points) - period
-        k = np.arange(n_steps)
-        points = points[np.where(k < start, k, start + (k - start) % period)]
-    return points
+    if not period:
+        return Walk(points, 0, 0, n_steps)
+    # the tail ends at the first row whose state recurs a period on, bit
+    # for bit: 0.0 == -0.0, but only equal bits are sure to map alike.
+    # Without such a row the repeat was a -0.0 of a 0.0, and the cycle is
+    # the last period rows, as the walk met it
+    bits = points.view(np.int64) if points.dtype == np.float64 else points
+    same = bits[: len(bits) - period] == bits[period:]
+    if pair:
+        same = same.all(axis=1)
+    tail = int(np.argmax(same)) if same.any() else len(points) - period
+    return Walk(points[: tail + period], tail, period, n_steps)
+
+
+def walk_block(walk: Callable[[Point, int], tuple[Walk, Point]]):
+    """The ``Flow.block`` of a ``Flow.walk``: each walk's points, tiled past the repeat."""
+
+    def block(x: Point, n_steps: int) -> tuple[Any, Point]:
+        orbit, last = walk(x, n_steps)
+        return orbit.tiled(), last
+
+    return block
 
 
 def _points(flow: Flow, x: Point, n_steps: int) -> tuple[Any, Point]:
@@ -171,23 +241,69 @@ def orbit(flow: Flow, start: Point, n_steps: int) -> list:
     return [start, *_points(flow, start, n_steps)[0]]
 
 
-def _observable_stream(
+@dataclass(frozen=True)
+class _Cycle:
+    """f on an orbit's cycle: from ``start`` on, term i (counted from 0) is
+    values[(i - start) % period]."""
+
+    values: np.ndarray
+    start: int
+
+
+_NO_VALUES = np.empty(0, dtype=complex)
+
+
+def _observed_orbit(
     flow: Flow, observable: Observable, start: Point, n_terms: int
-) -> Iterator[np.ndarray]:
-    """f(T^k x) for k = 1..n_terms, in the weight builders' 4096-term chunks (``_blocks``)."""
+) -> Iterator[tuple[np.ndarray, _Cycle | None]]:
+    """f(T^k x) for k = 1..n_terms, one ``(head, cycle)`` pair per ``_blocks`` chunk.
+
+    ``head`` holds the chunk's values up to the orbit's cycle, all of them
+    until a walk meets a repeat.  ``cycle`` is None until then, and from
+    the chunk in which the cycle begins on it gives every later value: f
+    was evaluated once on each state of that walk, and no later chunk is
+    walked or evaluated.
+    """
     x = start
     if flow.reduce is not None and observable.level is not None:
         flow, x = flow.reduce(x, observable.level)
     evaluate = observable.eval_block or (lambda points: list(map(observable.eval, points)))
-    for lo, hi in _blocks(n_terms):
-        points, x = _points(flow, x, hi - lo)
+
+    def values_of(points, n_points: int) -> np.ndarray:
         values = np.asarray(evaluate(points), dtype=complex)
-        if values.shape != (hi - lo,):
+        if values.shape != (n_points,):
             raise ValueError(
                 f"{observable.name} gave values of shape {values.shape} "
-                f"for {hi - lo} points of {flow.name}"
+                f"for {n_points} points of {flow.name}"
             )
-        yield values
+        return values
+
+    cycle = None
+    for lo, hi in _blocks(n_terms):
+        if cycle is not None:
+            yield _NO_VALUES, cycle
+        elif flow.walk is None:
+            points, x = _points(flow, x, hi - lo)
+            yield values_of(points, hi - lo), None
+        else:
+            walked, x = flow.walk(x, hi - lo)
+            values = values_of(walked.points, walked.size)
+            if walked.period:
+                cycle = _Cycle(values[walked.tail :], lo + walked.tail)
+                values = values[: walked.tail]
+            yield values, cycle
+
+
+def _observable_stream(
+    flow: Flow, observable: Observable, start: Point, n_terms: int
+) -> Iterator[np.ndarray]:
+    """f(T^k x) for k = 1..n_terms, in the weight builders' 4096-term chunks (``_blocks``)."""
+    observed = _observed_orbit(flow, observable, start, n_terms)
+    for (lo, hi), (head, cycle) in zip(_blocks(n_terms), observed):
+        if len(head) < hi - lo:
+            k = np.arange(lo + len(head), hi) - cycle.start
+            head = np.concatenate((head, cycle.values[k % len(cycle.values)]))
+        yield head
 
 
 def orbit_distance_trace(flow: Flow, x: Point, z: Point, n_steps: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.polynomial
 
-from .flows import Flow, walk_block
+from .flows import Flow, compact_walk, walk_block
 
 CASCADE_ORIGIN = -0.5  # parameter where the fixed points collide (parabolic)
 CYCLE_TOL = 1e-10
@@ -149,7 +149,7 @@ def _newton_polish(tmap, x0: float, period: int) -> tuple[float, float]:
 
 
 def _orbit_points(tmap, x: float, period: int) -> np.ndarray:
-    return np.concatenate(([x], walk_block(tmap, float(x), period - 1, float)))
+    return np.concatenate(([x], compact_walk(tmap, float(x), period - 1, float).tiled()))
 
 
 def _genuine_period(tmap, x: float, period: int) -> bool:
@@ -555,8 +555,8 @@ def basin_probe(t: float, x: float, n_steps: int) -> BasinProbe:
 def quadratic_flow(t: float) -> Flow:
     """The quadratic family member as a metric flow on [-1, 1].
 
-    ``step`` is the map itself; ``block`` walks it on Python floats with
-    ``flows.walk_block``.
+    ``step`` is the map itself; ``walk`` walks it on Python floats with
+    ``flows.compact_walk``.
     """
     tmap = QuadraticMap(t)
 
@@ -566,9 +566,9 @@ def quadratic_flow(t: float) -> Flow:
             raise ValueError(f"start {raw!r} must lie in [-1, 1]")
         return x
 
-    def block(x: float, n_steps: int):
-        points = walk_block(tmap, float(x), n_steps, float)
-        return points, float(points[-1] if n_steps else x)
+    def walk(x: float, n_steps: int):
+        orbit = compact_walk(tmap, float(x), n_steps, float)
+        return orbit, float(orbit.last(x))
 
     return Flow(
         name=f"quadratic_family(t={t:g})",
@@ -576,5 +576,6 @@ def quadratic_flow(t: float) -> Flow:
         dist=lambda a, b: abs(a - b),
         sample=lambda rng: float(rng.uniform(-1.0, 1.0)),
         parse=parse,
-        block=block,
+        block=walk_block(walk),
+        walk=walk,
     )

@@ -12,10 +12,10 @@ outside input (``PadicInt(...)``, ``from_int``, ``from_digits``).  Arithmetic
 on values of that ring, polynomial evaluation and the rational-map step work
 on the plain int residues and reduce mod p^K; they build one value per
 result and only check that their operands share a ring.  A flow's
-``block`` builds no value per point: it walks the plain int map with
-``flows.walk_block`` and returns a ``ResidueBlock`` of residue arrays.
-Its ``reduce`` steps the same orbit mod p^level, which has at most
-p^level states, for an observable that reads no more.
+``walk`` builds no value per point: it walks the plain int map with
+``flows.compact_walk`` and holds its points as a ``ResidueBlock`` of
+residue arrays.  Its ``reduce`` steps the same orbit mod p^level, which
+has at most p^level states, for an observable that reads no more.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import Flow, cycle_walk, parse_pair, walk_block
+from .flows import Flow, Walk, compact_walk, parse_pair, walk_block
 
 DEFAULT_PRECISION = 32
 
@@ -182,6 +182,11 @@ class ResidueBlock:
     x: np.ndarray
     y: np.ndarray | None = None
 
+    def take(self, rows: np.ndarray, axis: int = 0) -> "ResidueBlock":
+        """The points at ``rows``, as ``np.ndarray.take`` picks rows (``Walk.tiled``)."""
+        y = None if self.y is None else self.y.take(rows)
+        return ResidueBlock(self.p, self.precision, self.x.take(rows), y)
+
     def __iter__(self):
         """The points in turn: ``PadicInt``s, or ``ProjPoint``s when ``y`` is set."""
         like = PadicInt(self.p, self.precision, 0)._like
@@ -266,11 +271,11 @@ def poly_flow(poly: PadicPoly) -> Flow:
     ring = poly.coefficients[0]
     top_down, dtype = poly._top_down, _residue_dtype(modulus)
 
-    def block(x: PadicInt, n_steps: int):
+    def walk(x: PadicInt, n_steps: int):
         ring._check_compatible(x)
-        residues = walk_block(lambda r: _horner(top_down, r, modulus), x.residue, n_steps, dtype)
-        last = int(residues[-1]) if n_steps else x.residue
-        return ResidueBlock(p, precision, residues), x._like(last)
+        orbit = compact_walk(lambda r: _horner(top_down, r, modulus), x.residue, n_steps, dtype)
+        last = x._like(int(orbit.last(x.residue)))
+        return replace(orbit, points=ResidueBlock(p, precision, orbit.points)), last
 
     def reduce(x: PadicInt, level: int):
         ring._check_compatible(x)
@@ -299,8 +304,9 @@ def poly_flow(poly: PadicPoly) -> Flow:
         dist=padic_dist,
         sample=sample,
         parse=parse,
-        block=block,
+        block=walk_block(walk),
         reduce=reduce,
+        walk=walk,
     )
     return flow
 
@@ -308,19 +314,38 @@ def poly_flow(poly: PadicPoly) -> Flow:
 def adding_machine(p: int, precision: int = DEFAULT_PRECISION) -> Flow:
     """x -> x + 1 on Z_p: a minimal isometry (the odometer).
 
-    ``block`` is the closed form (x + k) mod p^precision.
+    ``walk`` is the closed form (x + k) mod p^precision: the orbit is one
+    cycle of all p^precision residues, held once when a walk is that long.
+    ``reduce`` steps the odometer mod p^level, so an observable of that
+    level streams from its single cycle of p^level states; at a level of
+    at least the precision it keeps this flow.
     """
     poly = PadicPoly.from_ints([1, 1], p, precision)
+    ring = poly.coefficients[0]
     modulus = p**precision
     dtype = _residue_dtype(modulus)
 
-    def block(x: PadicInt, n_steps: int):
-        poly.coefficients[0]._check_compatible(x)
-        residues = (np.arange(1, n_steps + 1).astype(dtype) + x.residue) % modulus
-        return ResidueBlock(p, precision, residues), x._like(x.residue + n_steps)
+    def walk(x: PadicInt, n_steps: int):
+        ring._check_compatible(x)
+        held = min(n_steps, modulus)
+        residues = (np.arange(1, held + 1).astype(dtype) + x.residue) % modulus
+        orbit = Walk(ResidueBlock(p, precision, residues), 0, modulus if held == modulus else 0, n_steps)
+        return orbit, x._like(x.residue + n_steps)
 
-    # poly_flow's reduce would step by Horner; the closed form needs no reduction
-    return replace(poly_flow(poly), name=f"adding_machine(p={p})", block=block, reduce=None)
+    def reduce(x: PadicInt, level: int):
+        ring._check_compatible(x)
+        if level >= precision:
+            return machine, x
+        return adding_machine(p, level), PadicInt(p, level, x.residue)
+
+    machine = replace(
+        poly_flow(poly),
+        name=f"adding_machine(p={p})",
+        block=walk_block(walk),
+        reduce=reduce,
+        walk=walk,
+    )
+    return machine
 
 
 # ----------------------------------------------------------------------
@@ -459,12 +484,13 @@ def rational_flow(num: PadicPoly, den: PadicPoly) -> Flow:
         fx, fy = image([point.x.residue, point.y.residue])
         return ProjPoint(ring._like(fx), ring._like(fy))
 
-    def block(point: ProjPoint, n_steps: int):
+    def walk(point: ProjPoint, n_steps: int):
         ring._check_compatible(point.x)
         start = [point.x.residue, point.y.residue]
-        points = walk_block(image, start, n_steps, dtype)
-        x, y = (int(r) for r in points[-1]) if n_steps else start
-        return ResidueBlock(p, precision, *points.T), ProjPoint(ring._like(x), ring._like(y))
+        orbit = compact_walk(image, start, n_steps, dtype)
+        x, y = map(int, orbit.last(start))
+        rows = ResidueBlock(p, precision, *orbit.points.T)
+        return replace(orbit, points=rows), ProjPoint(ring._like(x), ring._like(y))
 
     def reduce(point: ProjPoint, level: int):
         ring._check_compatible(point.x)
@@ -493,8 +519,9 @@ def rational_flow(num: PadicPoly, den: PadicPoly) -> Flow:
         dist=spherical_dist_value,
         sample=sample,
         parse=parse,
-        block=block,
+        block=walk_block(walk),
         reduce=reduce,
+        walk=walk,
     )
     return flow
 
@@ -522,7 +549,7 @@ def empirical_minimality(
     finite system x -> P(x) mod p^level is a faithful oracle: the probe
     reports whether the orbit visited every residue of the cycle that the
     reduced system eventually enters.  The reduced orbit is walked only up
-    to its first repeat (``flows.cycle_walk``); the visit counts of its
+    to its first repeat (``flows.compact_walk``); the visit counts of its
     ``n_steps + 1`` states follow from the tail and the cycle.
     """
     poly = flow.step if isinstance(flow, Flow) else flow
@@ -535,13 +562,19 @@ def empirical_minimality(
         raise ValueError("n_steps must be >= 0")
     modulus = poly.p**level
     top_down = poly._top_down
-    states = [start.residue % modulus]
+    first = start.residue % modulus
     # at most p^level states, so Brent's check meets a repeat within 3 p^level steps
-    period = cycle_walk(
-        lambda r: _horner(top_down, r, modulus), states[0], 3 * modulus, states.append
+    orbit = compact_walk(
+        lambda r: _horner(top_down, r, modulus), first, 3 * modulus, _residue_dtype(modulus)
     )
-    tail = next(i for i in range(len(states)) if states[i] == states[i + period])
-    trail = states[: tail + period]  # the tail, then the cycle, each state once
+    walked = orbit.points.tolist()  # T x .. T^(tail + period) x, each state once
+    if orbit.tail == 0 and walked[-1] == first:
+        # x is on its cycle: the states from x on, each once, are x and then
+        # the walk's first period - 1 points
+        tail, trail = 0, [first, *walked[:-1]]
+    else:
+        tail, trail = orbit.tail + 1, [first, *walked]
+    period = orbit.period
     # states 0..n_steps: the tail once each, then laps of the cycle and a remainder
     laps, rem = divmod(n_steps + 1 - tail, period)
     histogram = {

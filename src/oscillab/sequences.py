@@ -197,8 +197,10 @@ class _MobiusWeights(WeightSequence):
     def chunks(self):
         span = _mobius_span(self._n_terms)
         for segment in _mobius_segments(self._n_terms, span, self._liouville):
-            for chunk in _chunks(segment):
-                yield chunk.astype(np.complex128)
+            for start in range(0, len(segment), _BLOCK):
+                yield segment[start : start + _BLOCK].astype(np.complex128)
+            # the sieve of the next segment must not find this one still held
+            del segment
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -499,11 +501,8 @@ def cesaro_mean(
     exact = freq if isinstance(freq, Fraction) else Fraction(float(freq))
     s = exact.denominator
     if s <= n_terms:
-        # fold by n mod a multiple of s, so each fold and each class's sum
-        # of folds adds about sqrt(N/s) terms: the rounding grows like
-        # sqrt(N), not N, while every phase stays an integer residue
-        width = s * math.isqrt(n_terms // s)
-        (folds,) = _weight_folds(weights, n_terms, (width,))
+        # fold by n mod a multiple of s: every phase stays an integer residue
+        (folds,) = _weight_folds(weights, n_terms, (_fold_width(s, n_terms),))
         folds = folds.reshape(-1, s).sum(axis=0)
         residues = (exact.numerator % s) * np.arange(s) % s
         return complex(folds @ np.exp(-2j * np.pi * (residues / s))) / n_terms
@@ -519,6 +518,17 @@ def cesaro_mean(
 
 # lcm(1..8): every r/s with s <= 8 is k/840 for an integer k
 _LOW_MODULUS = 840
+
+
+def _fold_width(s: int, n_terms: int) -> int:
+    """A multiple of s to fold n_terms values by: s isqrt(n_terms / s), and s at least.
+
+    Each fold then adds about sqrt(n_terms / s) values, and so do the
+    sums of the folds of one class mod s, so the rounding grows like
+    sqrt(n_terms), not n_terms; a wide fold also keeps a small s from
+    paying numpy's per-row reduction cost on s-wide rows.
+    """
+    return s * max(1, math.isqrt(n_terms // s))
 
 
 def _carry(rows: np.ndarray, sums: np.ndarray) -> None:
@@ -559,11 +569,17 @@ class _CarriedFold:
                 _carry(self._rows, self._sums)
                 self._staged = self.m
 
-    def result(self) -> np.ndarray:
+    def columns(self) -> np.ndarray:
+        """The m sums once every value is fed: column j adds the values fed
+        at j, j + m, j + 2m, ... (counted from 0)."""
         rows, rest = divmod(self._staged - self.m, self.m)
         _carry(self._rows[: rows + 1], self._sums)
         self._sums[:rest] += self._flat[(rows + 1) * self.m : self._staged]
-        return np.roll(self._sums, 1)
+        return self._sums
+
+    def result(self) -> np.ndarray:
+        """The folds of ``residue_fold``: column j holds n = j + 1 (mod m), hence the roll."""
+        return np.roll(self.columns(), 1)
 
 
 def _weight_folds(weights: WeightSequence, n_terms: int, moduli) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import Flow, parse_pair, walk_block
+from .flows import Flow, compact_walk, parse_pair, walk_block
 from .sequences import rational_phases
 
 
@@ -253,9 +253,9 @@ def conjugacy_equivalent(t: int, t_other: int) -> bool:
 def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     """x -> A x + b on [0,1)^2 with the quotient metric.
 
-    A point is a float array (x, y); ``step`` and ``block`` run one map on
-    a list of two Python floats, and ``block`` walks it with
-    ``flows.walk_block``.
+    A point is a float array (x, y); ``step`` and ``walk`` run one map on
+    a list of two Python floats, and ``walk`` walks it with
+    ``flows.compact_walk``.
     """
     if np.shape(shift) != (2,):
         raise ValueError(f"cannot use shift {np.ravel(shift).tolist()}: expected the form x,y")
@@ -272,10 +272,10 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
     def step(xy):
         return np.array(affine([float(xy[0]), float(xy[1])]))
 
-    def block(xy, n_steps: int):
+    def walk(xy, n_steps: int):
         start = [float(xy[0]), float(xy[1])]
-        points = walk_block(affine, start, n_steps, float)
-        return points, np.array(points[-1] if n_steps else start)
+        orbit = compact_walk(affine, start, n_steps, float)
+        return orbit, np.array(orbit.last(start))
 
     def sample(rng):
         return rng.random(2)
@@ -286,7 +286,8 @@ def torus_affine_flow(matrix: ModularMatrix, shift=(0.0, 0.0)) -> Flow:
         dist=torus_dist,
         sample=sample,
         parse=lambda raw: np.array(parse_pair(raw, float)),
-        block=block,
+        block=walk_block(walk),
+        walk=walk,
     )
 
 

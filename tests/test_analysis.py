@@ -14,7 +14,7 @@ from conftest import (
     rotation_trig_autocorrelation,
     toeplitz_min_eigenvalue,
 )
-from oscillab import analysis, circle, cli, flows, interval, registry, sequences, torus
+from oscillab import analysis, circle, cli, flows, interval, padic, registry, sequences, torus
 from oscillab.flows import Flow, Observable, isometry_defect
 
 ALPHA = math.sqrt(2.0) - 1.0
@@ -464,6 +464,74 @@ def per_step_birkhoff(weights, flow, observable, start, checkpoints):
     return recorded, sup
 
 
+# orbits that reach an exact cycle: (flow, params), (observable, params), start
+CYCLIC_ORBITS = {
+    "padic_poly": (
+        ("padic_poly", {"p": "3", "precision": "32", "coeffs": "1,1,0,1"}),
+        ("padic_phase", {"level": "4"}),
+        "5",
+    ),
+    "padic_rational": (
+        ("padic_rational", {"p": "3", "precision": "24", "num": "0,0,1", "den": "1"}),
+        ("projective_phase", {"level": "3"}),
+        "2,1",
+    ),
+    "adding_machine": (
+        ("adding_machine", {"p": "2", "precision": "32"}),
+        ("padic_phase", {"level": "6"}),
+        "0",
+    ),
+    "quadratic_family": (("quadratic_family", {"t": "0.7"}), ("coordinate", {}), "0.3"),
+    "torus_auto": (
+        ("torus_auto", {"matrix": "0,1;-1,0"}),
+        ("torus_fourier", {"k1": "1", "k2": "1"}),
+        "0.2137,0.718",
+    ),
+    # the first point to recur is T^4561 x: no walk meets the repeat in the
+    # first 4096-term block, and the second block's does
+    "quadratic_late_repeat": (("quadratic_family", {"t": "0.7235"}), ("coordinate", {}), "0.3"),
+}
+
+
+def registered(flow, observable, start):
+    """The registry's flow, observable and parsed start for (name, params) pairs."""
+    (flow_name, flow_params), (obs_name, obs_params) = flow, observable
+    built = registry.build_flow(flow_name, flow_params)
+    return (
+        built,
+        registry.build_observable(obs_name, obs_params),
+        registry.parse_start(flow_name, start, built),
+    )
+
+
+def observed_state(point, level):
+    """What an observable of ``level`` reads of a point: its residues mod p^level, or the point."""
+    if isinstance(point, padic.PadicInt):
+        return point.residue % point.p**level
+    if isinstance(point, padic.ProjPoint):
+        modulus = point.x.p**level
+        return point.x.residue % modulus, point.y.residue % modulus
+    return tuple(np.ravel(point).tolist())
+
+
+def first_recurrence(flow, observable, x):
+    """(tail, period), stepped per point: T^(tail + 1) x is the first point to recur."""
+    seen = {}
+    for k in range(10**6):
+        x = flow.step(x)
+        state = observed_state(x, observable.level)
+        if state in seen:
+            return seen[state], k - seen[state]
+        seen[state] = k
+    raise AssertionError("no point recurred")
+
+
+def gauss_weights(rng, n_terms):
+    return sequences.WeightSequence(
+        "gauss", rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms), 2.0
+    )
+
+
 def per_step_distances(flow, x, z, n_steps):
     u, v = x, z
     out = []
@@ -576,6 +644,79 @@ class TestStreamsMatchPerStepLoops:
         for (_, got), (_, want) in zip(report.checkpoints, expected):
             assert abs(got - want) <= 1e-12
         assert report.sup_observed == pytest.approx(sup, rel=1e-12)
+
+    @pytest.mark.parametrize("short", [False, True], ids=["1e5", "below_tail_plus_period"])
+    @pytest.mark.parametrize("orbit", list(CYCLIC_ORBITS))
+    def test_cyclic_orbits_fold_within_1e12(self, orbit, short, rng):
+        flow, observable, start = registered(*CYCLIC_ORBITS[orbit])
+        tail, period = first_recurrence(flow, observable, start)
+        block = sequences._BLOCK
+        if short:  # no walk of N steps can meet the repeat
+            n_terms = tail + period - 1
+            marks = [1, tail // 2, tail, n_terms]
+        else:
+            n_terms = 10**5
+            # inside the tail, at its end, the first lap of the cycle, and
+            # the block boundaries
+            marks = [1, tail // 2, tail, tail + 1, tail + period, tail + period + 1]
+            marks += [block - 1, block, block + 1, 2 * block, 2 * block + 1, n_terms]
+        checkpoints = sorted({n for n in marks if 1 <= n <= n_terms})
+        weights = gauss_weights(rng, n_terms)
+        report = analysis.weighted_birkhoff(weights, flow, observable, start, checkpoints)
+        expected, sup = per_step_birkhoff(weights, flow, observable, start, checkpoints)
+        assert [n for n, _ in report.checkpoints] == checkpoints
+        for (_, got), (_, want) in zip(report.checkpoints, expected):
+            assert abs(got - want) <= 1e-12
+        assert report.sup_observed == sup
+
+    def test_late_repeat_is_met_in_a_later_block(self):
+        flow, observable, start = registered(*CYCLIC_ORBITS["quadratic_late_repeat"])
+        tail, _ = first_recurrence(flow, observable, start)
+        block = sequences._BLOCK
+        assert block < tail < 2 * block
+        heads = [
+            (len(head), cycle)
+            for head, cycle in flows._observed_orbit(flow, observable, start, 3 * block)
+        ]
+        assert heads[0] == (block, None)
+        (first, cycle), (third, same) = heads[1:]
+        assert cycle is not None and same is cycle and third == 0
+        assert cycle.start == block + first and tail <= cycle.start
+
+    @pytest.mark.parametrize(
+        "orbit",
+        [
+            # the first flip: no state repeats
+            (("quadratic_family", {"t": "0.5"}), ("coordinate", {}), "0.3"),
+            (
+                ("torus_affine", {"matrix": "1,0;1,1", "shift": "0.41421356237309503,0"}),
+                ("torus_fourier", {"k1": "1", "k2": "1"}),
+                "0.2137,0.718",
+            ),
+        ],
+        ids=["quadratic_no_repeat", "counterexample_skew"],
+    )
+    def test_orbits_that_never_repeat_keep_the_product_sums(self, orbit, rng):
+        # no cycle, so each chunk's terms are summed as products, bit for bit
+        flow, observable, start = registered(*orbit)
+        n_terms = 10**5
+        weights = gauss_weights(rng, n_terms)
+        checkpoints = analysis.default_checkpoints(n_terms)
+        report = analysis.weighted_birkhoff(weights, flow, observable, start, checkpoints)
+        acc, recorded, lo = sequences.KahanSum(), [], 0
+        stream = flows._observable_stream(flow, observable, start, n_terms)
+        for block, chunk in zip(stream, weights.chunks()):
+            terms = chunk[: len(block)] * block
+            cut = 0
+            for n in [n for n in checkpoints if lo < n <= lo + len(block)]:
+                acc.add(complex(terms[cut : n - lo].sum()))
+                cut = n - lo
+                recorded.append((n, acc.value / n))
+            acc.add(complex(terms[cut:].sum()))
+            lo += len(block)
+        assert [(n, s.real.hex(), s.imag.hex()) for n, s in report.checkpoints] == [
+            (n, s.real.hex(), s.imag.hex()) for n, s in recorded
+        ]
 
     def test_bad_density_counts_exact(self):
         # a shear pulls fibers apart and wraps them round: the bad set is

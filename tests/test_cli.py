@@ -1,7 +1,9 @@
+import builtins
 import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import re
 import threading
 from fractions import Fraction
@@ -565,6 +567,22 @@ class TestRunCommand:
         assert cli.main(["--out", str(out), "run", str(cfg)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_sha256"] == hashlib.sha256(ran).hexdigest()
+
+    def test_run_reads_the_config_once(self, tmp_path, monkeypatch):
+        # the digest and the experiments come from one read of the file, so
+        # an edit between two reads cannot record bytes that did not run
+        cfg = tmp_path / "once.cfg"
+        cfg.write_text(open(config_path("resonant-rotation.cfg")).read())
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert cli.main(["--out", str(tmp_path / "out"), "run", str(cfg)]) == 0
+        assert opened.count(str(cfg)) == 1
 
     def test_jobs_one_runs_in_the_calling_thread(self, tmp_path, monkeypatch):
         multi = tmp_path / "multi.cfg"

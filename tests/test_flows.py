@@ -330,8 +330,17 @@ class TestBlocksMatchSteps:
                 ("projective_phase", {"level": "3"}),
                 "2,1",
             ),
+            # one cycle of the 64 residues mod 2^6, from the reduced odometer
+            (("adding_machine", {"p": "2", "precision": "32"}), ("padic_phase", {"level": "6"}), "0"),
         ],
-        ids=["quadratic_family", "quadratic_no_repeat", "torus_auto", "padic_poly", "padic_rational"],
+        ids=[
+            "quadratic_family",
+            "quadratic_no_repeat",
+            "torus_auto",
+            "padic_poly",
+            "padic_rational",
+            "adding_machine",
+        ],
     )
     def test_stream_chains_blocks_exactly(self, flow, observable, start):
         # the p-adic rows step mod p^level in the stream and at full precision here
@@ -449,6 +458,33 @@ class TestCycleWalk:
             assert points.x.tolist() == [pt.x.residue for pt in want]
             assert points.y.tolist() == [pt.y.residue for pt in want]
         assert last == want_last
+
+    def test_walk_holds_each_state_once(self):
+        # x -> x^2 mod 13 from 2: 4, then the 2-cycle 3, 9; Brent's check
+        # meets the repeat at step 4, and the walk keeps 4, 3, 9
+        walked = flows.compact_walk(lambda x: x * x % 13, 2, 100, np.int64)
+        assert (walked.points.tolist(), walked.tail, walked.period) == ([4, 3, 9], 1, 2)
+        assert walked.tiled().tolist() == [4] + [3, 9] * 49 + [3]
+        assert [flows.compact_walk(lambda x: x * x % 13, 2, n, np.int64).last(2) for n in range(6)] == [
+            2, 4, 3, 9, 3, 9
+        ]
+        # the walk stops at the first repeat: a walk too short for it holds every point
+        short = flows.compact_walk(lambda x: x * x % 13, 2, 3, np.int64)
+        assert (short.points.tolist(), short.period) == ([4, 3, 9], 0)
+
+    def test_adding_machine_reduces_to_one_cycle(self):
+        from oscillab import padic
+
+        flow = padic.adding_machine(2, 32)
+        start = padic.PadicInt.from_int(2**31 + 5, 2, 32)
+        low, x = flow.reduce(start, 6)
+        assert (x.precision, x.residue) == (6, 5)
+        walked, last = low.walk(x, 4096)
+        assert (walked.tail, walked.period, walked.size) == (0, 64, 64)
+        assert walked.points.x.tolist() == [(5 + k) % 64 for k in range(1, 65)]
+        assert last == padic.PadicInt.from_int(5 + 4096, 2, 6)
+        # at the working precision the flow keeps its own closed form
+        assert flow.reduce(start, 32) == (flow, start)
 
     def test_empty_blocks_end_at_the_start(self):
         from oscillab import padic

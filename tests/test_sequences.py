@@ -391,6 +391,26 @@ class TestMobiusStream:
             # arrays and a complex copy, 32 bytes a term
             assert peak < 4 << 20, sequence
 
+    @pytest.mark.parametrize("liouville", [False, True], ids=["mobius", "liouville"])
+    def test_streamed_read_holds_one_segment(self, liouville):
+        # a read past one segment holds the sieve of the segment it makes and
+        # the chunks in flight, not the segment before it too
+        n_max = 2**22
+        w = (seq.liouville_sequence if liouville else seq.mobius_sequence)(n_max)
+        tracemalloc.start()
+        try:
+            next(seq._mobius_segments(n_max, seq._mobius_span(n_max), liouville))
+            sieve = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for chunk in w.chunks():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) > SEGMENT
+        # one segment more is 256 KiB here
+        assert peak <= sieve + 2 * CHUNK * 16
+
 
 class TestPhaseSequences:
     def test_quadratic_zero_alpha(self):
